@@ -11,12 +11,12 @@ not re-hit the service.
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 from typing import Callable
 
-from .errors import CacheMiss, NetworkError, NotFound
+from .errors import NetworkError, NotFound
 from .reports import CaseKey, RawCaseDocument
+from .source import ReadThroughSource, http_text
 
 DEFAULT_API_BASE = "https://crashviewer.nhtsa.dot.gov/crashviewer/CrashAPI/crashes"
 
@@ -30,23 +30,18 @@ def build_case_url(base: str, key: CaseKey) -> str:
     )
 
 
-def _requests_transport(url: str) -> str:
-    import requests
-
-    try:
-        resp = requests.get(url, timeout=60)
-    except requests.RequestException as exc:
-        raise NetworkError(str(exc)) from exc
-    if resp.status_code == 404:
+def _http_get_report(url: str) -> str:
+    status, body = http_text(url)
+    if status == 404:
         raise NotFound(url)
-    if resp.status_code != 200:
-        raise NetworkError(f"HTTP {resp.status_code} for {url}")
-    if not resp.text.strip():
+    if status != 200:
+        raise NetworkError(f"HTTP {status} for {url}")
+    if not body.strip():
         raise NotFound(url)
-    return resp.text
+    return body
 
 
-class CrashApiClient:
+class CrashApiClient(ReadThroughSource):
     """Fetch case documents; safe for concurrent per-case workers."""
 
     def __init__(
@@ -57,45 +52,18 @@ class CrashApiClient:
         fixtures_dir: Path | None = None,
         transport: Transport | None = None,
     ):
+        super().__init__(cache_dir, offline, fixtures_dir, transport or _http_get_report)
         self.base_url = base_url
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.offline = offline
-        self.fixtures_dir = Path(fixtures_dir) if fixtures_dir else None
-        self._transport = transport or _requests_transport
-        self._memory: dict[CaseKey, str] = {}
-        self._lock = threading.Lock()
-
-    def _cache_path(self, key: CaseKey) -> Path | None:
-        return self.cache_dir / f"{key.slug}.xml" if self.cache_dir else None
-
-    def _fixture_path(self, key: CaseKey) -> Path | None:
-        return self.fixtures_dir / f"{key.slug}.xml" if self.fixtures_dir else None
 
     def fetch_case(self, key: CaseKey) -> RawCaseDocument:
         """Return the verbatim document for ``key``, caching it."""
-        with self._lock:
-            cached = self._memory.get(key)
-        if cached is not None:
-            return RawCaseDocument(key, cached)
+        return RawCaseDocument(key, self._load(key))
 
-        body = self._load_uncached(key)
-        with self._lock:
-            self._memory.setdefault(key, body)
-        return RawCaseDocument(key, body)
+    def _cache_name(self, key: CaseKey) -> str:
+        return f"{key.slug}.xml"
 
-    def _load_uncached(self, key: CaseKey) -> str:
-        cache_path = self._cache_path(key)
-        if cache_path is not None and cache_path.is_file():
-            return cache_path.read_text(encoding="utf-8")
+    def _fixture(self, key: CaseKey) -> Path | None:
+        return self.fixtures_dir / f"{key.slug}.xml" if self.fixtures_dir else None
 
-        if self.offline:
-            fixture = self._fixture_path(key)
-            if fixture is not None and fixture.is_file():
-                return fixture.read_text(encoding="utf-8")
-            raise CacheMiss(f"no fixture or cached document for case {key.slug}")
-
-        body = self._transport(build_case_url(self.base_url, key))
-        if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(body, encoding="utf-8")
-        return body
+    def _remote(self, key: CaseKey) -> str:
+        return self._transport(build_case_url(self.base_url, key))

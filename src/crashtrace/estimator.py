@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import (
     EndpointError,
     EstimationFailed,
+    NetworkError,
     NoCandidates,
     NoValidPlacement,
     UnparseableResponse,
@@ -47,6 +48,7 @@ from .roadnet import (
     locate_crash_point,
     travel_direction,
 )
+from .source import http_text
 
 DEFAULT_HORIZON_S = 6.0
 DEFAULT_SPEED_MPS = 13.41  # assigned when the report gives no travel speed
@@ -464,20 +466,19 @@ def build_prompt(
 
 
 def _http_transport(endpoint: str, model: str | None = None) -> Callable[[str], str]:
-    def send(prompt: str) -> str:
-        import requests
+    headers = {"Content-Type": "text/plain"}
+    if model:
+        headers["X-Model-Name"] = model
 
-        headers = {"Content-Type": "text/plain"}
-        if model:
-            headers["X-Model-Name"] = model
+    def send(prompt: str) -> str:
         try:
-            resp = requests.post(endpoint, data=prompt.encode("utf-8"),
-                                 headers=headers, timeout=120)
-        except requests.RequestException as exc:
+            status, text = http_text(endpoint, data=prompt.encode("utf-8"),
+                                     headers=headers, timeout=120)
+        except NetworkError as exc:
             raise EndpointError(str(exc)) from exc
-        if resp.status_code != 200:
-            raise EndpointError(f"HTTP {resp.status_code} from {endpoint}")
-        return resp.text
+        if status != 200:
+            raise EndpointError(f"HTTP {status} from {endpoint}")
+        return text
 
     return send
 
@@ -620,7 +621,17 @@ def estimate_with_feedback(
 
 def serialize_scene(spec: SceneSpec) -> str:
     """Deterministic scene document; numbers keep full precision."""
-    doc = {
+    return json.dumps(scene_to_dict(spec), indent=2) + "\n"
+
+
+def parse_scene(text: str) -> SceneSpec:
+    """Inverse of :func:`serialize_scene`; ignores embedded extras."""
+    return scene_from_dict(json.loads(text))
+
+
+def scene_to_dict(spec: SceneSpec) -> dict:
+    """The scene document as plain JSON values, in serialization order."""
+    return {
         "case_key": {
             "state": spec.case_key.state,
             "state_case": spec.case_key.state_case,
@@ -644,12 +655,10 @@ def serialize_scene(spec: SceneSpec) -> str:
         ],
         "map_file": spec.map_file,
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_scene(text: str) -> SceneSpec:
-    """Inverse of :func:`serialize_scene`; ignores embedded extras."""
-    doc = json.loads(text)
+def scene_from_dict(doc: dict) -> SceneSpec:
+    """Inverse of :func:`scene_to_dict`; ignores embedded extras."""
     key = CaseKey(
         int(doc["case_key"]["state"]),
         int(doc["case_key"]["state_case"]),

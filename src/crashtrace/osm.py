@@ -11,14 +11,15 @@ flat-world conversion cannot represent it.
 from __future__ import annotations
 
 import math
-import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+from urllib.parse import urlencode
 
-from .errors import CacheMiss, EmptyAfterPrune, EmptyExtract, NetworkError, OutOfExtent
+from .errors import EmptyAfterPrune, EmptyExtract, NetworkError, OutOfExtent
 from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project
+from .source import ReadThroughSource, http_text
 
 DEFAULT_OVERPASS_URL = "https://overpass-api.de/api/interpreter"
 
@@ -37,9 +38,6 @@ class OsmWay:
 class OsmGraph:
     nodes: dict[int, GeoPoint]
     ways: dict[int, OsmWay]
-
-    def road_way_ids(self) -> list[int]:
-        return sorted(wid for wid, w in self.ways.items() if w.is_road)
 
 
 def parse_osm(text: str) -> OsmGraph:
@@ -105,19 +103,14 @@ def overpass_query(center: GeoPoint, radius_m: float) -> str:
     )
 
 
-def _requests_transport(url: str, query: str) -> str:
-    import requests
-
-    try:
-        resp = requests.post(url, data={"data": query}, timeout=120)
-    except requests.RequestException as exc:
-        raise NetworkError(str(exc)) from exc
-    if resp.status_code != 200:
-        raise NetworkError(f"HTTP {resp.status_code} from {url}")
-    return resp.text
+def _http_post_overpass(url: str, query: str) -> str:
+    status, text = http_text(url, data=urlencode({"data": query}).encode("ascii"), timeout=120)
+    if status != 200:
+        raise NetworkError(f"HTTP {status} from {url}")
+    return text
 
 
-class OsmClient:
+class OsmClient(ReadThroughSource):
     """Bounding-box extract retrieval with a synchronized read-through cache."""
 
     def __init__(
@@ -128,61 +121,32 @@ class OsmClient:
         fixtures_dir: Path | None = None,
         transport: Callable[[str, str], str] | None = None,
     ):
+        super().__init__(cache_dir, offline, fixtures_dir, transport or _http_post_overpass)
         self.url = url
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.offline = offline
-        self.fixtures_dir = Path(fixtures_dir) if fixtures_dir else None
-        self._transport = transport or _requests_transport
-        self._memory: dict[tuple, str] = {}
-        self._lock = threading.Lock()
-
-    def _cache_key(self, center: GeoPoint, radius_m: float) -> tuple:
-        return (round(center.latitude, 7), round(center.longitude, 7), round(radius_m, 1))
-
-    def _cache_path(self, center: GeoPoint, radius_m: float) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        lat, lon, rad = self._cache_key(center, radius_m)
-        return self.cache_dir / f"osm_{lat:.7f}_{lon:.7f}_{rad:.0f}.osm"
 
     def retrieve_osm(self, center: GeoPoint, radius_m: float) -> OsmGraph:
         """Extract around ``center``; raises EmptyExtract when no roads exist."""
         if radius_m <= 0:
             raise ValueError("radius must be positive")
-        text = self._load(center, radius_m)
+        text = self._load((center, radius_m))
         graph = parse_osm(text)
         if not any(w.is_road for w in graph.ways.values()):
             raise EmptyExtract(f"no road-bearing ways within {radius_m} m of {center}")
         return graph
 
-    def _load(self, center: GeoPoint, radius_m: float) -> str:
-        key = self._cache_key(center, radius_m)
-        with self._lock:
-            cached = self._memory.get(key)
-        if cached is not None:
-            return cached
+    def _cache_key(self, request: tuple[GeoPoint, float]) -> tuple:
+        center, radius_m = request
+        return (round(center.latitude, 7), round(center.longitude, 7), round(radius_m, 1))
 
-        text = self._load_uncached(center, radius_m)
-        with self._lock:
-            self._memory.setdefault(key, text)
-        return text
+    def _cache_name(self, key: tuple) -> str:
+        lat, lon, rad = key
+        return f"osm_{lat:.7f}_{lon:.7f}_{rad:.0f}.osm"
 
-    def _load_uncached(self, center: GeoPoint, radius_m: float) -> str:
-        cache_path = self._cache_path(center, radius_m)
-        if cache_path is not None and cache_path.is_file():
-            return cache_path.read_text(encoding="utf-8")
+    def _fixture(self, request: tuple[GeoPoint, float]) -> Path | None:
+        return self._find_fixture(request[0])
 
-        if self.offline:
-            fixture = self._find_fixture(center)
-            if fixture is None:
-                raise CacheMiss(f"no offline map fixture covering {center}")
-            return fixture.read_text(encoding="utf-8")
-
-        text = self._transport(self.url, overpass_query(center, radius_m))
-        if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(text, encoding="utf-8")
-        return text
+    def _remote(self, request: tuple[GeoPoint, float]) -> str:
+        return self._transport(self.url, overpass_query(*request))
 
     def _find_fixture(self, center: GeoPoint) -> Path | None:
         """Pick the fixture whose node bounding box covers ``center``.

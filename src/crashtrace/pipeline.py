@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import crash_api, errors, estimator, opendrive, osm, reports
-from .estimator import EstimationSettings, SceneSpec, parse_scene, serialize_scene
+from .estimator import EstimationSettings, SceneSpec, scene_from_dict, scene_to_dict
 from .geometry import PlanarPoint, project
 from .reports import CaseKey, CrashReport
 from .roadnet import (
@@ -158,7 +158,7 @@ def build_clients(config: PipelineConfig) -> Clients:
 
 
 def scenario_document(scene: SceneSpec, trajectories: Sequence[Trajectory]) -> str:
-    doc = json.loads(serialize_scene(scene))
+    doc = scene_to_dict(scene)
     by_id = {t.vehicle_id: t for t in trajectories}
     for entry in doc["vehicles"]:
         traj = by_id[entry["id"]]
@@ -175,8 +175,8 @@ def scenario_document(scene: SceneSpec, trajectories: Sequence[Trajectory]) -> s
 
 
 def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:
-    scene = parse_scene(text)
     doc = json.loads(text)
+    scene = scene_from_dict(doc)
     trajectories = []
     for entry in doc["vehicles"]:
         waypoints = tuple(
@@ -197,31 +197,28 @@ def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:
 
 
 class _Excluded(Exception):
+    """A verdict, rather than an error, that ends the case."""
+
     def __init__(self, reason: ExclusionReason):
         self.reason = reason
 
 
-def _stage(exc_map: dict, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except tuple(exc_map) as exc:
-        for exc_type, reason in exc_map.items():
-            if isinstance(exc, exc_type):
-                raise _Excluded(reason) from exc
-        raise
-
-
-_FETCH_ERRORS = {
+# The only errors a case may end on; any other error aborts the batch.
+EXCLUSION_FOR_ERROR: dict[type[errors.CrashTraceError], ExclusionReason] = {
     errors.NetworkError: ExclusionReason.FETCH_FAILED,
     errors.NotFound: ExclusionReason.FETCH_FAILED,
     errors.CacheMiss: ExclusionReason.FETCH_FAILED,
-}
-
-_ESTIMATION_ERRORS = {
+    errors.MalformedDocument: ExclusionReason.INCOMPLETE_INFO,
+    errors.EmptyExtract: ExclusionReason.INCONSISTENT_CRASH_LOCATION,
+    errors.EmptyAfterPrune: ExclusionReason.INCONSISTENT_CRASH_LOCATION,
+    errors.DegenerateGeometry: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
+    errors.OutOfExtent: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
+    errors.TooFewNodes: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
     errors.NoCandidates: ExclusionReason.ESTIMATION_FAILED,
     errors.NoValidPlacement: ExclusionReason.ESTIMATION_FAILED,
     errors.EstimationFailed: ExclusionReason.ESTIMATION_FAILED,
     errors.EndpointError: ExclusionReason.ESTIMATION_FAILED,
+    errors.UnreachableCrashPoint: ExclusionReason.FAILED_TO_COLLIDE,
 }
 
 
@@ -232,6 +229,11 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
         artifacts = _reconstruct(key, config, clients)
     except _Excluded as exc:
         return CaseOutcome(key, reason=exc.reason)
+    except errors.CrashTraceError as exc:
+        reason = EXCLUSION_FOR_ERROR.get(type(exc))
+        if reason is None:
+            raise
+        return CaseOutcome(key, reason=reason)
 
     package_dir = Path(config.out_dir) / f"case_{key.slug}"
     package_dir.mkdir(parents=True, exist_ok=True)
@@ -241,11 +243,8 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
 
 
 def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict[str, str]:
-    raw = _stage(_FETCH_ERRORS, clients.report_client.fetch_case, key)
-    report = _stage(
-        {errors.MalformedDocument: ExclusionReason.INCOMPLETE_INFO},
-        reports.parse_report, raw,
-    )
+    raw = clients.report_client.fetch_case(key)
+    report = reports.parse_report(raw)
     verdict = reports.check_completeness(report)
     if not verdict.accepted:
         raise _Excluded(ExclusionReason.INCOMPLETE_INFO)
@@ -253,26 +252,14 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
         raise _Excluded(ExclusionReason.NOT_DUAL_VEHICLE)
 
     origin = report.crash_coords
-    graph = _stage(
-        {**_FETCH_ERRORS, errors.EmptyExtract: ExclusionReason.INCONSISTENT_CRASH_LOCATION},
-        clients.osm_client.retrieve_osm, origin, config.radius_m,
-    )
-    pruned = _stage(
-        {errors.EmptyAfterPrune: ExclusionReason.INCONSISTENT_CRASH_LOCATION},
-        osm.prune_osm, graph, origin, config.radius_m,
-    )
+    graph = clients.osm_client.retrieve_osm(origin, config.radius_m)
+    pruned = osm.prune_osm(graph, origin, config.radius_m)
     if osm.detect_vertical_geometry(pruned):
         raise _Excluded(ExclusionReason.UNSUPPORTED_VERTICAL_GEOMETRY)
 
-    geometry_errors = {
-        errors.DegenerateGeometry: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
-        errors.OutOfExtent: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
-        errors.TooFewNodes: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
-    }
-    network = _stage(geometry_errors, build_road_network, pruned, origin, config.lane_width_m)
+    network = build_road_network(pruned, origin, config.lane_width_m)
     network = unify_lanes(network)
-    geo_check = _stage(geometry_errors, validate_geometry, pruned, network, origin,
-                       config.geo_tolerance)
+    geo_check = validate_geometry(pruned, network, origin, config.geo_tolerance)
     if not geo_check.passed:
         raise _Excluded(ExclusionReason.GEOMETRY_VALIDATION_FAILED)
 
@@ -282,18 +269,13 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
         raise _Excluded(ExclusionReason.INCONSISTENT_CRASH_LOCATION)
 
     settings = config.estimation_settings()
-    region = _stage(_ESTIMATION_ERRORS, estimator.candidate_regions,
-                    network, report, crash_fix, settings)
-    scene, _trace = _stage(_ESTIMATION_ERRORS, estimator.estimate_with_feedback,
-                           report, network, region, crash_fix, settings)
+    region = estimator.candidate_regions(network, report, crash_fix, settings)
+    scene, _trace = estimator.estimate_with_feedback(report, network, region, crash_fix, settings)
 
-    trajectories = []
-    for state, vid, maneuver in zip(scene.states, scene.vehicle_ids, scene.maneuvers):
-        traj = _stage(
-            {errors.UnreachableCrashPoint: ExclusionReason.FAILED_TO_COLLIDE},
-            generate_trajectory, state, scene.crash_point, network, maneuver, vid,
-        )
-        trajectories.append(traj)
+    trajectories = [
+        generate_trajectory(state, scene.crash_point, network, maneuver, vid)
+        for state, vid, maneuver in zip(scene.states, scene.vehicle_ids, scene.maneuvers)
+    ]
 
     map_osm = osm.write_osm(pruned)
     map_xodr = opendrive.emit_opendrive(network)

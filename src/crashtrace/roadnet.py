@@ -23,7 +23,6 @@ from .geometry import (
     GeoPoint,
     PlanarPoint,
     bearing,
-    cumulative_lengths,
     distance,
     haversine_m,
     inflate_hull,
@@ -96,12 +95,6 @@ class RoadNetwork:
             if r.road_id == road_id:
                 return r
         raise KeyError(f"no road {road_id}")
-
-    def junction(self, junction_id: int) -> Junction:
-        for j in self.junctions:
-            if j.junction_id == junction_id:
-                return j
-        raise KeyError(f"no junction {junction_id}")
 
 
 class RoadLocation(NamedTuple):
@@ -442,27 +435,3 @@ def validate_geometry(
                 rel = abs(plan - geod) / geod
             worst = max(worst, rel)
     return GeoValidationResult(tuple(samples), worst, worst <= tolerance, tolerance)
-
-
-# ---------------------------------------------------------------------------
-# connectivity helpers used by the estimator and trajectory stages
-# ---------------------------------------------------------------------------
-
-
-def endpoint_map(network: RoadNetwork) -> dict[int, list[tuple[int, str]]]:
-    """Node id -> [(road_id, "start"|"end")] for road endpoints."""
-    out: dict[int, list[tuple[int, str]]] = {}
-    for road in network.roads:
-        out.setdefault(road.node_ids[0], []).append((road.road_id, "start"))
-        out.setdefault(road.node_ids[-1], []).append((road.road_id, "end"))
-    for entries in out.values():
-        entries.sort()
-    return out
-
-
-def road_s_at_node(road: Road, node_id: int) -> float | None:
-    """Arc length of a source node along a road, None when absent."""
-    if node_id not in road.node_ids:
-        return None
-    cum = cumulative_lengths(road.centerline)
-    return cum[road.node_ids.index(node_id)]

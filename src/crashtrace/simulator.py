@@ -40,7 +40,6 @@ class Pose(NamedTuple):
 class CollisionRecord:
     time: float
     location: PlanarPoint       # midpoint of the contact set
-    contact_point: PlanarPoint
     clocks: tuple[int, int]
 
 
@@ -224,7 +223,6 @@ def simulate(
             record = CollisionRecord(
                 time=t,
                 location=contact,
-                contact_point=contact,
                 clocks=(
                     _clock_for(pose_a, bodies[0], contact, pose_b),
                     _clock_for(pose_b, bodies[1], contact, pose_a),

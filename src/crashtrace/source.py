@@ -1,0 +1,96 @@
+"""Read-through access to remote documents, and the one HTTP helper.
+
+A source answers a request from its memory cache, then from the disk cache,
+then, offline, from a fixture file (or raises CacheMiss), and otherwise from
+its transport, writing the fetched text back to the disk cache. The memory
+cache is shared by a batch's worker threads under one lock.
+
+``http_text`` is the only code that speaks HTTP. It imports ``urllib.request``
+on first use, so offline runs never load it.
+"""
+
+from __future__ import annotations
+
+import threading
+from pathlib import Path
+from typing import Callable, Hashable
+
+from .errors import CacheMiss, NetworkError
+
+
+def http_text(
+    url: str, data: bytes | None = None, headers: dict[str, str] | None = None,
+    timeout: float = 60,
+) -> tuple[int, str]:
+    """(status, body) of a GET, or of a POST when ``data`` is given.
+
+    An error status is returned like a success; the body is decoded with the
+    declared charset, or UTF-8 when none is declared. Transport failures,
+    timeouts, malformed URLs and unknown charsets raise NetworkError.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    try:
+        request = urllib.request.Request(url, data=data, headers=headers or {})
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc
+        with response:
+            body = response.read()
+            charset = response.headers.get_content_charset() or "utf-8"
+            return response.status, body.decode(charset, errors="replace")
+    except (http.client.HTTPException, OSError, ValueError, LookupError) as exc:
+        raise NetworkError(f"{url}: {exc}") from exc
+
+
+class ReadThroughSource:
+    """Synchronized memory/disk/fixture/transport lookup for one kind of document.
+
+    Subclasses supply ``_cache_name(key)``, the disk-cache file name;
+    ``_fixture(request)``, the offline fixture path or None; and
+    ``_remote(request)``, the fetch through ``self._transport``. They may
+    override ``_cache_key(request)``, which defaults to the request itself.
+    """
+
+    def __init__(
+        self,
+        cache_dir: Path | None,
+        offline: bool,
+        fixtures_dir: Path | None,
+        transport: Callable[..., str],
+    ):
+        self.cache_dir = Path(cache_dir) if cache_dir else None
+        self.offline = offline
+        self.fixtures_dir = Path(fixtures_dir) if fixtures_dir else None
+        self._transport = transport
+        self._memory: dict[Hashable, str] = {}
+        self._lock = threading.Lock()
+
+    def _cache_key(self, request) -> Hashable:
+        return request
+
+    def _load(self, request) -> str:
+        key = self._cache_key(request)
+        with self._lock:
+            cached = self._memory.get(key)
+        if cached is not None:
+            return cached
+
+        cache_path = self.cache_dir / self._cache_name(key) if self.cache_dir else None
+        if cache_path is not None and cache_path.is_file():
+            text = cache_path.read_text(encoding="utf-8")
+        elif self.offline:
+            fixture = self._fixture(request)
+            if fixture is None or not fixture.is_file():
+                raise CacheMiss(f"no fixture or cached document for {request}")
+            text = fixture.read_text(encoding="utf-8")
+        else:
+            text = self._remote(request)
+            if cache_path is not None:
+                cache_path.parent.mkdir(parents=True, exist_ok=True)
+                cache_path.write_text(text, encoding="utf-8")
+        with self._lock:
+            return self._memory.setdefault(key, text)

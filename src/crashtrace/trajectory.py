@@ -49,10 +49,6 @@ class Trajectory:
     vehicle_id: int
     waypoints: tuple[Waypoint, ...]
 
-    @property
-    def positions(self) -> list[PlanarPoint]:
-        return [w.position for w in self.waypoints]
-
 
 def classify_headings(headings: Sequence[float]) -> Maneuver:
     """Straight/left/right from the net unwrapped heading change."""

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from crashtrace.errors import EstimationFailed, NoCandidates, UnparseableResponse
+from crashtrace.errors import EndpointError, EstimationFailed, NoCandidates, UnparseableResponse
 from crashtrace.estimator import (
     EstimationSettings,
     InitialState,
@@ -22,6 +22,7 @@ from crashtrace.reports import CaseKey, RawCaseDocument, parse_report
 from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
 
 from corpus import case_origin, cross_layout, osm_xml, report_xml, straight_road_layout
+from local_http import closed_port_url, http_endpoint
 
 ORIGIN = case_origin(0)
 KEY = CaseKey(51, 101, 2023)
@@ -268,6 +269,32 @@ def test_llm_estimate_unparseable():
     network, report, crash, region = _setup("ftf")
     settings = EstimationSettings(mode="llm", llm_transport=lambda prompt: "no json here")
     with pytest.raises(UnparseableResponse):
+        llm_estimate(report, network, region, [], settings)
+
+
+def test_llm_default_transport_posts_prompt():
+    network, report, crash, region = _setup("ftf")
+    states = heuristic_estimate(region, report, network, crash)
+    reply = _echo_transport(states, report)("").encode("utf-8")
+    with http_endpoint(lambda path: (200, reply, "text/plain")) as (base, received):
+        settings = EstimationSettings(mode="llm", llm_endpoint=base + "/v1", llm_model="m-7")
+        assert llm_estimate(report, network, region, [], settings) == states
+    method, path, headers, body = received[0]
+    assert (method, path) == ("POST", "/v1")
+    assert headers["Content-Type"] == "text/plain"
+    assert headers["X-Model-Name"] == "m-7"
+    assert body.decode("utf-8") == build_prompt(report, network, region, [], settings)
+
+
+def test_llm_default_transport_failures_are_endpoint_errors():
+    network, report, crash, region = _setup("ftf")
+    with http_endpoint(lambda path: (503, b"busy", "text/plain")) as (base, received):
+        settings = EstimationSettings(mode="llm", llm_endpoint=base)
+        with pytest.raises(EndpointError):
+            llm_estimate(report, network, region, [], settings)
+    assert "X-Model-Name" not in received[0][2]
+    settings = EstimationSettings(mode="llm", llm_endpoint=closed_port_url())
+    with pytest.raises(EndpointError):
         llm_estimate(report, network, region, [], settings)
 
 

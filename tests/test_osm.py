@@ -1,8 +1,9 @@
 import math
+from urllib.parse import parse_qs
 
 import pytest
 
-from crashtrace.errors import CacheMiss, EmptyAfterPrune, EmptyExtract
+from crashtrace.errors import CacheMiss, EmptyAfterPrune, EmptyExtract, NetworkError
 from crashtrace.geometry import EARTH_RADIUS_M, GeoPoint
 from crashtrace.osm import (
     OsmClient,
@@ -15,6 +16,7 @@ from crashtrace.osm import (
 )
 
 from corpus import case_origin, osm_xml, straight_road_layout
+from local_http import closed_port_url, http_endpoint
 
 ORIGIN = case_origin(0)
 
@@ -88,6 +90,30 @@ def test_retrieve_caches_transport_result(tmp_path):
     fresh = OsmClient(cache_dir=tmp_path, transport=transport)
     fresh.retrieve_osm(ORIGIN, 500.0)
     assert len(calls) == 1  # disk cache hit
+
+
+def test_default_transport_posts_overpass_form(tmp_path):
+    nodes, ways = straight_road_layout()
+    payload = osm_xml(ORIGIN, nodes, ways)
+    served = lambda path: (200, payload.encode("utf-8"), "application/osm3s+xml")
+    with http_endpoint(served) as (base, received):
+        client = OsmClient(url=base + "/api/interpreter", cache_dir=tmp_path)
+        graph = client.retrieve_osm(ORIGIN, 500.0)
+    assert set(graph.ways) == {10}
+    method, path, headers, body = received[0]
+    assert (method, path) == ("POST", "/api/interpreter")
+    assert headers["Content-Type"] == "application/x-www-form-urlencoded"
+    assert parse_qs(body.decode("ascii")) == {"data": [overpass_query(ORIGIN, 500.0)]}
+    assert [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()] == [payload]
+
+
+def test_default_transport_overpass_errors():
+    served = lambda path: (429, b"rate limited", "text/plain")
+    with http_endpoint(served) as (base, _):
+        with pytest.raises(NetworkError):
+            OsmClient(url=base).retrieve_osm(ORIGIN, 500.0)
+    with pytest.raises(NetworkError):
+        OsmClient(url=closed_port_url()).retrieve_osm(ORIGIN, 500.0)
 
 
 def test_prune_drops_buildings_keeps_roads():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,6 +340,33 @@ def test_cli_batch(tmp_path, capsys):
     assert len(ledger) == 2
     assert ledger[0].startswith("51_601_2023\tpackage")
     assert ledger[1] == "51_602_2023\texcluded\tIncompleteInfo"
+
+
+_OFFLINE_BATCH_WITHOUT_REQUESTS = """
+import sys
+from pathlib import Path
+
+sys.modules["requests"] = None  # any import of it now fails
+import corpus
+from crashtrace import cli
+
+root = Path(sys.argv[1])
+keys = corpus.write_ledger_corpus(root / "fixtures")
+(root / "cases.txt").write_text("".join(k.slug + "\\n" for k in keys), encoding="utf-8")
+rc = cli.main(["batch", "--cases", str(root / "cases.txt"), "--offline",
+               "--fixtures", str(root / "fixtures"), "--out", str(root / "out")])
+assert rc == 0, rc
+assert "urllib.request" not in sys.modules, "offline run loaded the HTTP client"
+"""
+
+
+def test_offline_batch_needs_no_http_client(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _OFFLINE_BATCH_WITHOUT_REQUESTS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ledger = (tmp_path / "out" / "ledger.txt").read_text("utf-8").splitlines()
+    assert len(ledger) == len(corpus.LEDGER_CORPUS)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

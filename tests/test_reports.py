@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crashtrace.crash_api import CrashApiClient, build_case_url
-from crashtrace.errors import CacheMiss, MalformedDocument, NotFound
+from crashtrace.errors import CacheMiss, MalformedDocument, NetworkError, NotFound
 from crashtrace.geometry import GeoPoint
 from crashtrace.reports import (
     CaseKey,
@@ -19,6 +19,7 @@ from crashtrace.reports import (
 )
 
 from corpus import report_xml
+from local_http import closed_port_url, http_endpoint
 
 KEY = CaseKey(51, 510179, 2023)
 
@@ -189,3 +190,42 @@ def test_fetch_not_found_propagates():
     client = CrashApiClient(transport=transport)
     with pytest.raises(NotFound):
         client.fetch_case(KEY)
+
+
+def _served(status, body, content_type="text/xml"):
+    return lambda path: (status, body, content_type)
+
+
+def test_default_transport_returns_report_body():
+    body = report_xml(coords=GeoPoint(37.0, -77.0), events=["Caf\u00e9 parking lot"])
+    with http_endpoint(_served(200, body.encode("utf-8"))) as (base, received):
+        doc = CrashApiClient(base_url=base).fetch_case(KEY)
+    assert doc.body == body  # no declared charset: decoded as UTF-8
+    method, path, _, _ = received[0]
+    assert method == "GET"
+    assert base + path == build_case_url(base, KEY)
+
+
+def test_default_transport_declared_charset():
+    body = "<CrashCase>Caf\u00e9</CrashCase>"
+    served = _served(200, body.encode("latin-1"), "text/xml; charset=ISO-8859-1")
+    with http_endpoint(served) as (base, _):
+        assert CrashApiClient(base_url=base).fetch_case(KEY).body == body
+
+
+@pytest.mark.parametrize("status, body, error", [
+    (404, b"<html>missing</html>", NotFound),
+    (500, b"<html>boom</html>", NetworkError),
+    (200, b"  \n", NotFound),
+])
+def test_default_transport_error_statuses(status, body, error, tmp_path):
+    with http_endpoint(_served(status, body)) as (base, _):
+        client = CrashApiClient(base_url=base, cache_dir=tmp_path)
+        with pytest.raises(error):
+            client.fetch_case(KEY)
+    assert not any(tmp_path.iterdir())  # failures are never cached
+
+
+def test_default_transport_closed_port_is_network_error():
+    with pytest.raises(NetworkError):
+        CrashApiClient(base_url=closed_port_url()).fetch_case(KEY)

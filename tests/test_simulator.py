@@ -195,7 +195,7 @@ def test_clock_distance_properties(a, b):
 def _outcome_with(clocks, location=PlanarPoint(3.0, 0.0)):
     from crashtrace.simulator import CollisionRecord, ReplayOutcome
 
-    record = CollisionRecord(1.0, location, location, clocks)
+    record = CollisionRecord(1.0, location, clocks)
     poses = (Pose(PlanarPoint(0.0, 0.0), 0.0),) * 2
     return ReplayOutcome(True, record, (poses, poses),
                          (Maneuver.GOING_STRAIGHT, Maneuver.GOING_STRAIGHT))
