@@ -10,6 +10,7 @@ flat-world conversion cannot represent it.
 
 from __future__ import annotations
 
+import logging
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project
 from .source import ReadThroughSource, http_text
 
 DEFAULT_OVERPASS_URL = "https://overpass-api.de/api/interpreter"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,7 @@ class OsmClient(ReadThroughSource):
     ):
         super().__init__(cache_dir, offline, fixtures_dir, transport or _http_post_overpass)
         self.url = url
+        self._fixture_boxes: list[tuple[float, float, float, float, Path]] | None = None
 
     def retrieve_osm(self, center: GeoPoint, radius_m: float) -> OsmGraph:
         """Extract around ``center``; raises EmptyExtract when no roads exist."""
@@ -143,39 +147,45 @@ class OsmClient(ReadThroughSource):
         return f"osm_{lat:.7f}_{lon:.7f}_{rad:.0f}.osm"
 
     def _fixture(self, request: tuple[GeoPoint, float]) -> Path | None:
-        return self._find_fixture(request[0])
+        """Pick the fixture whose node bounding box covers the request's center.
+
+        Ties resolve to the bbox center nearest the crash site, then file name.
+        """
+        with self._lock:  # the first lookup scans the directory; later ones reuse it
+            if self._fixture_boxes is None:
+                self._fixture_boxes = _scan_fixtures(self.fixtures_dir)
+        margin = 0.01  # ~1 km; fixtures need not extend past their roads
+        lat, lon = request[0]
+        hits = [
+            (math.hypot((south + north) / 2 - lat, (west + east) / 2 - lon), path.name, path)
+            for south, west, north, east, path in self._fixture_boxes
+            if south - margin <= lat <= north + margin and west - margin <= lon <= east + margin
+        ]
+        return min(hits)[2] if hits else None
 
     def _remote(self, request: tuple[GeoPoint, float]) -> str:
         return self._transport(self.url, overpass_query(*request))
 
-    def _find_fixture(self, center: GeoPoint) -> Path | None:
-        """Pick the fixture whose node bounding box covers ``center``.
 
-        Ties resolve to the bbox center nearest ``center``, then file name.
-        """
-        if self.fixtures_dir is None or not self.fixtures_dir.is_dir():
-            return None
-        best: tuple[float, str, Path] | None = None
-        for path in sorted(self.fixtures_dir.glob("*.osm")):
-            try:
-                graph = parse_osm(path.read_text(encoding="utf-8"))
-            except ET.ParseError:
-                continue
-            if not graph.nodes:
-                continue
+def _scan_fixtures(directory: Path | None) -> list[tuple[float, float, float, float, Path]]:
+    """(south, west, north, east, path) of each readable ``.osm`` file with nodes.
+
+    Unreadable files are skipped with a warning.
+    """
+    if directory is None or not directory.is_dir():
+        return []
+    boxes = []
+    for path in sorted(directory.glob("*.osm")):
+        try:
+            graph = parse_osm(path.read_text(encoding="utf-8"))
+        except (ET.ParseError, ValueError, OSError) as exc:  # ValueError covers decoding
+            logger.warning("skipping unreadable map fixture %s: %s", path.name, exc)
+            continue
+        if graph.nodes:
             lats = [p.latitude for p in graph.nodes.values()]
             lons = [p.longitude for p in graph.nodes.values()]
-            margin = 0.01  # ~1 km; fixtures need not extend past their roads
-            if not (min(lats) - margin <= center.latitude <= max(lats) + margin):
-                continue
-            if not (min(lons) - margin <= center.longitude <= max(lons) + margin):
-                continue
-            mid = GeoPoint((min(lats) + max(lats)) / 2, (min(lons) + max(lons)) / 2)
-            d = math.hypot(mid.latitude - center.latitude, mid.longitude - center.longitude)
-            cand = (d, path.name, path)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        return best[2] if best else None
+            boxes.append((min(lats), min(lons), max(lats), max(lons), path))
+    return boxes
 
 
 def _way_within(graph: OsmGraph, way: OsmWay, center: GeoPoint, radius_m: float) -> bool:

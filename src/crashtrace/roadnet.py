@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DegenerateGeometry, TooFewNodes
@@ -90,11 +91,15 @@ class RoadNetwork:
     junctions: tuple[Junction, ...]
     node_positions: dict[int, PlanarPoint]
 
+    @cached_property
+    def _roads_by_id(self) -> dict[int, Road]:
+        return {r.road_id: r for r in self.roads}
+
     def road(self, road_id: int) -> Road:
-        for r in self.roads:
-            if r.road_id == road_id:
-                return r
-        raise KeyError(f"no road {road_id}")
+        try:
+            return self._roads_by_id[road_id]
+        except KeyError:
+            raise KeyError(f"no road {road_id}") from None
 
 
 class RoadLocation(NamedTuple):
@@ -198,6 +203,7 @@ def _detect_junctions(
         for i, nid in enumerate(road.node_ids):
             incident.setdefault(nid, []).append((road.road_id, i == 0 or i == last))
 
+    by_id = {r.road_id: r for r in roads}
     junctions = []
     jid = 0
     for nid in sorted(incident):
@@ -206,10 +212,10 @@ def _detect_junctions(
         if len(member_ids) < 2:
             continue
         end_count = sum(1 for _, at_end in entries if at_end)
-        names = {next(r.name_key for r in roads if r.road_id == rid) for rid in member_ids}
+        names = {by_id[rid].name_key for rid in member_ids}
         if end_count < 3 and len(names) < 2:
             continue
-        width = max(next(r.lane_width for r in roads if r.road_id == rid) for rid in member_ids)
+        width = max(by_id[rid].lane_width for rid in member_ids)
         center = node_positions[nid]
         boundary = inflate_hull([center], width)
         junctions.append(Junction(jid, nid, center, tuple(member_ids), tuple(boundary)))

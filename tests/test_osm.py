@@ -1,8 +1,12 @@
+import logging
 import math
+import threading
+import time
 from urllib.parse import parse_qs
 
 import pytest
 
+from crashtrace import osm
 from crashtrace.errors import CacheMiss, EmptyAfterPrune, EmptyExtract, NetworkError
 from crashtrace.geometry import EARTH_RADIUS_M, GeoPoint
 from crashtrace.osm import (
@@ -72,6 +76,120 @@ def test_retrieve_offline_no_fixture(tmp_path):
     client = OsmClient(offline=True, fixtures_dir=tmp_path)
     with pytest.raises(CacheMiss):
         client.retrieve_osm(ORIGIN, 500.0)
+
+
+def _box_osm(way_id, south, west, north, east):
+    """A fixture whose node bounding box is exactly the given one, in degrees."""
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<osm version="0.6">\n'
+        f'  <node id="1" lat="{south!r}" lon="{west!r}"/>\n'
+        f'  <node id="2" lat="{north!r}" lon="{east!r}"/>\n'
+        f'  <way id="{way_id}"><nd ref="1"/><nd ref="2"/><tag k="highway" v="primary"/></way>\n'
+        "</osm>\n"
+    )
+
+
+def _picked_way(client, lat, lon):
+    return set(client.retrieve_osm(GeoPoint(lat, lon), 500.0).ways)
+
+
+def test_fixture_tie_break_nearest_center_then_name(tmp_path):
+    # both cover (37.05, -77.05); b's center is nearer, a sorts first by name
+    (tmp_path / "a.osm").write_text(_box_osm(1, 37.0, -77.1, 37.2, -77.0), encoding="utf-8")
+    (tmp_path / "b.osm").write_text(_box_osm(2, 37.0, -77.1, 37.1, -77.0), encoding="utf-8")
+    assert _picked_way(OsmClient(offline=True, fixtures_dir=tmp_path), 37.05, -77.05) == {2}
+    (tmp_path / "c.osm").write_text(_box_osm(3, 37.0, -77.1, 37.1, -77.0), encoding="utf-8")
+    # b and c tie on distance; the file name decides
+    assert _picked_way(OsmClient(offline=True, fixtures_dir=tmp_path), 37.05, -77.05) == {2}
+
+
+def test_fixture_margin_is_one_hundredth_degree(tmp_path):
+    (tmp_path / "site.osm").write_text(_box_osm(1, 37.0, -77.1, 37.1, -77.0), encoding="utf-8")
+    client = OsmClient(offline=True, fixtures_dir=tmp_path)
+    assert _picked_way(client, 37.1 + 0.009, -77.05) == {1}
+    assert _picked_way(client, 37.05, -77.1 - 0.009) == {1}
+    with pytest.raises(CacheMiss):
+        client.retrieve_osm(GeoPoint(37.1 + 0.011, -77.05), 500.0)
+    with pytest.raises(CacheMiss):
+        client.retrieve_osm(GeoPoint(37.05, -77.1 - 0.011), 500.0)
+
+
+def test_fixture_without_xml_or_nodes_is_skipped(tmp_path):
+    (tmp_path / "a_truncated.osm").write_text('<osm version="0.6"><node id="1"', encoding="utf-8")
+    (tmp_path / "b_empty.osm").write_text('<osm version="0.6"/>', encoding="utf-8")
+    client = OsmClient(offline=True, fixtures_dir=tmp_path)
+    with pytest.raises(CacheMiss):
+        client.retrieve_osm(GeoPoint(37.05, -77.05), 500.0)
+    (tmp_path / "c.osm").write_text(_box_osm(3, 37.0, -77.1, 37.1, -77.0), encoding="utf-8")
+    assert _picked_way(OsmClient(offline=True, fixtures_dir=tmp_path), 37.05, -77.05) == {3}
+
+
+def test_unreadable_fixtures_are_skipped_and_logged(tmp_path, caplog):
+    good = _box_osm(1, 37.0, -77.1, 37.1, -77.0)
+    (tmp_path / "bad_lat.osm").write_text(
+        _box_osm(2, 38.0, -77.1, 38.1, -77.0).replace('lat="38.0"', 'lat="abc"'), encoding="utf-8")
+    (tmp_path / "bad_bytes.osm").write_bytes(b"\xff\xfe" + good.encode("utf-16-le"))
+    (tmp_path / "dir.osm").mkdir()
+    (tmp_path / "good.osm").write_text(good, encoding="utf-8")
+    client = OsmClient(offline=True, fixtures_dir=tmp_path)
+    with caplog.at_level(logging.WARNING, logger="crashtrace.osm"):
+        assert _picked_way(client, 37.05, -77.05) == {1}
+        with pytest.raises(CacheMiss):  # the only map here was bad_lat.osm
+            client.retrieve_osm(GeoPoint(38.05, -77.05), 500.0)
+    warned = sorted(r.getMessage().split(":")[0] for r in caplog.records)
+    assert warned == [f"skipping unreadable map fixture {name}"
+                      for name in ("bad_bytes.osm", "bad_lat.osm", "dir.osm")]
+
+
+def _count_parses(monkeypatch, delay_s=0.0):
+    calls = []
+    real = osm.parse_osm
+
+    def counting(text):
+        calls.append(1)
+        time.sleep(delay_s)
+        return real(text)
+
+    monkeypatch.setattr(osm, "parse_osm", counting)
+    return calls
+
+
+def _write_boxes(directory, count):
+    for i in range(count):
+        lat = 37.0 + 0.5 * i
+        (directory / f"site{i}.osm").write_text(
+            _box_osm(i + 1, lat, -77.1, lat + 0.1, -77.0), encoding="utf-8")
+
+
+def test_fixtures_parsed_once_per_client(tmp_path, monkeypatch):
+    _write_boxes(tmp_path, 4)
+    calls = _count_parses(monkeypatch)
+    client = OsmClient(offline=True, fixtures_dir=tmp_path)
+    for i in range(4):
+        assert _picked_way(client, 37.05 + 0.5 * i, -77.05) == {i + 1}
+    assert _picked_way(client, 37.06, -77.05) == {1}
+    assert len(calls) == 4 + 5  # one per fixture, plus one per retrieve_osm
+
+
+def test_concurrent_first_lookups_build_index_once(tmp_path, monkeypatch):
+    _write_boxes(tmp_path, 3)
+    calls = _count_parses(monkeypatch, delay_s=0.02)
+    client = OsmClient(offline=True, fixtures_dir=tmp_path)
+    barrier = threading.Barrier(2)
+    picked = {}
+
+    def lookup(i):
+        barrier.wait(timeout=10)
+        picked[i] = _picked_way(client, 37.05 + 0.5 * i, -77.05)
+
+    threads = [threading.Thread(target=lookup, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert picked == {0: {1}, 1: {2}}
+    assert len(calls) == 3 + 2
 
 
 def test_retrieve_caches_transport_result(tmp_path):

@@ -342,6 +342,25 @@ def test_cli_batch(tmp_path, capsys):
     assert ledger[1] == "51_602_2023\texcluded\tIncompleteInfo"
 
 
+def test_unreadable_map_fixture_does_not_abort_batch(good_batch, tmp_path, caplog):
+    keys, _, _, outcomes = good_batch
+    fixtures = tmp_path / "fixtures"
+    corpus.write_good_corpus(fixtures)
+    bad = corpus.write_case(fixtures, "ftf_straight", 650, 30)
+    osm_path = fixtures / f"{bad.slug}.osm"
+    text = osm_path.read_text("utf-8")
+    osm_path.write_text(text.replace(' lat="', ' lat="abc" x="', 1), encoding="utf-8")
+    case_file = tmp_path / "cases.txt"
+    case_file.write_text("".join(k.slug + "\n" for k in [*keys, bad]), encoding="utf-8")
+    rc = cli.main(["batch", "--cases", str(case_file), "--offline", "--fixtures", str(fixtures),
+                   "--out", str(tmp_path / "out"), "--parallelism", "2"])
+    assert rc == 0
+    ledger = (tmp_path / "out" / "ledger.txt").read_text("utf-8").splitlines()
+    assert ledger == [o.ledger_line() for o in outcomes] + [f"{bad.slug}\texcluded\tFetchFailed"]
+    assert [r.getMessage().split(":")[0] for r in caplog.records if r.name == "crashtrace.osm"] \
+        == [f"skipping unreadable map fixture {osm_path.name}"]
+
+
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """
 import sys
 from pathlib import Path
@@ -367,6 +386,24 @@ def test_offline_batch_needs_no_http_client(tmp_path):
     assert proc.returncode == 0, proc.stderr
     ledger = (tmp_path / "out" / "ledger.txt").read_text("utf-8").splitlines()
     assert len(ledger) == len(corpus.LEDGER_CORPUS)
+
+
+_CORPUS_IMPORTS = """
+import sys
+
+import corpus
+
+loaded = sorted({"http.server", "unittest.mock", "socket"} & set(sys.modules))
+assert not loaded, loaded
+"""
+
+
+def test_corpus_module_imports_no_test_servers():
+    # the benchmark imports tests/corpus.py, so what it loads counts toward peak memory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _CORPUS_IMPORTS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_exit_codes(tmp_path, capsys):
