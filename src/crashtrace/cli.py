@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 
 from . import errors
+from .estimator import EstimationSettings
 from .pipeline import (
     PipelineConfig,
+    batch_summary,
     coverage_stats,
     replay_package,
     run_batch,
@@ -47,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--estimator", choices=("heuristic", "llm"), default="heuristic")
         p.add_argument("--llm-endpoint", metavar="URL")
         p.add_argument("--max-retries", type=int, metavar="N", default=3)
-        p.add_argument("--dt", type=float, metavar="S", default=0.05,
-                       help="replay timestep in seconds")
         p.add_argument("--horizon", type=float, metavar="S", default=6.0,
                        help="backward-trajectory horizon in seconds")
         p.add_argument("--parallelism", type=int, metavar="N")
@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay_p = sub.add_parser("replay", help="re-validate a case package")
     replay_p.add_argument("package", type=Path, metavar="DIR")
-    replay_p.add_argument("--dt", type=float, metavar="S", default=0.05)
 
     stats_p = sub.add_parser("stats", help="coverage table over packages")
     stats_p.add_argument("packages", type=Path, metavar="DIR")
@@ -90,11 +89,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         fixtures_dir=args.fixtures,
         out_dir=args.out,
         radius_m=args.radius,
-        estimator_mode=args.estimator,
-        llm_endpoint=args.llm_endpoint,
-        max_retries=args.max_retries,
-        dt_s=args.dt,
-        horizon_s=args.horizon,
+        estimation=EstimationSettings(
+            mode=args.estimator,
+            max_retries=args.max_retries,
+            horizon_s=args.horizon,
+            llm_endpoint=args.llm_endpoint,
+        ),
         parallelism=args.parallelism,
     )
 
@@ -133,10 +133,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise errors.CrashTraceError(f"case list is empty: {args.cases}")
             _, outcomes = run_batch(case_list, config)
             write_ledger(outcomes, Path(config.out_dir) / "ledger.txt")
+            print(batch_summary(outcomes), file=sys.stderr)
             return 0
 
         if args.command == "replay":
-            result = replay_package(args.package, dt=args.dt)
+            result = replay_package(args.package)
             sys.stdout.write(validation_to_json(result))
             return 0
 

@@ -44,20 +44,27 @@ class OsmGraph:
 
 
 def parse_osm(text: str) -> OsmGraph:
-    """Parse ``.osm`` XML; ways keep only references to nodes that exist."""
+    """Parse ``.osm`` XML; ways keep only references to nodes that exist.
+
+    A missing or non-numeric id, ref or coordinate is a ValueError that names
+    the element.
+    """
     root = ET.fromstring(text)
     nodes: dict[int, GeoPoint] = {}
-    for el in root.iterfind("node"):
-        nodes[int(el.get("id"))] = GeoPoint(float(el.get("lat")), float(el.get("lon")))
     ways: dict[int, OsmWay] = {}
-    for el in root.iterfind("way"):
-        refs = tuple(
-            int(nd.get("ref")) for nd in el.iterfind("nd") if int(nd.get("ref")) in nodes
-        )
-        if len(refs) < 2:
-            continue
-        tags = {t.get("k"): t.get("v", "") for t in el.iterfind("tag")}
-        ways[int(el.get("id"))] = OsmWay(refs, tags)
+    try:
+        for el in root.iterfind("node"):
+            nodes[int(el.get("id"))] = GeoPoint(float(el.get("lat")), float(el.get("lon")))
+        for el in root.iterfind("way"):
+            refs = tuple(
+                int(nd.get("ref")) for nd in el.iterfind("nd") if int(nd.get("ref")) in nodes
+            )
+            if len(refs) < 2:
+                continue
+            tags = {t.get("k"): t.get("v", "") for t in el.iterfind("tag")}
+            ways[int(el.get("id"))] = OsmWay(refs, tags)
+    except (TypeError, ValueError) as exc:  # int(None)/float(None) raise TypeError
+        raise ValueError(f"unreadable <{el.tag}> {el.attrib}: {exc}") from exc
     return OsmGraph(nodes, ways)
 
 

@@ -6,8 +6,9 @@ one exclusion reason; a batch never aborts on a bad case, so the ledger is
 a total accounting of its inputs. Deterministic: the same fixtures produce
 byte-identical packages at any parallelism.
 
-Replay validation deliberately runs off the freshly written artifacts
-rather than in-memory state, so ``replay_command`` on a package reproduces
+``run`` and ``replay`` score through one function, ``score_scenario``, on
+the serialized scenario document and with the simulator's fixed timestep,
+grace period and body size, so ``replay_command`` on a package reproduces
 its ``validation.json`` byte for byte.
 """
 
@@ -27,18 +28,10 @@ from . import crash_api, errors, estimator, opendrive, osm, reports
 from .estimator import EstimationSettings, SceneSpec, scene_from_dict, scene_to_dict
 from .geometry import PlanarPoint, project
 from .reports import CaseKey, CrashReport
-from .roadnet import (
-    DEFAULT_LANE_WIDTH_M,
-    GEO_VALIDATION_TOLERANCE,
-    build_road_network,
-    locate_crash_point,
-    unify_lanes,
-    validate_geometry,
-)
+from .roadnet import build_road_network, locate_crash_point, unify_lanes, validate_geometry
 from .simulator import (
-    DEFAULT_DT_S,
+    ReplayOutcome,
     ValidationReport,
-    VehicleBody,
     simulate,
     validate_reconstruction,
     validation_to_json,
@@ -94,37 +87,11 @@ class PipelineConfig:
     fixtures_dir: Path | None = None
     out_dir: Path = field(default_factory=lambda: Path("out"))
     radius_m: float = 500.0
-    lane_width_m: float = DEFAULT_LANE_WIDTH_M
-    geo_tolerance: float = GEO_VALIDATION_TOLERANCE
-    estimator_mode: str = "heuristic"
-    llm_endpoint: str | None = None
-    llm_model: str | None = None
-    max_retries: int = estimator.DEFAULT_MAX_RETRIES
-    dt_s: float = DEFAULT_DT_S
-    horizon_s: float = estimator.DEFAULT_HORIZON_S
-    default_speed_mps: float = estimator.DEFAULT_SPEED_MPS
-    body_length_m: float = 4.5
-    body_width_m: float = 1.9
+    estimation: EstimationSettings = EstimationSettings()
     parallelism: int | None = None
     # test seams: injectable transports
     report_transport: Callable[[str], str] | None = None
     osm_transport: Callable[[str, str], str] | None = None
-    llm_transport: Callable[[str], str] | None = None
-
-    def estimation_settings(self) -> EstimationSettings:
-        return EstimationSettings(
-            mode=self.estimator_mode,
-            max_retries=self.max_retries,
-            horizon_s=self.horizon_s,
-            default_speed_mps=self.default_speed_mps,
-            llm_endpoint=self.llm_endpoint,
-            llm_model=self.llm_model,
-            llm_transport=self.llm_transport,
-        )
-
-    def bodies(self) -> tuple[VehicleBody, VehicleBody]:
-        body = VehicleBody(self.body_length_m, self.body_width_m)
-        return (body, body)
 
 
 @dataclass(frozen=True)
@@ -175,20 +142,40 @@ def scenario_document(scene: SceneSpec, trajectories: Sequence[Trajectory]) -> s
 
 
 def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:
-    doc = json.loads(text)
-    scene = scene_from_dict(doc)
-    trajectories = []
-    for entry in doc["vehicles"]:
-        waypoints = tuple(
-            Waypoint(
-                PlanarPoint(float(w["x"]), float(w["y"])),
-                math.radians(float(w["heading_deg"])),
-                float(w["target_speed_mps"]),
+    """Inverse of ``scenario_document``; ParseError on a malformed document."""
+    try:
+        doc = json.loads(text)
+        scene = scene_from_dict(doc)
+        trajectories = []
+        for entry in doc["vehicles"]:
+            waypoints = tuple(
+                Waypoint(
+                    PlanarPoint(float(w["x"]), float(w["y"])),
+                    math.radians(float(w["heading_deg"])),
+                    float(w["target_speed_mps"]),
+                )
+                for w in entry.get("waypoints", ())
             )
-            for w in entry.get("waypoints", ())
-        )
-        trajectories.append(Trajectory(int(entry["id"]), waypoints))
+            trajectories.append(Trajectory(int(entry["id"]), waypoints))
+    except (KeyError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise errors.ParseError(f"bad scenario document: {exc}") from exc
     return scene, tuple(trajectories)
+
+
+def score_scenario(
+    scenario_json: str, load_report: Callable[[CaseKey], CrashReport]
+) -> tuple[ReplayOutcome, ValidationReport]:
+    """Replay a scenario document and score it against its case's report.
+
+    ``run`` and ``replay`` both score here, from the serialized document and
+    at the simulator's fixed timestep, grace period and body size, so a
+    replay reproduces the ``validation.json`` that ``run`` wrote.
+    ``load_report`` gets the case key the document names.
+    """
+    scene, trajectories = parse_scenario(scenario_json)
+    report = load_report(scene.case_key)
+    outcome = simulate(scene, trajectories)
+    return outcome, validate_reconstruction(outcome, report, scene.crash_point)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +244,9 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
     if osm.detect_vertical_geometry(pruned):
         raise _Excluded(ExclusionReason.UNSUPPORTED_VERTICAL_GEOMETRY)
 
-    network = build_road_network(pruned, origin, config.lane_width_m)
+    network = build_road_network(pruned, origin)
     network = unify_lanes(network)
-    geo_check = validate_geometry(pruned, network, origin, config.geo_tolerance)
+    geo_check = validate_geometry(pruned, network, origin)
     if not geo_check.passed:
         raise _Excluded(ExclusionReason.GEOMETRY_VALIDATION_FAILED)
 
@@ -268,7 +255,7 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
     if crash_fix is None:
         raise _Excluded(ExclusionReason.INCONSISTENT_CRASH_LOCATION)
 
-    settings = config.estimation_settings()
+    settings = config.estimation
     region = estimator.candidate_regions(network, report, crash_fix, settings)
     scene, _trace = estimator.estimate_with_feedback(report, network, region, crash_fix, settings)
 
@@ -281,10 +268,7 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
     map_xodr = opendrive.emit_opendrive(network)
     scenario_json = scenario_document(scene, trajectories)
 
-    # replay from the persisted form so a later replay reproduces this bitwise
-    scene2, trajectories2 = parse_scenario(scenario_json)
-    outcome = simulate(scene2, trajectories2, config.bodies(), config.dt_s)
-    validation = validate_reconstruction(outcome, report, scene2.crash_point)
+    outcome, validation = score_scenario(scenario_json, lambda _key: report)
     if not outcome.collided:
         raise _Excluded(ExclusionReason.FAILED_TO_COLLIDE)
     if not validation.passed:
@@ -329,7 +313,6 @@ def run_batch(
             outcomes = list(pool.map(lambda key: run_case(key, config, clients), case_list))
 
     packages = [o.package for o in outcomes if o.package is not None]
-    print(batch_summary(outcomes))
     return packages, outcomes
 
 
@@ -447,12 +430,7 @@ def coverage_stats(package_root: Path) -> CoverageTable:
     return CoverageTable(dict(collision), dict(topology), dict(trajectory), len(report_paths))
 
 
-def replay_command(
-    scenario_path: Path,
-    map_path: Path,
-    dt: float = DEFAULT_DT_S,
-    bodies: tuple[VehicleBody, VehicleBody] | None = None,
-) -> ValidationReport:
+def replay_command(scenario_path: Path, map_path: Path) -> ValidationReport:
     """Re-run the replay from persisted artifacts.
 
     The report document is read from ``report.xml`` next to the scenario
@@ -465,24 +443,16 @@ def replay_command(
     if not map_path.is_file():
         raise errors.ParseError(f"missing map file {map_path}")
     opendrive.parse_opendrive(map_path.read_text("utf-8"))
-
-    try:
-        scene, trajectories = parse_scenario(scenario_path.read_text("utf-8"))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise errors.ParseError(f"bad scenario document: {exc}") from exc
-
     report_path = scenario_path.parent / "report.xml"
-    if not report_path.is_file():
-        raise errors.ParseError(f"missing report document {report_path}")
-    report = reports.parse_report(
-        reports.RawCaseDocument(scene.case_key, report_path.read_text("utf-8"))
-    )
 
-    bodies = bodies or (VehicleBody(), VehicleBody())
-    outcome = simulate(scene, trajectories, bodies, dt)
-    return validate_reconstruction(outcome, report, scene.crash_point)
+    def load_report(key: CaseKey) -> CrashReport:
+        if not report_path.is_file():
+            raise errors.ParseError(f"missing report document {report_path}")
+        return reports.parse_report(reports.RawCaseDocument(key, report_path.read_text("utf-8")))
+
+    return score_scenario(scenario_path.read_text("utf-8"), load_report)[1]
 
 
-def replay_package(package_dir: Path, dt: float = DEFAULT_DT_S) -> ValidationReport:
+def replay_package(package_dir: Path) -> ValidationReport:
     package_dir = Path(package_dir)
-    return replay_command(package_dir / "scenario.json", package_dir / "map.xodr", dt)
+    return replay_command(package_dir / "scenario.json", package_dir / "map.xodr")

@@ -139,8 +139,21 @@ def travel_direction(road: Road, s: float, heading: float) -> int:
     return 1 if abs(wrap_angle(heading - t)) <= math.pi / 2 else -1
 
 
+def _oneway(tags: dict[str, str]) -> int:
+    """1 one-way as drawn, -1 one-way against the drawing, 0 two-way.
+
+    ``junction=roundabout`` implies ``oneway=yes`` unless tagged otherwise.
+    """
+    implied = "yes" if tags.get("junction") == "roundabout" else "no"
+    value = tags.get("oneway", implied).lower()
+    if value == "-1":
+        return -1
+    return 1 if value in ("yes", "true", "1") else 0
+
+
 def _parse_lanes(tags: dict[str, str]) -> tuple[int, int]:
-    oneway = tags.get("oneway", "no").lower() in ("yes", "true", "1", "-1")
+    """(forward, backward) lane counts relative to the drawn direction."""
+    oneway = _oneway(tags)
 
     def _intval(key: str) -> int | None:
         try:
@@ -153,8 +166,10 @@ def _parse_lanes(tags: dict[str, str]) -> tuple[int, int]:
     if fwd is not None or bwd is not None:
         return fwd or 0, bwd or 0
     total = _intval("lanes")
-    if oneway:
+    if oneway > 0:
         return total or 1, 0
+    if oneway < 0:
+        return 0, total or 1
     total = total or 2
     return math.ceil(total / 2), total // 2
 
@@ -164,10 +179,11 @@ def _name_key(tags: dict[str, str]) -> str:
     return " ".join(raw.lower().split())
 
 
-def build_road_network(
-    graph, origin: GeoPoint, lane_width: float = DEFAULT_LANE_WIDTH_M
-) -> RoadNetwork:
-    """Project a pruned OSM graph onto the local plane and assemble roads."""
+def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
+    """Project a pruned OSM graph onto the local plane and assemble roads.
+
+    A road runs in its direction of travel: ``oneway=-1`` ways are reversed.
+    """
     node_positions = {nid: project(p, origin) for nid, p in graph.nodes.items()}
 
     roads: list[Road] = []
@@ -186,9 +202,9 @@ def build_road_network(
         if len(pts) < 2:
             raise DegenerateGeometry(f"way {wid} has no extent")
         fwd, bwd = _parse_lanes(way.tags)
-        roads.append(
-            Road(wid, tuple(pts), fwd, bwd, lane_width, _name_key(way.tags), tuple(ids))
-        )
+        road = Road(wid, tuple(pts), fwd, bwd, DEFAULT_LANE_WIDTH_M, _name_key(way.tags),
+                    tuple(ids))
+        roads.append(road.reversed() if _oneway(way.tags) < 0 else road)
 
     junctions = _detect_junctions(roads, node_positions)
     return RoadNetwork(origin, tuple(roads), tuple(junctions), node_positions)
@@ -397,13 +413,9 @@ class GeoValidationResult:
     sample_points: tuple[tuple[GeoPoint, PlanarPoint], ...]
     max_relative_deviation: float
     passed: bool
-    tolerance: float = GEO_VALIDATION_TOLERANCE
 
 
-def validate_geometry(
-    graph, network: RoadNetwork, origin: GeoPoint,
-    tolerance: float = GEO_VALIDATION_TOLERANCE,
-) -> GeoValidationResult:
+def validate_geometry(graph, network: RoadNetwork, origin: GeoPoint) -> GeoValidationResult:
     """Compare geodesic and converted planar distances at 5 spread locations.
 
     Samples the node nearest the origin plus the four projection extremes,
@@ -440,4 +452,4 @@ def validate_geometry(
             else:
                 rel = abs(plan - geod) / geod
             worst = max(worst, rel)
-    return GeoValidationResult(tuple(samples), worst, worst <= tolerance, tolerance)
+    return GeoValidationResult(tuple(samples), worst, worst <= GEO_VALIDATION_TOLERANCE)

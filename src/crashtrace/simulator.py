@@ -193,7 +193,6 @@ def simulate(
     trajectories: tuple[Trajectory, Trajectory],
     bodies: tuple[VehicleBody, VehicleBody] = (VehicleBody(), VehicleBody()),
     dt: float = DEFAULT_DT_S,
-    grace_s: float = GRACE_PERIOD_S,
 ) -> ReplayOutcome:
     """Replay both trajectories until first contact or exhaustion plus grace.
 
@@ -207,7 +206,7 @@ def simulate(
         _PathFollower(state.position, traj, state.speed)
         for state, traj in zip(scene.states, trajectories)
     ]
-    t_end = max(f.exhaust_time for f in followers) + grace_s
+    t_end = max(f.exhaust_time for f in followers) + GRACE_PERIOD_S
     steps = int(math.floor(t_end / dt + 1e-9))
 
     paths: tuple[list[Pose], list[Pose]] = ([], [])

@@ -336,29 +336,57 @@ def test_cli_batch(tmp_path, capsys):
         "--parallelism", "2",
     ])
     assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "processed 2 cases: packages=1 IncompleteInfo=1\n"
     ledger = (out_dir / "ledger.txt").read_text("utf-8").splitlines()
     assert len(ledger) == 2
     assert ledger[0].startswith("51_601_2023\tpackage")
     assert ledger[1] == "51_602_2023\texcluded\tIncompleteInfo"
 
 
+def test_cli_replay_reproduces_every_batch_package(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    keys = corpus.write_good_corpus(fixtures)
+    case_file = tmp_path / "cases.txt"
+    case_file.write_text("".join(k.slug + "\n" for k in keys), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = cli.main(["batch", "--cases", str(case_file), "--offline", "--fixtures", str(fixtures),
+                   "--out", str(out_dir)])
+    assert rc == 0
+    capsys.readouterr()
+    packages = sorted(out_dir.glob("case_*"))
+    assert len(packages) == len(keys)
+    for package in packages:
+        assert cli.main(["replay", str(package)]) == 0
+        assert capsys.readouterr().out == (package / "validation.json").read_text("utf-8")
+
+
 def test_unreadable_map_fixture_does_not_abort_batch(good_batch, tmp_path, caplog):
     keys, _, _, outcomes = good_batch
     fixtures = tmp_path / "fixtures"
     corpus.write_good_corpus(fixtures)
-    bad = corpus.write_case(fixtures, "ftf_straight", 650, 30)
-    osm_path = fixtures / f"{bad.slug}.osm"
-    text = osm_path.read_text("utf-8")
-    osm_path.write_text(text.replace(' lat="', ' lat="abc" x="', 1), encoding="utf-8")
+    # a non-numeric latitude, and a node whose latitude attribute is missing
+    bad_keys, bad_paths = [], []
+    for case, index, damaged in ((650, 30, ' lat="abc" x="'), (651, 31, ' x="')):
+        bad = corpus.write_case(fixtures, "ftf_straight", case, index)
+        osm_path = fixtures / f"{bad.slug}.osm"
+        text = osm_path.read_text("utf-8")
+        osm_path.write_text(text.replace(' lat="', damaged, 1), encoding="utf-8")
+        bad_keys.append(bad)
+        bad_paths.append(osm_path)
     case_file = tmp_path / "cases.txt"
-    case_file.write_text("".join(k.slug + "\n" for k in [*keys, bad]), encoding="utf-8")
+    case_file.write_text("".join(k.slug + "\n" for k in [*keys, *bad_keys]), encoding="utf-8")
     rc = cli.main(["batch", "--cases", str(case_file), "--offline", "--fixtures", str(fixtures),
                    "--out", str(tmp_path / "out"), "--parallelism", "2"])
     assert rc == 0
     ledger = (tmp_path / "out" / "ledger.txt").read_text("utf-8").splitlines()
-    assert ledger == [o.ledger_line() for o in outcomes] + [f"{bad.slug}\texcluded\tFetchFailed"]
-    assert [r.getMessage().split(":")[0] for r in caplog.records if r.name == "crashtrace.osm"] \
-        == [f"skipping unreadable map fixture {osm_path.name}"]
+    assert ledger == [o.ledger_line() for o in outcomes] + [
+        f"{bad.slug}\texcluded\tFetchFailed" for bad in bad_keys]
+    warnings = [r.getMessage() for r in caplog.records if r.name == "crashtrace.osm"]
+    assert [m.split(":")[0] for m in warnings] \
+        == [f"skipping unreadable map fixture {path.name}" for path in bad_paths]
+    assert all("unreadable <node>" in m for m in warnings)
 
 
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """
@@ -413,8 +441,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     # unknown flags are configuration errors too
     rc = cli.main(["run", "--bogus"])
     assert rc == 1
-    # an excluded case still exits 0: the case was processed
+    # the replay timestep is fixed, so a verdict cannot depend on it
     fixtures = tmp_path / "fixtures"
+    key = corpus.write_case(fixtures, "ftf_straight", 701, 46)
+    (tmp_path / "cases.txt").write_text(key.slug + "\n", encoding="utf-8")
+    common = ["--offline", "--fixtures", str(fixtures), "--out", str(tmp_path / "out")]
+    run = ["run", "--state", "51", "--case", "701", "--year", "2023", *common]
+    assert cli.main(run) == 0
+    assert cli.main([*run, "--dt", "0.2"]) == 1
+    assert cli.main(["batch", "--cases", str(tmp_path / "cases.txt"), *common, "--dt", "0.2"]) == 1
+    assert cli.main(["replay", str(tmp_path / "out" / f"case_{key.slug}"), "--dt", "0.2"]) == 1
+    # an excluded case still exits 0: the case was processed
     corpus.write_case(fixtures, "incomplete_coords", 700, 45)
     rc = cli.main([
         "run", "--state", "51", "--case", "700", "--year", "2023",

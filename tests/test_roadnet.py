@@ -82,12 +82,22 @@ def test_build_defaults_two_way():
 
 
 def test_build_oneway_lanes_tag():
-    network, _ = _network(
-        {1: (0.0, 0.0), 2: (100.0, 0.0)},
-        [(10, [1, 2], {"highway": "residential", "oneway": "yes", "lanes": "2"})],
-    )
-    (road,) = network.roads
-    assert (road.lanes_forward, road.lanes_backward) == (2, 0)
+    # (tags, lanes forward/backward, node chain in the direction of travel)
+    cases = [
+        ({"oneway": "yes", "lanes": "2"}, (2, 0), (1, 2)),
+        ({"oneway": "-1", "lanes": "2"}, (2, 0), (2, 1)),
+        ({"oneway": "-1"}, (1, 0), (2, 1)),
+        ({"junction": "roundabout"}, (1, 0), (1, 2)),
+        ({"junction": "roundabout", "oneway": "no"}, (1, 1), (1, 2)),
+    ]
+    for tags, lanes, chain in cases:
+        network, _ = _network(
+            {1: (0.0, 0.0), 2: (100.0, 0.0)}, [(10, [1, 2], {"highway": "residential", **tags})]
+        )
+        (road,) = network.roads
+        assert (road.lanes_forward, road.lanes_backward) == lanes, tags
+        assert road.node_ids == chain, tags
+        assert road.centerline[0] == network.node_positions[chain[0]], tags
 
 
 def test_build_cross_junction():
