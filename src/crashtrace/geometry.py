@@ -237,41 +237,6 @@ def resample_count(points: Polyline, n: int) -> list[PlanarPoint]:
 # ---------------------------------------------------------------------------
 
 
-def convex_hull(points: Sequence[PlanarPoint]) -> list[PlanarPoint]:
-    """Convex hull, counterclockwise, via the monotone chain."""
-    pts = sorted(set((p.x, p.y) for p in points))
-    if len(pts) == 1:
-        return [PlanarPoint(*pts[0])]
-    if len(pts) == 2:
-        return [PlanarPoint(*p) for p in pts]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return [PlanarPoint(*p) for p in lower[:-1] + upper[:-1]]
-
-
-def inflate_hull(points: Sequence[PlanarPoint], radius: float,
-                 arc_steps: int = 16) -> list[PlanarPoint]:
-    """Convex hull of the points inflated outward by ``radius``."""
-    ring = []
-    for p in points:
-        for k in range(arc_steps):
-            a = 2 * math.pi * k / arc_steps
-            ring.append(PlanarPoint(p.x + radius * math.cos(a), p.y + radius * math.sin(a)))
-    return convex_hull(ring)
-
-
 def point_in_polygon(p: PlanarPoint, polygon: Sequence[PlanarPoint]) -> bool:
     """Ray-casting containment test; boundary points count as inside."""
     n = len(polygon)

@@ -27,6 +27,15 @@ DEFAULT_OVERPASS_URL = "https://overpass-api.de/api/interpreter"
 logger = logging.getLogger(__name__)
 
 
+# drivable ``highway=*`` classes (OSM wiki, Key:highway); footways, paths,
+# cycleways and the like carry no vehicle lanes
+DRIVABLE_HIGHWAYS = frozenset({
+    "motorway", "trunk", "primary", "secondary", "tertiary", "unclassified", "residential",
+    "motorway_link", "trunk_link", "primary_link", "secondary_link", "tertiary_link",
+    "living_street", "service", "road",
+})
+
+
 @dataclass(frozen=True)
 class OsmWay:
     nodes: tuple[int, ...]
@@ -34,7 +43,7 @@ class OsmWay:
 
     @property
     def is_road(self) -> bool:
-        return "highway" in self.tags
+        return self.tags.get("highway") in DRIVABLE_HIGHWAYS
 
 
 @dataclass(frozen=True)

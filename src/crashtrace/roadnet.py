@@ -8,8 +8,8 @@ counts outward from the centerline on the vehicle's travel-right side;
 negative indexes address the opposing side (wrong-side placements).
 
 Junctions are detected at nodes where three or more road ends meet, or
-where distinctly named roads cross; their boundary polygon is the convex
-hull of the meeting points inflated by one lane width.
+where distinctly named roads cross; their boundary polygon is a 16-gon of
+one lane width radius around the node.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .geometry import (
     bearing,
     distance,
     haversine_m,
-    inflate_hull,
     locate_on_polyline,
     point_at,
     polyline_length,
@@ -231,10 +230,14 @@ def _detect_junctions(
         names = {by_id[rid].name_key for rid in member_ids}
         if end_count < 3 and len(names) < 2:
             continue
-        width = max(by_id[rid].lane_width for rid in member_ids)
         center = node_positions[nid]
-        boundary = inflate_hull([center], width)
-        junctions.append(Junction(jid, nid, center, tuple(member_ids), tuple(boundary)))
+        # boundary: 16-gon of one lane width radius, counterclockwise from angle pi
+        boundary = tuple(
+            PlanarPoint(center.x + DEFAULT_LANE_WIDTH_M * math.cos(a),
+                        center.y + DEFAULT_LANE_WIDTH_M * math.sin(a))
+            for a in (2 * math.pi * (k % 16) / 16 for k in range(8, 24))
+        )
+        junctions.append(Junction(jid, nid, center, tuple(member_ids), boundary))
         jid += 1
     return junctions
 
@@ -248,68 +251,70 @@ def unify_lanes(network: RoadNetwork) -> RoadNetwork:
     """Merge same-name contiguous segments and fold opposing carriageways.
 
     Contiguous merging concatenates centerlines without moving geometry and
-    never crosses a junction node. Folding collapses a pair of antiparallel
+    never crosses a junction node; a merged one-way road runs in its
+    direction of travel. Folding collapses a pair of antiparallel
     one-directional segments of the same named road (within 1.5 lane widths
     of each other) into a single two-way road along their midline, so
-    lateral transitions and wrong-way travel stay representable. Runs to a
-    fixed point, hence idempotent.
+    lateral transitions and wrong-way travel stay representable. Every
+    possible merge runs before each fold, because a fold can free a node
+    for merging. Runs to a fixed point, hence idempotent.
     """
-    roads = list(network.roads)
+    roads = {r.road_id: r for r in sorted(network.roads, key=lambda r: r.road_id)}
     junction_nodes = {j.node_id for j in network.junctions}
     id_map: dict[int, int] = {}
 
-    changed = True
-    while changed:
-        changed = False
-        merged = _merge_once(roads, junction_nodes)
-        if merged is not None:
-            roads, old, new = merged
-            id_map[old] = new
-            changed = True
-            continue
-        folded = _fold_once(roads)
-        if folded is not None:
-            roads, old, new = folded
-            id_map[old] = new
-            changed = True
+    while True:
+        _merge_all(roads, junction_nodes, id_map)
+        folded = _fold_once(list(roads.values()))
+        if folded is None:
+            break
+        a_id, b_id, road = folded
+        roads[a_id] = road
+        del roads[b_id]
+        id_map[b_id] = a_id
 
-    def _resolve(rid: int) -> int:
-        while rid in id_map:
-            rid = id_map[rid]
-        return rid
-
-    surviving = {r.road_id for r in roads}
     junctions = []
     for j in network.junctions:
-        members = tuple(sorted({_resolve(m) for m in j.members} & surviving))
+        members = tuple(sorted({_resolve(id_map, m) for m in j.members} & roads.keys()))
         junctions.append(replace(j, members=members))
 
-    return RoadNetwork(network.origin, tuple(roads), tuple(junctions), network.node_positions)
+    return RoadNetwork(network.origin, tuple(roads.values()), tuple(junctions),
+                       network.node_positions)
 
 
-def _merge_once(
-    roads: list[Road], junction_nodes: set[int]
-) -> tuple[list[Road], int, int] | None:
-    ends: dict[int, list[tuple[int, str]]] = {}
-    for idx, road in enumerate(roads):
-        ends.setdefault(road.node_ids[0], []).append((idx, "start"))
-        ends.setdefault(road.node_ids[-1], []).append((idx, "end"))
+def _resolve(id_map: dict[int, int], rid: int) -> int:
+    while rid in id_map:
+        rid = id_map[rid]
+    return rid
+
+
+def _merge_all(roads: dict[int, Road], junction_nodes: set[int], id_map: dict[int, int]) -> None:
+    """Join, in ascending node id, every pair of roads meeting end to end.
+
+    A merge at one node never changes whether another node qualifies: the
+    checks read only the end segments, names and lanes at that node, and a
+    merge keeps all of them. So one sweep over the endpoints at its start
+    finds every merge; the lower road id survives and the merged road runs
+    from the lower-id road into the other one, then is reversed if that
+    leaves it one-way against its travel.
+    """
+    ends: dict[int, list[int]] = {}
+    for road in roads.values():
+        ends.setdefault(road.node_ids[0], []).append(road.road_id)
+        ends.setdefault(road.node_ids[-1], []).append(road.road_id)
 
     for nid in sorted(ends):
-        if nid in junction_nodes:
+        if nid in junction_nodes or len(ends[nid]) != 2:
             continue
-        entries = ends[nid]
-        if len(entries) != 2:
-            continue
-        (ia, side_a), (ib, side_b) = sorted(entries)
-        if ia == ib:
+        a_id, b_id = sorted(_resolve(id_map, rid) for rid in ends[nid])
+        if a_id == b_id:
             continue  # loop way
-        a, b = roads[ia], roads[ib]
+        a, b = roads[a_id], roads[b_id]
         if a.name_key != b.name_key:
             continue
         # orient a to end at the joint and b to start there
-        a_o = a if side_a == "end" else a.reversed()
-        b_o = b if side_b == "start" else b.reversed()
+        a_o = a if a.node_ids[-1] == nid else a.reversed()
+        b_o = b if b.node_ids[0] == nid else b.reversed()
         h_out = bearing(a_o.centerline[-2], a_o.centerline[-1])
         h_in = bearing(b_o.centerline[0], b_o.centerline[1])
         if abs(wrap_angle(h_in - h_out)) > math.radians(MERGE_MAX_HEADING_DEG):
@@ -318,15 +323,12 @@ def _merge_once(
             continue
         merged = replace(
             a_o,
-            road_id=min(a.road_id, b.road_id),
             centerline=a_o.centerline + b_o.centerline[1:],
             node_ids=a_o.node_ids + b_o.node_ids[1:],
         )
-        out = [r for i, r in enumerate(roads) if i not in (ia, ib)]
-        out.append(merged)
-        out.sort(key=lambda r: r.road_id)
-        return out, max(a.road_id, b.road_id), merged.road_id
-    return None
+        roads[a_id] = merged.reversed() if merged.lanes_forward == 0 else merged
+        del roads[b_id]
+        id_map[b_id] = a_id
 
 
 def _mean_heading(road: Road) -> float:
@@ -339,7 +341,8 @@ def _mean_heading(road: Road) -> float:
     return math.atan2(sy, sx)
 
 
-def _fold_once(roads: list[Road]) -> tuple[list[Road], int, int] | None:
+def _fold_once(roads: list[Road]) -> tuple[int, int, Road] | None:
+    """The first foldable pair in road order, as (lower id, higher id, folded road)."""
     for ia in range(len(roads)):
         a = roads[ia]
         if a.lanes_backward != 0:
@@ -355,11 +358,7 @@ def _fold_once(roads: list[Road]) -> tuple[list[Road], int, int] | None:
             fix = locate_on_polyline(a.centerline, mid_b)
             if fix.dist > FOLD_MAX_SEPARATION_LANE_WIDTHS * a.lane_width:
                 continue
-            folded = _fold_pair(a, b)
-            out = [r for i, r in enumerate(roads) if i not in (ia, ib)]
-            out.append(folded)
-            out.sort(key=lambda r: r.road_id)
-            return out, max(a.road_id, b.road_id), folded.road_id
+            return a.road_id, b.road_id, _fold_pair(a, b)
     return None
 
 

@@ -195,6 +195,126 @@ def test_unify_folds_opposing_carriageways():
     assert all(abs(p.y) < 1e-6 for p in road.centerline)
 
 
+def _structure(network):
+    roads = [(r.road_id, r.lanes_forward, r.lanes_backward, r.node_ids) for r in network.roads]
+    return roads, [(j.node_id, j.members) for j in network.junctions]
+
+
+def test_unify_one_way_chain_runs_in_travel_direction():
+    # carriageway 12+13 runs west and its lower way id is downstream
+    dual = {"highway": "primary", "name": "Dual Road", "oneway": "yes"}
+    nodes = {1: (0.0, 2.0), 2: (200.0, 2.0), 3: (200.0, -2.0), 4: (100.0, -2.0), 5: (0.0, -2.0)}
+    west = [(13, [3, 4], dual), (12, [4, 5], dual)]
+    network, _ = _network(nodes, west, unify=True)
+    assert _structure(network)[0] == [(12, 1, 0, (3, 4, 5))]
+    network, _ = _network(nodes, [(10, [1, 2], dual), *west], unify=True)
+    assert [(r.road_id, r.lanes_forward, r.lanes_backward) for r in network.roads] == [(10, 1, 1)]
+
+
+def test_unify_merges_mixed_direction_chain():
+    nodes = {i: (100.0 * (i - 1), 0.0) for i in range(1, 7)}
+    street = {"highway": "residential", "name": "Long Street"}
+    ways = [(13, [2, 1], street), (11, [3, 2], street), (10, [3, 4], street),
+            (14, [4, 5], street), (12, [6, 5], street)]
+    network, _ = _network(nodes, ways, unify=True)
+    assert _structure(network)[0] == [(10, 1, 1, (1, 2, 3, 4, 5, 6))]
+    assert [p.x for p in network.roads[0].centerline] == pytest.approx(
+        [0.0, 100.0, 200.0, 300.0, 400.0, 500.0], abs=1e-6)
+
+
+def test_unify_fold_frees_node_for_merge():
+    # node 2 joins a one-way carriageway to a two-way road: it merges after the fold
+    dual = {"highway": "primary", "name": "Dual Road", "oneway": "yes"}
+    network, _ = _network(
+        {1: (0.0, 2.0), 2: (200.0, 2.0), 3: (190.0, -2.0), 4: (0.0, -2.0), 5: (300.0, 2.0)},
+        [(10, [1, 2], dual), (11, [3, 4], dual),
+         (12, [2, 5], {"highway": "primary", "name": "Dual Road"})],
+        unify=True,
+    )
+    assert _structure(network)[0] == [(10, 1, 1, (1, 2, 5))]
+
+
+def _fragmented_grid(seed: int, n: int = 3, pitch: float = 60.0) -> tuple[dict, list]:
+    """n x n street grid cut at seeded points into two-node ways.
+
+    Street 1 of each direction is a pair of one-way carriageways 5 m apart
+    whose ways are numbered along travel; two-way pieces are drawn in random
+    directions and node ids are shuffled.
+    """
+    rng = random.Random(seed)
+    lines = [[i * pitch - 2.5, i * pitch + 2.5] if i == 1 else [i * pitch] for i in range(n)]
+    stations = [p for line in lines for p in line]
+    index: dict[tuple[float, float], int] = {}
+    ways = []
+    for horizontal in (True, False):
+        for i, line in enumerate(lines):
+            for j, at in enumerate(line):
+                along = list(stations)
+                for a, b in zip(stations, stations[1:]):
+                    if b - a > 10.0:
+                        along += [rng.uniform(a + 5.0, b - 5.0) for _ in range(2)]
+                along.sort(reverse=j == 1)  # right-hand traffic: the second carriageway runs back
+                pts = [(p, at) if horizontal else (at, p) for p in along]
+                refs = [index.setdefault(pt, len(index)) for pt in pts]
+                tags = {"highway": "residential", "name": f"{'row' if horizontal else 'col'} {i}"}
+                if len(line) == 2:
+                    tags["oneway"] = "yes"
+                for u, v in zip(refs, refs[1:]):
+                    if len(line) == 1 and rng.random() < 0.5:
+                        u, v = v, u
+                    ways.append((100 + len(ways), [u, v], tags))
+    ids = rng.sample(range(1, 10 * len(index)), len(index))
+    nodes = {ids[k]: pt for pt, k in index.items()}
+    return nodes, [(wid, [ids[u], ids[v]], tags) for wid, (u, v), tags in ways]
+
+
+# integer structure of the unified _fragmented_grid(7): roads and junctions
+GRID_STRUCTURE = (
+    [
+        (100, 1, 1, (449, 419, 161, 175)),
+        (103, 1, 1, (175, 356)),
+        (104, 1, 1, (356, 180, 305, 255)),
+        (107, 1, 1, (375, 360, 159, 332)),
+        (110, 1, 1, (32, 375)),
+        (111, 1, 1, (357, 341, 34, 32)),
+        (121, 1, 1, (296, 349, 421, 229)),
+        (124, 1, 1, (146, 229)),
+        (125, 1, 1, (146, 367, 198, 455)),
+        (128, 1, 1, (449, 343, 178, 297)),
+        (131, 1, 1, (332, 297)),
+        (132, 1, 1, (332, 12, 237, 296)),
+        (135, 1, 1, (431, 112, 394, 356)),
+        (138, 1, 1, (32, 431)),
+        (139, 1, 1, (146, 253, 31, 32)),
+        (149, 1, 1, (255, 148, 67, 243)),
+        (152, 1, 1, (357, 243)),
+        (153, 1, 1, (357, 379, 127, 455)),
+    ],
+    [
+        (32, (110, 111, 138, 139)),
+        (36, (107, 110, 135, 138)),
+        (146, (124, 125, 139)),
+        (175, (100, 103, 135)),
+        (229, (121, 124, 139)),
+        (243, (111, 149, 152)),
+        (255, (104, 149)),
+        (296, (121, 132)),
+        (297, (107, 128, 131)),
+        (332, (107, 131, 132)),
+        (356, (103, 104, 135)),
+        (357, (111, 152, 153)),
+        (375, (107, 110, 138, 139)),
+        (431, (110, 111, 135, 138)),
+        (449, (100, 128)),
+        (455, (125, 153)),
+    ],
+)
+
+def test_unify_fragmented_grid_structure():
+    network, _ = _network(*_fragmented_grid(7), unify=True)
+    assert _structure(network) == GRID_STRUCTURE
+
+
 # --- crash-point location ---
 
 
@@ -221,6 +341,18 @@ def test_locate_inside_envelope_edge():
     fix = locate_crash_point(network, PlanarPoint(0.0, 4.5))
     assert fix is not None
     assert abs(fix.offset) == pytest.approx(4.5)
+
+
+def test_locate_ignores_footway():
+    # the crash lies inside the street's envelope and nearer the footway
+    network, _ = _network(
+        {1: (-50.0, 0.0), 2: (50.0, 0.0), 3: (-50.0, 6.0), 4: (50.0, 6.0)},
+        [(10, [1, 2], {"highway": "residential"}), (11, [3, 4], {"highway": "footway"})],
+    )
+    assert [r.road_id for r in network.roads] == [10]
+    fix = locate_crash_point(network, PlanarPoint(0.0, 4.5))
+    assert fix is not None and fix.road_id == 10
+    assert fix.offset == pytest.approx(4.5)
 
 
 # --- geometric validation ---
