@@ -619,16 +619,6 @@ def estimate_with_feedback(
 # ---------------------------------------------------------------------------
 
 
-def serialize_scene(spec: SceneSpec) -> str:
-    """Deterministic scene document; numbers keep full precision."""
-    return json.dumps(scene_to_dict(spec), indent=2) + "\n"
-
-
-def parse_scene(text: str) -> SceneSpec:
-    """Inverse of :func:`serialize_scene`; ignores embedded extras."""
-    return scene_from_dict(json.loads(text))
-
-
 def scene_to_dict(spec: SceneSpec) -> dict:
     """The scene document as plain JSON values, in serialization order."""
     return {

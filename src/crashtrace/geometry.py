@@ -13,6 +13,7 @@ increasing arc length.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple, Sequence
 
 from .errors import OutOfExtent
@@ -105,15 +106,7 @@ def _segment_index(cum: list[float], s: float) -> tuple[int, float]:
     total = cum[-1]
     s = min(max(s, 0.0), total)
     # rightmost segment whose start is <= s; last point belongs to last segment
-    lo, hi = 0, len(cum) - 2
-    idx = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if cum[mid] <= s:
-            idx = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
+    idx = min(bisect_right(cum, s) - 1, len(cum) - 2)
     seg_len = cum[idx + 1] - cum[idx]
     t = 0.0 if seg_len == 0.0 else (s - cum[idx]) / seg_len
     return idx, t

@@ -15,6 +15,7 @@ its ``validation.json`` byte for byte.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from collections import Counter
@@ -38,6 +39,8 @@ from .simulator import (
 )
 from .trajectory import Trajectory, Waypoint, generate_trajectory
 
+logger = logging.getLogger(__name__)
+
 
 class ExclusionReason(Enum):
     UNSUPPORTED_VERTICAL_GEOMETRY = "UnsupportedVerticalGeometry"
@@ -49,6 +52,7 @@ class ExclusionReason(Enum):
     VALIDATION_FAILED = "ValidationFailed"
     NOT_DUAL_VEHICLE = "NotDualVehicle"
     FETCH_FAILED = "FetchFailed"
+    INTERNAL_ERROR = "InternalError"   # a defect in crashtrace, logged with its traceback
 
 
 PACKAGE_FILES = (
@@ -190,7 +194,8 @@ class _Excluded(Exception):
         self.reason = reason
 
 
-# The only errors a case may end on; any other error aborts the batch.
+# Errors a case may end on by design; any other error ends the case as
+# INTERNAL_ERROR, so one defective case never aborts the batch.
 EXCLUSION_FOR_ERROR: dict[type[errors.CrashTraceError], ExclusionReason] = {
     errors.NetworkError: ExclusionReason.FETCH_FAILED,
     errors.NotFound: ExclusionReason.FETCH_FAILED,
@@ -216,10 +221,11 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
         artifacts = _reconstruct(key, config, clients)
     except _Excluded as exc:
         return CaseOutcome(key, reason=exc.reason)
-    except errors.CrashTraceError as exc:
+    except Exception as exc:
         reason = EXCLUSION_FOR_ERROR.get(type(exc))
         if reason is None:
-            raise
+            logger.exception("case %s: internal error", key.slug)
+            reason = ExclusionReason.INTERNAL_ERROR
         return CaseOutcome(key, reason=reason)
 
     package_dir = Path(config.out_dir) / f"case_{key.slug}"

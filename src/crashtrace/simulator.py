@@ -3,9 +3,9 @@
 Vehicles advance along their waypoint polylines at their spawn speed with a
 fixed timestep; a vehicle that runs out of waypoints continues on its last
 heading, so near-miss timings stay physical instead of piling every run up
-at the crash point. Collision is an oriented-rectangle overlap test
-(separating axes); the reconstruction is scored on crash location, impact
-clock positions, and trajectory direction.
+at the crash point. Collision is a bounding-circle broad phase, then an
+oriented-rectangle overlap test (separating axes); the reconstruction is
+scored on crash location, impact clock positions, and trajectory direction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContactTooFar
-from .geometry import PlanarPoint, bearing, cumulative_lengths, distance, point_at, tangent_at
+from .geometry import PlanarPoint, _segment_index, bearing, cumulative_lengths, distance
 from .reports import CrashReport, Maneuver
 from .trajectory import Trajectory, classify_headings
 
@@ -106,7 +106,10 @@ def detect_collision(pose_a: Pose, pose_b: Pose,
     other (falling back to the midpoint of the centers); the result is
     symmetric in the arguments.
     """
-    if overlap_margin(pose_a, pose_b, bodies) < 0:
+    # broad phase: rectangles inside disjoint circumcircles cannot overlap
+    reach = (math.hypot(*bodies[0]) + math.hypot(*bodies[1])) / 2
+    if (distance(pose_a.position, pose_b.position) > reach + 1e-6
+            or overlap_margin(pose_a, pose_b, bodies) < 0):
         return None
     hits = [p for p in _corners(pose_a, bodies[0]) if _inside(p, pose_b, bodies[1])]
     hits += [p for p in _corners(pose_b, bodies[1]) if _inside(p, pose_a, bodies[0])]
@@ -155,10 +158,11 @@ class _PathFollower:
         if len(points) < 2:
             points.append(PlanarPoint(spawn_position.x + 1e-6, spawn_position.y))
         self.points = points
+        self.headings = [bearing(a, b) for a, b in zip(points, points[1:])]
         self.cum = cumulative_lengths(points)
         self.total = self.cum[-1]
         self.speed = speed
-        self.end_heading = bearing(points[-2], points[-1])
+        self.end_heading = self.headings[-1]
 
     @property
     def exhaust_time(self) -> float:
@@ -167,8 +171,10 @@ class _PathFollower:
     def pose(self, t: float) -> Pose:
         s = self.speed * t
         if s <= self.total:
-            return Pose(point_at(self.points, s, self.cum),
-                        tangent_at(self.points, s, self.cum))
+            idx, u = _segment_index(self.cum, s)
+            a, b = self.points[idx], self.points[idx + 1]
+            return Pose(PlanarPoint(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)),
+                        self.headings[idx])
         over = s - self.total
         end = self.points[-1]
         return Pose(

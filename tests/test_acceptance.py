@@ -173,7 +173,12 @@ def test_acceptance_3_geometric_fidelity():
 
 def _sampling_oracle(pose_a: Pose, pose_b: Pose, body: VehicleBody,
                      grid: float = 0.001) -> bool:
-    """Any 1 mm lattice point of body A's rectangle inside body B."""
+    """Any 1 mm lattice point of body A's rectangle inside body B.
+
+    Along one lattice row of A, B's local coordinates are linear in x, so
+    the row's points inside B are those in one exact x-interval; the row
+    hits when a lattice x lies in it.
+    """
     hl, hw = body.length / 2, body.width / 2
     ca, sa = math.cos(pose_a.heading), math.sin(pose_a.heading)
     cb, sb = math.cos(pose_b.heading), math.sin(pose_b.heading)
@@ -199,23 +204,29 @@ def _sampling_oracle(pose_a: Pose, pose_b: Pose, body: VehicleBody,
     if lxmin > lxmax or lymin > lymax:
         return False
 
-    xs = np.arange(math.ceil((lxmin + hl) / grid),
-                   math.floor((lxmax + hl) / grid) + 1) * grid - hl
+    # lattice columns i0..i1 (x = i * grid - hl) and rows ys
+    i0 = math.ceil((lxmin + hl) / grid)
+    i1 = math.floor((lxmax + hl) / grid)
     ys = np.arange(math.ceil((lymin + hw) / grid),
                    math.floor((lymax + hw) / grid) + 1) * grid - hw
-    if xs.size == 0 or ys.size == 0:
+    if i0 > i1 or ys.size == 0:
         return False
-    for start in range(0, ys.size, 256):
-        yy = ys[start:start + 256]
-        X, Y = np.meshgrid(xs, yy)
-        wx = ax + ca * X - sa * Y
-        wy = ay + sa * X + ca * Y
-        dx, dy = wx - bx, wy - by
-        lx = cb * dx + sb * dy
-        ly = -sb * dx + cb * dy
-        if bool(np.any((np.abs(lx) <= hl) & (np.abs(ly) <= hw))):
-            return True
-    return False
+    # the lattice point (x, y) of A sits at p + k * x in B's frame, per axis
+    dx, dy = ax - sa * ys - bx, ay + ca * ys - by
+    lo = np.full(ys.shape, -math.inf)
+    hi = np.full(ys.shape, math.inf)
+    for p, k, half in ((cb * dx + sb * dy, cb * ca + sb * sa, hl),
+                       (-sb * dx + cb * dy, -sb * ca + cb * sa, hw)):
+        if k == 0.0:
+            hi[np.abs(p) > half] = -math.inf
+            continue
+        e1, e2 = (-half - p) / k, (half - p) / k
+        lo = np.maximum(lo, np.minimum(e1, e2))
+        hi = np.minimum(hi, np.maximum(e1, e2))
+    with np.errstate(invalid="ignore"):
+        first = np.maximum(np.ceil((lo + hl) / grid), i0)
+        last = np.minimum(np.floor((hi + hl) / grid), i1)
+    return bool(np.any(first <= last))
 
 
 def test_acceptance_4_collision_oracle_equivalence():

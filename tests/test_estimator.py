@@ -12,8 +12,8 @@ from crashtrace.estimator import (
     estimate_with_feedback,
     heuristic_estimate,
     llm_estimate,
-    parse_scene,
-    serialize_scene,
+    scene_from_dict,
+    scene_to_dict,
     validate_states,
 )
 from crashtrace.geometry import PlanarPoint, distance
@@ -390,15 +390,15 @@ def test_feedback_unparseable_counts_as_attempt():
 def test_scene_roundtrip_identity():
     network, report, crash, region = _setup("ftf")
     scene, _ = estimate_with_feedback(report, network, region, crash)
-    text = serialize_scene(scene)
-    assert parse_scene(text) == scene
-    assert serialize_scene(parse_scene(text)) == text
+    text = json.dumps(scene_to_dict(scene))
+    assert scene_from_dict(json.loads(text)) == scene
+    assert json.dumps(scene_to_dict(scene_from_dict(json.loads(text)))) == text
 
 
 def test_scene_serialization_deterministic_and_precise():
     network, report, crash, region = _setup("ftf")
     scene, _ = estimate_with_feedback(report, network, region, crash)
-    a, b = serialize_scene(scene), serialize_scene(scene)
+    a, b = json.dumps(scene_to_dict(scene)), json.dumps(scene_to_dict(scene))
     assert a == b
     doc = json.loads(a)
     # full-precision coordinates survive
@@ -411,7 +411,7 @@ def test_scene_zero_crash_point():
     network, report, crash, region = _setup("ftf")
     scene, _ = estimate_with_feedback(report, network, region, crash)
     at_zero = dataclasses.replace(scene, crash_point=PlanarPoint(0.0, 0.0))
-    doc = json.loads(serialize_scene(at_zero))
+    doc = json.loads(json.dumps(scene_to_dict(at_zero)))
     assert doc["crash_point"]["x"] == 0.0
     assert doc["crash_point"]["y"] == 0.0
-    assert parse_scene(serialize_scene(at_zero)) == at_zero
+    assert scene_from_dict(doc) == at_zero

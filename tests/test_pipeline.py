@@ -389,6 +389,31 @@ def test_unreadable_map_fixture_does_not_abort_batch(good_batch, tmp_path, caplo
     assert all("unreadable <node>" in m for m in warnings)
 
 
+def test_internal_error_is_one_ledger_line(good_batch, tmp_path, monkeypatch, caplog):
+    from crashtrace import pipeline
+
+    keys, config, _, outcomes = good_batch
+    broken = keys[2]
+    reconstruct = pipeline._reconstruct
+
+    def failing(key, *args):
+        if key == broken:
+            raise RuntimeError("stage bug")
+        return reconstruct(key, *args)
+
+    monkeypatch.setattr(pipeline, "_reconstruct", failing)
+    config = PipelineConfig(offline=True, fixtures_dir=config.fixtures_dir,
+                            out_dir=tmp_path / "out", parallelism=2)
+    packages, again = run_batch(keys, config)
+    assert len(packages) == len(keys) - 1
+    expected = [o.ledger_line() for o in outcomes]
+    expected[2] = f"{broken.slug}\texcluded\tInternalError"
+    assert [o.ledger_line() for o in again] == expected
+    assert again[2].reason is ExclusionReason.INTERNAL_ERROR
+    logged = [r.exc_info[1] for r in caplog.records if r.name == "crashtrace.pipeline"]
+    assert [str(exc) for exc in logged] == ["stage bug"]
+
+
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """
 import sys
 from pathlib import Path

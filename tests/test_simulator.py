@@ -275,3 +275,89 @@ def test_validation_json_roundtrip():
     text2 = validation_to_json(no_hit)
     assert '"location_error_m": null' in text2
     assert validation_from_json(text2) == no_hit
+
+
+# --- broad phase and single-lookup poses ---
+
+REACH = math.hypot(BODY.length, BODY.width)  # two half-diagonals
+
+
+def _agrees(a, b):
+    return (detect_collision(a, b, BODIES) is None) == (overlap_margin(a, b, BODIES) < 0)
+
+
+def test_broad_phase_keeps_separating_axis_verdict_near_reach():
+    # half the pairs free, half with B's corner aimed near A's diagonal,
+    # where rectangles still touch at a centre distance close to the reach
+    rng = random.Random(2004)
+    diagonal = math.atan2(BODY.width, BODY.length)
+    hits = 0
+    for k in range(20000):
+        a = Pose(PlanarPoint(rng.uniform(-5, 5), rng.uniform(-5, 5)),
+                 rng.uniform(-math.pi, math.pi))
+        if k % 2:
+            bearing_ab = a.heading + diagonal + rng.uniform(-0.02, 0.02)
+            heading_b = a.heading + math.pi + rng.uniform(-0.02, 0.02)
+        else:
+            bearing_ab = rng.uniform(-math.pi, math.pi)
+            heading_b = rng.uniform(-math.pi, math.pi)
+        d = REACH + rng.uniform(-0.1, 0.1)
+        b = Pose(PlanarPoint(a.position.x + d * math.cos(bearing_ab),
+                             a.position.y + d * math.sin(bearing_ab)), heading_b)
+        assert _agrees(a, b), (a, b)
+        hits += detect_collision(a, b, BODIES) is not None
+    assert hits > 100
+
+
+@pytest.mark.parametrize("flip", [0.0, math.pi])
+def test_broad_phase_corner_to_corner_on_the_diagonal(flip):
+    # B's corner points at A's corner along A's diagonal; at the reach they touch
+    diagonal = math.atan2(BODY.width, BODY.length)
+    for heading in (0.0, 0.3, -1.2, 2.5):
+        a = Pose(PlanarPoint(1.0, -2.0), heading)
+        direction = heading + diagonal
+        for d, overlaps in ((REACH - 1e-4, True), (REACH, None), (REACH + 1e-4, False)):
+            b = Pose(PlanarPoint(1.0 + d * math.cos(direction), -2.0 + d * math.sin(direction)),
+                     heading + math.pi + flip)
+            assert _agrees(a, b) and _agrees(b, a), (heading, d, flip)
+            if overlaps is not None:
+                assert (detect_collision(a, b, BODIES) is not None) == overlaps
+
+
+@pytest.fixture(scope="module")
+def corpus_trajectories(tmp_path_factory):
+    import corpus
+    from crashtrace.pipeline import PipelineConfig, parse_scenario, run_case
+
+    root = tmp_path_factory.mktemp("sim_corpus")
+    keys = corpus.write_good_corpus(root / "fixtures")
+    config = PipelineConfig(offline=True, fixtures_dir=root / "fixtures", out_dir=root / "out",
+                            parallelism=1)
+    out = []
+    for key in keys:
+        outcome = run_case(key, config)
+        assert outcome.package is not None
+        text = (outcome.package.directory / "scenario.json").read_text(encoding="utf-8")
+        out.append(parse_scenario(text))
+    return out
+
+
+def test_follower_pose_equals_point_and_tangent(corpus_trajectories):
+    from crashtrace.geometry import point_at, tangent_at
+    from crashtrace.simulator import _PathFollower
+
+    checked = 0
+    for scene, trajectories in corpus_trajectories:
+        for state, traj in zip(scene.states, trajectories):
+            follower = _PathFollower(state.position, traj, state.speed)
+            end = follower.exhaust_time
+            for k in range(1001):
+                t = end * k / 1000
+                s = follower.speed * t
+                if s > follower.total:
+                    continue
+                expected = Pose(point_at(follower.points, s, follower.cum),
+                                tangent_at(follower.points, s, follower.cum))
+                assert follower.pose(t) == expected, (scene.case_key, t)
+                checked += 1
+    assert checked > 9000
