@@ -62,8 +62,9 @@ class CrashApiClient(ReadThroughSource):
     def _cache_name(self, key: CaseKey) -> str:
         return f"{key.slug}.xml"
 
-    def _fixture(self, key: CaseKey) -> Path | None:
-        return self.fixtures_dir / f"{key.slug}.xml" if self.fixtures_dir else None
+    def _fixture(self, key: CaseKey) -> str | None:
+        path = self.fixtures_dir / f"{key.slug}.xml" if self.fixtures_dir else None
+        return path.read_text(encoding="utf-8") if path is not None and path.is_file() else None
 
     def _remote(self, key: CaseKey) -> str:
         return self._transport(build_case_url(self.base_url, key))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import OutOfExtent
@@ -91,10 +92,7 @@ Polyline = Sequence[PlanarPoint]
 
 
 def cumulative_lengths(points: Polyline) -> list[float]:
-    out = [0.0]
-    for a, b in zip(points, points[1:]):
-        out.append(out[-1] + distance(a, b))
-    return out
+    return list(accumulate(map(math.dist, points, points[1:]), initial=0.0))
 
 
 def polyline_length(points: Polyline) -> float:
@@ -110,6 +108,20 @@ def _segment_index(cum: list[float], s: float) -> tuple[int, float]:
     seg_len = cum[idx + 1] - cum[idx]
     t = 0.0 if seg_len == 0.0 else (s - cum[idx]) / seg_len
     return idx, t
+
+
+def _segment_after(cum: list[float], idx: int, s: float) -> tuple[int, float]:
+    """``_segment_index(cum, s)``, found by walking forward from segment ``idx``.
+
+    ``idx`` must not lie past the answer (the answer for a smaller ``s`` never
+    does), so a caller whose ``s`` only grows walks each segment once.
+    """
+    s = min(max(s, 0.0), cum[-1])
+    last = len(cum) - 2
+    while idx < last and cum[idx + 1] <= s:
+        idx += 1
+    seg_len = cum[idx + 1] - cum[idx]
+    return idx, 0.0 if seg_len == 0.0 else (s - cum[idx]) / seg_len
 
 
 def point_at(points: Polyline, s: float, cum: list[float] | None = None) -> PlanarPoint:
@@ -204,9 +216,14 @@ def resample_polyline(points: Polyline, spacing: float) -> list[PlanarPoint]:
     if total == 0.0:
         raise ValueError("zero-length polyline")
     out = [points[0]]
+    idx = 0
     s = spacing
-    while s < total:
-        out.append(point_at(points, s, cum))
+    while s < total:  # 0 < s < total: point_at without its clamps, one forward walk
+        while cum[idx + 1] <= s:
+            idx += 1
+        a, b = points[idx], points[idx + 1]
+        t = (s - cum[idx]) / (cum[idx + 1] - cum[idx])
+        out.append(PlanarPoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
         s += spacing
     out.append(points[-1])
     return out
@@ -219,8 +236,11 @@ def resample_count(points: Polyline, n: int) -> list[PlanarPoint]:
     cum = cumulative_lengths(points)
     total = cum[-1]
     out = [points[0]]
-    for k in range(1, n - 1):
-        out.append(point_at(points, total * k / (n - 1), cum))
+    idx = 0
+    for k in range(1, n - 1):  # arc lengths only grow
+        idx, t = _segment_after(cum, idx, total * k / (n - 1))
+        a, b = points[idx], points[idx + 1]
+        out.append(PlanarPoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
     out.append(points[-1])
     return out
 

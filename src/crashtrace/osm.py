@@ -66,7 +66,7 @@ def parse_osm(text: str) -> OsmGraph:
             nodes[int(el.get("id"))] = GeoPoint(float(el.get("lat")), float(el.get("lon")))
         for el in root.iterfind("way"):
             refs = tuple(
-                int(nd.get("ref")) for nd in el.iterfind("nd") if int(nd.get("ref")) in nodes
+                ref for nd in el.iterfind("nd") if (ref := int(nd.get("ref"))) in nodes
             )
             if len(refs) < 2:
                 continue
@@ -130,7 +130,12 @@ def _http_post_overpass(url: str, query: str) -> str:
 
 
 class OsmClient(ReadThroughSource):
-    """Bounding-box extract retrieval with a synchronized read-through cache."""
+    """Bounding-box extract retrieval with a synchronized read-through cache.
+
+    Each map is parsed once per client: an extract on its way into the memory
+    cache, a fixture when the first offline lookup scans the directory. The
+    graphs are shared between requests and never mutated.
+    """
 
     def __init__(
         self,
@@ -142,14 +147,13 @@ class OsmClient(ReadThroughSource):
     ):
         super().__init__(cache_dir, offline, fixtures_dir, transport or _http_post_overpass)
         self.url = url
-        self._fixture_boxes: list[tuple[float, float, float, float, Path]] | None = None
+        self._fixture_maps: list[tuple[float, float, float, float, Path, OsmGraph]] | None = None
 
     def retrieve_osm(self, center: GeoPoint, radius_m: float) -> OsmGraph:
         """Extract around ``center``; raises EmptyExtract when no roads exist."""
         if radius_m <= 0:
             raise ValueError("radius must be positive")
-        text = self._load((center, radius_m))
-        graph = parse_osm(text)
+        graph = self._load((center, radius_m))
         if not any(w.is_road for w in graph.ways.values()):
             raise EmptyExtract(f"no road-bearing ways within {radius_m} m of {center}")
         return graph
@@ -162,29 +166,35 @@ class OsmClient(ReadThroughSource):
         lat, lon, rad = key
         return f"osm_{lat:.7f}_{lon:.7f}_{rad:.0f}.osm"
 
-    def _fixture(self, request: tuple[GeoPoint, float]) -> Path | None:
-        """Pick the fixture whose node bounding box covers the request's center.
+    def _parse(self, text: str) -> OsmGraph:
+        return parse_osm(text)
+
+    def _fixture(self, request: tuple[GeoPoint, float]) -> OsmGraph | None:
+        """The fixture map whose node bounding box covers the request's center.
 
         Ties resolve to the bbox center nearest the crash site, then file name.
         """
         with self._lock:  # the first lookup scans the directory; later ones reuse it
-            if self._fixture_boxes is None:
-                self._fixture_boxes = _scan_fixtures(self.fixtures_dir)
+            if self._fixture_maps is None:
+                self._fixture_maps = _scan_fixtures(self.fixtures_dir)
         margin = 0.01  # ~1 km; fixtures need not extend past their roads
         lat, lon = request[0]
         hits = [
-            (math.hypot((south + north) / 2 - lat, (west + east) / 2 - lon), path.name, path)
-            for south, west, north, east, path in self._fixture_boxes
+            (math.hypot((south + north) / 2 - lat, (west + east) / 2 - lon), path.name, graph)
+            for south, west, north, east, path, graph in self._fixture_maps
             if south - margin <= lat <= north + margin and west - margin <= lon <= east + margin
         ]
-        return min(hits)[2] if hits else None
+        return min(hits, key=lambda hit: hit[:2])[2] if hits else None
 
     def _remote(self, request: tuple[GeoPoint, float]) -> str:
         return self._transport(self.url, overpass_query(*request))
 
 
-def _scan_fixtures(directory: Path | None) -> list[tuple[float, float, float, float, Path]]:
-    """(south, west, north, east, path) of each readable ``.osm`` file with nodes.
+def _scan_fixtures(
+    directory: Path | None,
+) -> list[tuple[float, float, float, float, Path, OsmGraph]]:
+    """(south, west, north, east, path, graph) of each readable ``.osm`` file
+    with nodes.
 
     Unreadable files are skipped with a warning.
     """
@@ -200,7 +210,7 @@ def _scan_fixtures(directory: Path | None) -> list[tuple[float, float, float, fl
         if graph.nodes:
             lats = [p.latitude for p in graph.nodes.values()]
             lons = [p.longitude for p in graph.nodes.values()]
-            boxes.append((min(lats), min(lons), max(lats), max(lons), path))
+            boxes.append((min(lats), min(lons), max(lats), max(lons), path, graph))
     return boxes
 
 

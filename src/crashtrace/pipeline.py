@@ -129,20 +129,57 @@ def build_clients(config: PipelineConfig) -> Clients:
 
 
 def scenario_document(scene: SceneSpec, trajectories: Sequence[Trajectory]) -> str:
+    """The scene document with each vehicle's waypoints appended, byte for byte
+    as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder. So the
+    waypoint arrays, nearly all of the text, are written here with one format
+    string per waypoint, and only the scene's few values go through
+    ``json.dumps``.
+    """
     doc = scene_to_dict(scene)
     by_id = {t.vehicle_id: t for t in trajectories}
-    for entry in doc["vehicles"]:
-        traj = by_id[entry["id"]]
-        entry["waypoints"] = [
-            {
-                "x": w.position.x,
-                "y": w.position.y,
-                "heading_deg": math.degrees(w.heading),
-                "target_speed_mps": w.target_speed,
-            }
-            for w in traj.waypoints
-        ]
-    return json.dumps(doc, indent=2) + "\n"
+    vehicles = [
+        # an entry is never empty, so its text ends with its closing brace
+        _json_at(entry, 2).removesuffix("\n    }") + ',\n      "waypoints": '
+        + _waypoints_json(by_id[entry["id"]].waypoints) + "\n    }"
+        for entry in doc["vehicles"]
+    ]
+    body = ",".join(
+        f"\n  {json.dumps(key)}: "
+        + (_json_array(vehicles, 1) if key == "vehicles" else _json_at(value, 1))
+        for key, value in doc.items()
+    )
+    return "{" + body + "\n}\n"
+
+
+def _json_at(value, level: int) -> str:
+    """``value`` as ``json.dumps(indent=2)`` nests it ``level`` deep.
+
+    JSON text holds no raw newline inside a string, so every newline starts
+    an indented line.
+    """
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _json_array(items: list[str], level: int) -> str:
+    """An array of value texts, laid out as ``_json_at`` would."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + ",".join(pad + item for item in items) + "\n" + "  " * level + "]"
+
+
+def _waypoints_json(waypoints: Sequence[Waypoint]) -> str:
+    text = _json_array([
+        f'{{\n          "x": {w.position.x!r},\n          "y": {w.position.y!r},'
+        f'\n          "heading_deg": {math.degrees(w.heading)!r},'
+        f'\n          "target_speed_mps": {w.target_speed!r}\n        }}'
+        for w in waypoints
+    ], 3)
+    # repr writes the non-finite floats nan, inf and -inf where JSON writes
+    # NaN, Infinity and -Infinity; no other text in a waypoint holds them
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContactTooFar
-from .geometry import PlanarPoint, _segment_index, bearing, cumulative_lengths, distance
+from .geometry import PlanarPoint, _segment_after, bearing, cumulative_lengths, distance
 from .reports import CrashReport, Maneuver
 from .trajectory import Trajectory, classify_headings
 
@@ -163,6 +163,7 @@ class _PathFollower:
         self.total = self.cum[-1]
         self.speed = speed
         self.end_heading = self.headings[-1]
+        self._segment = 0  # where the last pose was; simulate asks for rising t
 
     @property
     def exhaust_time(self) -> float:
@@ -171,7 +172,9 @@ class _PathFollower:
     def pose(self, t: float) -> Pose:
         s = self.speed * t
         if s <= self.total:
-            idx, u = _segment_index(self.cum, s)
+            start = self._segment if s >= self.cum[self._segment] else 0
+            idx, u = _segment_after(self.cum, start, s)
+            self._segment = idx
             a, b = self.points[idx], self.points[idx + 1]
             return Pose(PlanarPoint(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)),
                         self.headings[idx])

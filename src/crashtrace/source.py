@@ -1,9 +1,10 @@
 """Read-through access to remote documents, and the one HTTP helper.
 
 A source answers a request from its memory cache, then from the disk cache,
-then, offline, from a fixture file (or raises CacheMiss), and otherwise from
-its transport, writing the fetched text back to the disk cache. The memory
-cache is shared by a batch's worker threads under one lock.
+then, offline, from a fixture (or raises CacheMiss), and otherwise from its
+transport, writing the fetched text back to the disk cache. Text is parsed
+once, on its way into the memory cache, which a batch's worker threads share
+under one lock.
 
 ``http_text`` is the only code that speaks HTTP. It imports ``urllib.request``
 on first use, so offline runs never load it.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable
 
 from .errors import CacheMiss, NetworkError
 
@@ -50,9 +51,11 @@ class ReadThroughSource:
     """Synchronized memory/disk/fixture/transport lookup for one kind of document.
 
     Subclasses supply ``_cache_name(key)``, the disk-cache file name;
-    ``_fixture(request)``, the offline fixture path or None; and
+    ``_fixture(request)``, the offline fixture's parsed document or None; and
     ``_remote(request)``, the fetch through ``self._transport``. They may
-    override ``_cache_key(request)``, which defaults to the request itself.
+    override ``_cache_key(request)``, which defaults to the request itself,
+    and ``_parse(text)``, which turns fetched or cached text into the
+    document and defaults to the text itself.
     """
 
     def __init__(
@@ -66,13 +69,16 @@ class ReadThroughSource:
         self.offline = offline
         self.fixtures_dir = Path(fixtures_dir) if fixtures_dir else None
         self._transport = transport
-        self._memory: dict[Hashable, str] = {}
+        self._memory: dict[Hashable, Any] = {}
         self._lock = threading.Lock()
 
     def _cache_key(self, request) -> Hashable:
         return request
 
-    def _load(self, request) -> str:
+    def _parse(self, text: str) -> Any:
+        return text
+
+    def _load(self, request) -> Any:
         key = self._cache_key(request)
         with self._lock:
             cached = self._memory.get(key)
@@ -81,16 +87,16 @@ class ReadThroughSource:
 
         cache_path = self.cache_dir / self._cache_name(key) if self.cache_dir else None
         if cache_path is not None and cache_path.is_file():
-            text = cache_path.read_text(encoding="utf-8")
+            document = self._parse(cache_path.read_text(encoding="utf-8"))
         elif self.offline:
-            fixture = self._fixture(request)
-            if fixture is None or not fixture.is_file():
+            document = self._fixture(request)
+            if document is None:
                 raise CacheMiss(f"no fixture or cached document for {request}")
-            text = fixture.read_text(encoding="utf-8")
         else:
             text = self._remote(request)
             if cache_path is not None:
                 cache_path.parent.mkdir(parents=True, exist_ok=True)
                 cache_path.write_text(text, encoding="utf-8")
+            document = self._parse(text)
         with self._lock:
-            return self._memory.setdefault(key, text)
+            return self._memory.setdefault(key, document)

@@ -168,7 +168,7 @@ def test_fixtures_parsed_once_per_client(tmp_path, monkeypatch):
     for i in range(4):
         assert _picked_way(client, 37.05 + 0.5 * i, -77.05) == {i + 1}
     assert _picked_way(client, 37.06, -77.05) == {1}
-    assert len(calls) == 4 + 5  # one per fixture, plus one per retrieve_osm
+    assert len(calls) == 4  # one per fixture; retrieve_osm reuses the scanned graph
 
 
 def test_concurrent_first_lookups_build_index_once(tmp_path, monkeypatch):
@@ -189,7 +189,42 @@ def test_concurrent_first_lookups_build_index_once(tmp_path, monkeypatch):
         t.join(timeout=30)
         assert not t.is_alive()
     assert picked == {0: {1}, 1: {2}}
-    assert len(calls) == 3 + 2
+    assert len(calls) == 3
+
+
+def test_cases_sharing_a_fixture_share_one_parse_and_disk_cache_parses_once(
+        tmp_path, monkeypatch):
+    from crashtrace.roadnet import build_road_network
+
+    fixtures, cache = tmp_path / "fixtures", tmp_path / "cache"
+    fixtures.mkdir()
+    nodes, ways = straight_road_layout()
+    (fixtures / "site.osm").write_text(osm_xml(ORIGIN, nodes, ways), encoding="utf-8")
+    (fixtures / "far.osm").write_text(_box_osm(1, 38.0, -77.1, 38.1, -77.0), encoding="utf-8")
+    cached_center = case_origin(40)
+    payload = osm_xml(cached_center, nodes, ways)
+    expected_from_disk = write_osm(parse_osm(payload))
+    OsmClient(cache_dir=cache, transport=lambda url, query: payload).retrieve_osm(
+        cached_center, 500.0)
+
+    calls = _count_parses(monkeypatch)
+    client = OsmClient(cache_dir=cache, offline=True, fixtures_dir=fixtures)
+    near = GeoPoint(ORIGIN.latitude + 0.001, ORIGIN.longitude - 0.001)
+    first = client.retrieve_osm(ORIGIN, 500.0)
+    second = client.retrieve_osm(near, 500.0)  # another case, the same fixture
+    assert second is first
+    assert len(calls) == 2  # the directory scan, once per fixture
+    assert write_osm(client.retrieve_osm(cached_center, 500.0)) == expected_from_disk
+    assert len(calls) == 3  # plus the disk-cache text
+    for center in (ORIGIN, near, cached_center):
+        client.retrieve_osm(center, 500.0)
+    assert len(calls) == 3  # memory hits parse nothing
+
+    before = write_osm(first)
+    for center in (ORIGIN, near):
+        build_road_network(prune_osm(first, center, 500.0), center)
+    assert write_osm(first) == before
+    assert write_osm(client.retrieve_osm(near, 500.0)) == before
 
 
 def test_retrieve_caches_transport_result(tmp_path):

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crashtrace import cli
 from crashtrace.errors import EmptyDirectory, ParseError
+from crashtrace.estimator import InitialState, SceneSpec, scene_to_dict
+from crashtrace.geometry import PlanarPoint
 from crashtrace.pipeline import (
     PACKAGE_FILES,
     CaseOutcome,
@@ -26,8 +30,9 @@ from crashtrace.pipeline import (
     write_ledger,
 )
 from crashtrace.plotting import render_plot
-from crashtrace.reports import CaseKey
+from crashtrace.reports import CaseKey, Maneuver
 from crashtrace.simulator import validation_from_json
+from crashtrace.trajectory import Trajectory, Waypoint
 
 import corpus
 
@@ -289,6 +294,56 @@ def test_scenario_waypoint_fields(good_batch):
     doc = json.loads((packages[0].directory / "scenario.json").read_text("utf-8"))
     wp = doc["vehicles"][0]["waypoints"][0]
     assert set(wp) == {"x", "y", "heading_deg", "target_speed_mps"}
+
+
+
+def _json_dumps_scenario(scene, trajectories):
+    """Reference: the whole document through ``json.dumps(indent=2)``."""
+    doc = scene_to_dict(scene)
+    by_id = {t.vehicle_id: t for t in trajectories}
+    for entry in doc["vehicles"]:
+        entry["waypoints"] = [
+            {
+                "x": w.position.x,
+                "y": w.position.y,
+                "heading_deg": math.degrees(w.heading),
+                "target_speed_mps": w.target_speed,
+            }
+            for w in by_id[entry["id"]].waypoints
+        ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_odd_floats = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0 and subnormals included
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, 1e16, 0.1, 123456789.0,
+                     math.nan, math.inf, -math.inf]),
+)
+_speeds = st.one_of(_odd_floats, st.integers(-5, 10**6))
+_waypoints = st.lists(
+    st.builds(Waypoint, st.builds(PlanarPoint, _odd_floats, _odd_floats), _odd_floats, _speeds),
+    max_size=6,
+)
+_states = st.builds(InitialState, st.builds(PlanarPoint, _odd_floats, _odd_floats),
+                    _odd_floats, _speeds, st.integers(-3, 10**9), st.integers(-3, 3))
+_map_files = st.one_of(
+    st.sampled_from(["map.xodr", 'a "quoted" \\ name', "caf\u00e9 \u5730\u56f3.xodr",
+                     "nul\x00byte", "line\nbreak\ttab", "nan inf -inf"]),
+    st.text(),
+)
+
+
+@given(st.builds(CaseKey, st.integers(0, 99), st.integers(0, 10**6), st.integers(1900, 2100)),
+       st.builds(PlanarPoint, _odd_floats, _odd_floats), _states, _states,
+       st.sampled_from(list(Maneuver)), st.sampled_from(list(Maneuver)),
+       _map_files, _waypoints, _waypoints, st.booleans())
+def test_scenario_document_equals_json_dumps(key, crash, state_a, state_b, maneuver_a,
+                                             maneuver_b, map_file, waypoints_a, waypoints_b,
+                                             same_ids):
+    ids = (7, 7) if same_ids else (1, 2)
+    scene = SceneSpec(key, crash, (state_a, state_b), ids, (maneuver_a, maneuver_b), map_file)
+    trajectories = [Trajectory(ids[0], tuple(waypoints_a)), Trajectory(ids[1], tuple(waypoints_b))]
+    assert scenario_document(scene, trajectories) == _json_dumps_scenario(scene, trajectories)
 
 
 # --- CLI ---

@@ -361,3 +361,54 @@ def test_follower_pose_equals_point_and_tangent(corpus_trajectories):
                 assert follower.pose(t) == expected, (scene.case_key, t)
                 checked += 1
     assert checked > 9000
+
+
+def _bisect_pose(follower, t):
+    """Reference: the pose with one ``_segment_index`` binary search per call."""
+    from crashtrace.geometry import _segment_index
+
+    s = follower.speed * t
+    if s <= follower.total:
+        idx, u = _segment_index(follower.cum, s)
+        a, b = follower.points[idx], follower.points[idx + 1]
+        return Pose(PlanarPoint(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)),
+                    follower.headings[idx])
+    over = s - follower.total
+    end = follower.points[-1]
+    return Pose(
+        PlanarPoint(end.x + over * math.cos(follower.end_heading),
+                    end.y + over * math.sin(follower.end_heading)),
+        follower.end_heading,
+    )
+
+
+def _pose_bits(pose):
+    return pose.position.x.hex(), pose.position.y.hex(), pose.heading.hex()
+
+
+@st.composite
+def _followers(draw):
+    from crashtrace.simulator import _PathFollower
+
+    coord = st.one_of(st.integers(-20, 20).map(float), st.floats(-100.0, 100.0))
+    pool = draw(st.lists(st.builds(PlanarPoint, coord, coord), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    waypoints = tuple(Waypoint(pool[i], 0.0, 0.0) for i in picks)
+    speed = draw(st.one_of(st.just(0.0), st.floats(0.5, 40.0)))
+    return _PathFollower(pool[picks[0]], Trajectory(1, waypoints), speed)
+
+
+_times = st.lists(st.one_of(st.floats(-1.0, 60.0), st.integers(0, 60).map(float)),
+                  max_size=60)
+
+
+@given(_followers(), _times)
+def test_cursor_pose_matches_bisect_pose_for_rising_t(follower, times):
+    for t in sorted(times):
+        assert _pose_bits(follower.pose(t)) == _pose_bits(_bisect_pose(follower, t)), t
+
+
+@given(_followers(), _times)
+def test_cursor_pose_matches_bisect_pose_in_any_order(follower, times):
+    for t in times:
+        assert _pose_bits(follower.pose(t)) == _pose_bits(_bisect_pose(follower, t)), t
