@@ -38,7 +38,7 @@ from .geometry import (
     tangent_at,
     wrap_angle,
 )
-from .reports import CaseKey, CrashReport, Maneuver
+from .reports import CaseKey, CrashReport, Maneuver, TrajectoryRelation, VehicleRecord
 from .roadnet import (
     Junction,
     Road,
@@ -79,7 +79,6 @@ class SceneSpec:
     states: tuple[InitialState, InitialState]
     vehicle_ids: tuple[int, int]
     maneuvers: tuple[Maneuver, Maneuver]
-    map_file: str = "map.xodr"
 
 
 @dataclass(frozen=True)
@@ -118,19 +117,14 @@ class EstimationSettings:
     mode: str = "heuristic"  # heuristic | llm
     max_retries: int = DEFAULT_MAX_RETRIES
     horizon_s: float = DEFAULT_HORIZON_S
-    default_speed_mps: float = DEFAULT_SPEED_MPS
     llm_endpoint: str | None = None
     llm_model: str | None = None
     llm_transport: Callable[[str], str] | None = None
 
 
-def _vehicle_distances(report: CrashReport, settings: EstimationSettings) -> list[float]:
-    out = []
-    for record in report.vehicles:
-        speed = record.travel_speed if record.travel_speed is not None \
-            else settings.default_speed_mps
-        out.append(speed * settings.horizon_s)
-    return out
+def _speed(record: VehicleRecord) -> float:
+    """The reported travel speed, or the fallback when the report gives none."""
+    return record.travel_speed if record.travel_speed is not None else DEFAULT_SPEED_MPS
 
 
 def _road_approaches(road: Road, s_contact: float, d: float, hop: int = 0) -> list[Approach]:
@@ -169,9 +163,7 @@ def candidate_regions(
 ) -> CandidateRegion:
     """Admissible spawn intervals per vehicle, derived from topology and
     the reported trafficway relation."""
-    from .reports import TrajectoryRelation
-
-    distances = _vehicle_distances(report, settings)
+    distances = [_speed(record) * settings.horizon_s for record in report.vehicles]
     crash_road = network.road(crash.road_id)
     topology = report.road_topology
     relation = report.trajectory_relation
@@ -225,8 +217,6 @@ def _pick_approaches(
     region: CandidateRegion, report: CrashReport, network: RoadNetwork
 ) -> list[Approach]:
     """Deterministic approach assignment; ties break toward low road ids."""
-    from .reports import TrajectoryRelation
-
     relation = report.trajectory_relation
     crash_pt = _crash_planar(network, region.crash)
     order = lambda a: (a.hop, a.road_id, -a.direction, a.s_contact)
@@ -295,7 +285,7 @@ def heuristic_estimate(
     settings: EstimationSettings = EstimationSettings(),
 ) -> tuple[InitialState, InitialState]:
     """Backward-trajectory placement with right-hand lane assignment."""
-    distances = _vehicle_distances(report, settings)
+    distances = [_speed(record) * settings.horizon_s for record in report.vehicles]
     approaches = _pick_approaches(region, report, network)
 
     states = []
@@ -316,10 +306,8 @@ def heuristic_estimate(
         position = offset_point(road.centerline, spawn_s, off, cum)
         tangent = tangent_at(road.centerline, spawn_s, cum)
         heading = tangent if approach.direction > 0 else wrap_angle(tangent + math.pi)
-        speed = record.travel_speed if record.travel_speed is not None \
-            else settings.default_speed_mps
         states.append(
-            InitialState(position, canonical_heading(heading), speed,
+            InitialState(position, canonical_heading(heading), _speed(record),
                          road.road_id, lane_index)
         )
     return tuple(states)
@@ -528,9 +516,7 @@ def llm_estimate(
             lane_index = int(entry["lane_index"])
         except (KeyError, TypeError, ValueError) as exc:
             raise UnparseableResponse(f"bad vehicle entry {entry!r}") from exc
-        speed = record.travel_speed if record.travel_speed is not None \
-            else settings.default_speed_mps
-        states.append(InitialState(position, heading, speed, road_id, lane_index))
+        states.append(InitialState(position, heading, _speed(record), road_id, lane_index))
     return tuple(states)
 
 
@@ -611,70 +597,4 @@ def estimate_with_feedback(
     raise EstimationFailed(
         f"no valid estimate after {len(attempts)} attempts",
         trace=EstimatorTrace(tuple(attempts)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# scene persistence
-# ---------------------------------------------------------------------------
-
-
-def scene_to_dict(spec: SceneSpec) -> dict:
-    """The scene document as plain JSON values, in serialization order."""
-    return {
-        "case_key": {
-            "state": spec.case_key.state,
-            "state_case": spec.case_key.state_case,
-            "case_year": spec.case_key.case_year,
-        },
-        "crash_point": {"x": spec.crash_point.x, "y": spec.crash_point.y},
-        "vehicles": [
-            {
-                "id": vid,
-                "road_id": state.road_id,
-                "lane_index": state.lane_index,
-                "spawn": {
-                    "x": state.position.x,
-                    "y": state.position.y,
-                    "heading_deg": round(math.degrees(state.heading), 9),
-                    "speed_mps": state.speed,
-                },
-                "maneuver": maneuver.value,
-            }
-            for vid, state, maneuver in zip(spec.vehicle_ids, spec.states, spec.maneuvers)
-        ],
-        "map_file": spec.map_file,
-    }
-
-
-def scene_from_dict(doc: dict) -> SceneSpec:
-    """Inverse of :func:`scene_to_dict`; ignores embedded extras."""
-    key = CaseKey(
-        int(doc["case_key"]["state"]),
-        int(doc["case_key"]["state_case"]),
-        int(doc["case_key"]["case_year"]),
-    )
-    states = []
-    vehicle_ids = []
-    maneuvers = []
-    for entry in doc["vehicles"]:
-        spawn = entry["spawn"]
-        states.append(
-            InitialState(
-                PlanarPoint(float(spawn["x"]), float(spawn["y"])),
-                math.radians(float(spawn["heading_deg"])),
-                float(spawn["speed_mps"]),
-                int(entry["road_id"]),
-                int(entry["lane_index"]),
-            )
-        )
-        vehicle_ids.append(int(entry["id"]))
-        maneuvers.append(Maneuver(entry["maneuver"]))
-    return SceneSpec(
-        case_key=key,
-        crash_point=PlanarPoint(float(doc["crash_point"]["x"]), float(doc["crash_point"]["y"])),
-        states=tuple(states),
-        vehicle_ids=tuple(vehicle_ids),
-        maneuvers=tuple(maneuvers),
-        map_file=doc["map_file"],
     )

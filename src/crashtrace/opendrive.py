@@ -18,15 +18,12 @@ import xml.etree.ElementTree as ET
 
 from .errors import ParseError, SerializationError
 from .geometry import GeoPoint, PlanarPoint, bearing, cumulative_lengths, distance, point_at
+from .osm import xml_escape
 from .roadnet import Junction, Road, RoadNetwork
 
 
 def _fmt(v: float) -> str:
     return repr(float(v))
-
-
-def _esc(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def emit_opendrive(network: RoadNetwork) -> str:
@@ -62,7 +59,7 @@ def emit_opendrive(network: RoadNetwork) -> str:
 def _road_xml(road: Road) -> list[str]:
     cum = cumulative_lengths(road.centerline)
     lines = [
-        f'  <road name="{_esc(road.name_key)}" length="{_fmt(cum[-1])}" '
+        f'  <road name="{xml_escape(road.name_key)}" length="{_fmt(cum[-1])}" '
         f'id="{road.road_id}" junction="-1">'
     ]
     lines.append("    <planView>")

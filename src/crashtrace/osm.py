@@ -89,16 +89,19 @@ def write_osm(graph: OsmGraph) -> str:
         for ref in way.nodes:
             lines.append(f'    <nd ref="{ref}"/>')
         for k in sorted(way.tags):
-            lines.append(f'    <tag k="{_xml_escape(k)}" v="{_xml_escape(way.tags[k])}"/>')
+            lines.append(f'    <tag k="{xml_escape(k)}" v="{xml_escape(way.tags[k])}"/>')
         lines.append("  </way>")
     lines.append("</osm>")
     return "\n".join(lines) + "\n"
 
 
-def _xml_escape(s: str) -> str:
-    return (
-        s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    )
+def xml_escape(s: str) -> str:
+    """``s`` escaped for a double-quoted XML attribute value.
+
+    ``xml.sax.saxutils.escape`` gives the same text, but importing it loads
+    ``urllib.request``, which an offline run never needs.
+    """
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def bounding_box(center: GeoPoint, radius_m: float) -> tuple[float, float, float, float]:

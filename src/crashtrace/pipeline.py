@@ -26,9 +26,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import crash_api, errors, estimator, opendrive, osm, reports
-from .estimator import EstimationSettings, SceneSpec, scene_from_dict, scene_to_dict
+from .estimator import EstimationSettings, InitialState, SceneSpec
 from .geometry import PlanarPoint, project
-from .reports import CaseKey, CrashReport
+from .reports import CaseKey, CrashReport, Maneuver
 from .roadnet import build_road_network, locate_crash_point, unify_lanes, validate_geometry
 from .simulator import (
     ReplayOutcome,
@@ -129,78 +129,83 @@ def build_clients(config: PipelineConfig) -> Clients:
 
 
 def scenario_document(scene: SceneSpec, trajectories: Sequence[Trajectory]) -> str:
-    """The scene document with each vehicle's waypoints appended, byte for byte
-    as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
-
-    With an indent, ``json.dumps`` runs the pure-Python encoder. So the
-    waypoint arrays, nearly all of the text, are written here with one format
-    string per waypoint, and only the scene's few values go through
-    ``json.dumps``.
-    """
-    doc = scene_to_dict(scene)
+    """The scene with each vehicle's waypoints, byte for byte as ``json.dumps(doc,
+    indent=2) + "\\n"`` writes it; every number is written as its ``repr``."""
     by_id = {t.vehicle_id: t for t in trajectories}
-    vehicles = [
-        # an entry is never empty, so its text ends with its closing brace
-        _json_at(entry, 2).removesuffix("\n    }") + ',\n      "waypoints": '
-        + _waypoints_json(by_id[entry["id"]].waypoints) + "\n    }"
-        for entry in doc["vehicles"]
-    ]
-    body = ",".join(
-        f"\n  {json.dumps(key)}: "
-        + (_json_array(vehicles, 1) if key == "vehicles" else _json_at(value, 1))
-        for key, value in doc.items()
-    )
-    return "{" + body + "\n}\n"
-
-
-def _json_at(value, level: int) -> str:
-    """``value`` as ``json.dumps(indent=2)`` nests it ``level`` deep.
-
-    JSON text holds no raw newline inside a string, so every newline starts
-    an indented line.
-    """
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
-
-
-def _json_array(items: list[str], level: int) -> str:
-    """An array of value texts, laid out as ``_json_at`` would."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    return "[" + ",".join(pad + item for item in items) + "\n" + "  " * level + "]"
-
-
-def _waypoints_json(waypoints: Sequence[Waypoint]) -> str:
-    text = _json_array([
-        f'{{\n          "x": {w.position.x!r},\n          "y": {w.position.y!r},'
-        f'\n          "heading_deg": {math.degrees(w.heading)!r},'
-        f'\n          "target_speed_mps": {w.target_speed!r}\n        }}'
-        for w in waypoints
-    ], 3)
-    # repr writes the non-finite floats nan, inf and -inf where JSON writes
-    # NaN, Infinity and -Infinity; no other text in a waypoint holds them
+    vehicles = []
+    for vid, state, maneuver in zip(scene.vehicle_ids, scene.states, scene.maneuvers):
+        waypoints = [f"""
+        {{
+          "x": {w.position.x!r},
+          "y": {w.position.y!r},
+          "heading_deg": {math.degrees(w.heading)!r},
+          "target_speed_mps": {w.target_speed!r}
+        }}""" for w in by_id[vid].waypoints]
+        vehicles.append(f"""
+    {{
+      "id": {vid!r},
+      "road_id": {state.road_id!r},
+      "lane_index": {state.lane_index!r},
+      "spawn": {{
+        "x": {state.position.x!r},
+        "y": {state.position.y!r},
+        "heading_deg": {round(math.degrees(state.heading), 9)!r},
+        "speed_mps": {state.speed!r}
+      }},
+      "maneuver": "{maneuver.value}",
+      "waypoints": {_array(waypoints, "      ")}
+    }}""")
+    key, crash = scene.case_key, scene.crash_point
+    text = f"""{{
+  "case_key": {{
+    "state": {key.state!r},
+    "state_case": {key.state_case!r},
+    "case_year": {key.case_year!r}
+  }},
+  "crash_point": {{
+    "x": {crash.x!r},
+    "y": {crash.y!r}
+  }},
+  "vehicles": {_array(vehicles, "  ")},
+  "map_file": "map.xodr"
+}}
+"""
+    # JSON spells repr's nan and inf as NaN and Infinity; no key or maneuver has them
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
+def _array(items: list[str], closing_indent: str) -> str:
+    return "[" + ",".join(items) + "\n" + closing_indent + "]" if items else "[]"
+
+
 def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:
-    """Inverse of ``scenario_document``; ParseError on a malformed document."""
+    """Inverse of ``scenario_document``; ParseError on a malformed document,
+    and on one without ``map_file``, although replay is given the map path."""
     try:
         doc = json.loads(text)
-        scene = scene_from_dict(doc)
-        trajectories = []
+        key, crash, _ = doc["case_key"], doc["crash_point"], doc["map_file"]
+        vehicle_ids, states, maneuvers, trajectories = [], [], [], []
         for entry in doc["vehicles"]:
-            waypoints = tuple(
-                Waypoint(
-                    PlanarPoint(float(w["x"]), float(w["y"])),
-                    math.radians(float(w["heading_deg"])),
-                    float(w["target_speed_mps"]),
-                )
-                for w in entry.get("waypoints", ())
-            )
-            trajectories.append(Trajectory(int(entry["id"]), waypoints))
-    except (KeyError, ValueError) as exc:  # ValueError covers JSONDecodeError
+            spawn = entry["spawn"]
+            vehicle_ids.append(int(entry["id"]))
+            states.append(InitialState(
+                _point(spawn), math.radians(float(spawn["heading_deg"])),
+                float(spawn["speed_mps"]), int(entry["road_id"]), int(entry["lane_index"])))
+            maneuvers.append(Maneuver(entry["maneuver"]))
+            trajectories.append(Trajectory(vehicle_ids[-1], tuple(
+                Waypoint(_point(w), math.radians(float(w["heading_deg"])),
+                         float(w["target_speed_mps"]))
+                for w in entry.get("waypoints", ()))))
+        scene = SceneSpec(
+            CaseKey(int(key["state"]), int(key["state_case"]), int(key["case_year"])),
+            _point(crash), tuple(states), tuple(vehicle_ids), tuple(maneuvers))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise errors.ParseError(f"bad scenario document: {exc}") from exc
     return scene, tuple(trajectories)
+
+
+def _point(doc: dict) -> PlanarPoint:
+    return PlanarPoint(float(doc["x"]), float(doc["y"]))
 
 
 def score_scenario(

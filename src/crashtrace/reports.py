@@ -136,37 +136,24 @@ def _label_map(enum_cls) -> dict[str, object]:
     return {_norm(member.value): member for member in enum_cls}
 
 
+# Labels match on letters and digits alone, so "Sideswipe - Same Direction"
+# finds SIDESWIPE_SAME; the aliases are spellings that differ beyond that.
+# An unknown label falls back to OTHER.
 _COLLISION_LABELS = _label_map(CollisionType)
-_COLLISION_LABELS.update({
-    _norm("Front-to-Front"): CollisionType.FRONT_TO_FRONT,
-    _norm("Sideswipe - Opposite Direction"): CollisionType.SIDESWIPE_OPPOSITE,
-    _norm("Sideswipe - Same Direction"): CollisionType.SIDESWIPE_SAME,
-    _norm("Other"): CollisionType.OTHER,
-})
 
 _TOPOLOGY_LABELS = _label_map(RoadTopology)
 _TOPOLOGY_LABELS.update({
-    _norm("Four-Way Intersection"): RoadTopology.FOUR_WAY,
     _norm("Roundabout"): RoadTopology.TRAFFIC_CIRCLE,
     _norm("Traffic Circle"): RoadTopology.TRAFFIC_CIRCLE,
     _norm("Five Points or More"): RoadTopology.FIVE_POINT_PLUS,
-    _norm("Other"): RoadTopology.OTHER,
 })
 
 _RELATION_LABELS = _label_map(TrajectoryRelation)
 _RELATION_LABELS.update({
     _norm("Changing Trafficway"): TrajectoryRelation.CHANGING_TRAFFICWAY_TURNING,
-    _norm("Other"): TrajectoryRelation.OTHER,
 })
 
-_MANEUVER_LABELS = {
-    _norm("Going Straight"): Maneuver.GOING_STRAIGHT,
-    _norm("going_straight"): Maneuver.GOING_STRAIGHT,
-    _norm("Turning Left"): Maneuver.TURNING_LEFT,
-    _norm("turning_left"): Maneuver.TURNING_LEFT,
-    _norm("Turning Right"): Maneuver.TURNING_RIGHT,
-    _norm("turning_right"): Maneuver.TURNING_RIGHT,
-}
+_MANEUVER_LABELS = _label_map(Maneuver)
 
 
 def _category(text: str | None, labels: dict, other):

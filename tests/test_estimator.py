@@ -12,14 +12,14 @@ from crashtrace.estimator import (
     estimate_with_feedback,
     heuristic_estimate,
     llm_estimate,
-    scene_from_dict,
-    scene_to_dict,
     validate_states,
 )
 from crashtrace.geometry import PlanarPoint, distance
 from crashtrace.osm import parse_osm
+from crashtrace.pipeline import parse_scenario, scenario_document
 from crashtrace.reports import CaseKey, RawCaseDocument, parse_report
 from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
+from crashtrace.trajectory import Trajectory
 
 from corpus import case_origin, cross_layout, osm_xml, report_xml, straight_road_layout
 from local_http import closed_port_url, http_endpoint
@@ -324,6 +324,26 @@ def test_feedback_valid_first_attempt():
     assert scene.case_key == KEY
 
 
+def test_feedback_heuristic_snap_rescues_placement_at_bend():
+    # vehicle 2 spawns 0.1 m before a 45 deg right bend, 20 m behind the
+    # crash; its lane-centre point lies nearer the next segment, so its
+    # heading is 45 deg off that segment's tangent until the snap re-derives it
+    diag = 200.0 / math.sqrt(2.0)
+    nodes = {1: (-20.0 - diag, -diag), 2: (-20.0, 0.0), 3: (0.0, 0.0), 4: (200.0, 0.0)}
+    network = _network(nodes, [(10, [1, 2, 3, 4], {"highway": "secondary"})])
+    report = _report(collision="Front-to-Rear", relation="Same Trafficway, Same Direction",
+                     vehicles=[{"speed_mph": 30, "clock": 12, "maneuver": "Going Straight"},
+                               {"speed_mph": 7.5, "clock": 6, "maneuver": "Going Straight"}])
+    crash = locate_crash_point(network, CRASH)
+    region = candidate_regions(network, report, crash)
+    scene, trace = estimate_with_feedback(report, network, region, crash)
+    assert trace.attempt_count == 2
+    assert trace.attempts[0][1] == ("vehicle 2: orientation misaligned "
+                                    "(45.0 deg off the lane tangent)",)
+    assert scene.states[1].heading == 0.0
+    assert validate_states(scene.states, network, report, scene.crash_point) == []
+
+
 def test_feedback_second_attempt_valid():
     network, report, crash, region = _setup("ftf")
     good = heuristic_estimate(region, report, network, crash)
@@ -387,18 +407,23 @@ def test_feedback_unparseable_counts_as_attempt():
 # --- persistence ---
 
 
+def _document(scene):
+    """The scenario document of ``scene`` with no waypoints."""
+    return scenario_document(scene, [Trajectory(vid, ()) for vid in scene.vehicle_ids])
+
+
 def test_scene_roundtrip_identity():
     network, report, crash, region = _setup("ftf")
     scene, _ = estimate_with_feedback(report, network, region, crash)
-    text = json.dumps(scene_to_dict(scene))
-    assert scene_from_dict(json.loads(text)) == scene
-    assert json.dumps(scene_to_dict(scene_from_dict(json.loads(text)))) == text
+    text = _document(scene)
+    assert parse_scenario(text)[0] == scene
+    assert _document(parse_scenario(text)[0]) == text
 
 
 def test_scene_serialization_deterministic_and_precise():
     network, report, crash, region = _setup("ftf")
     scene, _ = estimate_with_feedback(report, network, region, crash)
-    a, b = json.dumps(scene_to_dict(scene)), json.dumps(scene_to_dict(scene))
+    a, b = _document(scene), _document(scene)
     assert a == b
     doc = json.loads(a)
     # full-precision coordinates survive
@@ -411,7 +436,8 @@ def test_scene_zero_crash_point():
     network, report, crash, region = _setup("ftf")
     scene, _ = estimate_with_feedback(report, network, region, crash)
     at_zero = dataclasses.replace(scene, crash_point=PlanarPoint(0.0, 0.0))
-    doc = json.loads(json.dumps(scene_to_dict(at_zero)))
+    text = _document(at_zero)
+    doc = json.loads(text)
     assert doc["crash_point"]["x"] == 0.0
     assert doc["crash_point"]["y"] == 0.0
-    assert scene_from_dict(doc) == at_zero
+    assert parse_scenario(text)[0] == at_zero

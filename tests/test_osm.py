@@ -3,8 +3,10 @@ import math
 import threading
 import time
 from urllib.parse import parse_qs
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crashtrace import osm
 from crashtrace.errors import CacheMiss, EmptyAfterPrune, EmptyExtract, NetworkError
@@ -17,6 +19,7 @@ from crashtrace.osm import (
     parse_osm,
     prune_osm,
     write_osm,
+    xml_escape,
 )
 
 from corpus import case_origin, osm_xml, straight_road_layout
@@ -36,6 +39,11 @@ def test_parse_write_roundtrip():
     again = parse_osm(write_osm(graph))
     assert again.nodes == graph.nodes
     assert again.ways == graph.ways
+
+
+@given(st.one_of(st.text(), st.text(alphabet='&<>"a;q')))
+def test_xml_escape_matches_saxutils(s):
+    assert xml_escape(s) == saxutils.escape(s, {'"': "&quot;"})
 
 
 def test_bounding_box_500m_around_case_site():

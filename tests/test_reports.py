@@ -43,6 +43,34 @@ def test_parse_real_case_coordinates():
     assert report.crash_coords.longitude == pytest.approx(-77.40179167, abs=0)
 
 
+@pytest.mark.parametrize("field, label, member", [
+    ("collision", "Front-to-Front", CollisionType.FRONT_TO_FRONT),
+    ("collision", "Sideswipe - Opposite Direction", CollisionType.SIDESWIPE_OPPOSITE),
+    ("collision", "Sideswipe - Same Direction", CollisionType.SIDESWIPE_SAME),
+    ("collision", "Other", CollisionType.OTHER),
+    ("topology", "Four-Way Intersection", RoadTopology.FOUR_WAY),
+    ("topology", "Other", RoadTopology.OTHER),
+    ("relation", "Other", TrajectoryRelation.OTHER),
+    ("maneuver", "Going Straight", Maneuver.GOING_STRAIGHT),
+    ("maneuver", "going_straight", Maneuver.GOING_STRAIGHT),
+    ("maneuver", "Turning Left", Maneuver.TURNING_LEFT),
+    ("maneuver", "turning_left", Maneuver.TURNING_LEFT),
+    ("maneuver", "Turning Right", Maneuver.TURNING_RIGHT),
+    ("maneuver", "turning_right", Maneuver.TURNING_RIGHT),
+    ("maneuver", "other", Maneuver.OTHER),
+])
+def test_label_spellings_parse_to_member(field, label, member):
+    if field == "maneuver":
+        vehicle = {"speed_mph": 30, "clock": 12, "maneuver": label}
+        report = parse_report(_doc(vehicles=[vehicle, vehicle]))
+        assert report.vehicles[0].maneuver is member
+    else:
+        report = parse_report(_doc(**{field: label}))
+        attr = {"collision": "collision_type", "topology": "road_topology",
+                "relation": "trajectory_relation"}[field]
+        assert getattr(report, attr) is member
+
+
 def test_unknown_collision_code_maps_to_other():
     report = parse_report(_doc(collision="Spontaneous Disassembly"))
     assert report.collision_type is CollisionType.OTHER
