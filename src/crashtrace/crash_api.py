@@ -1,12 +1,12 @@
-"""Client for the crash-report case API with a synchronized read-through cache.
+"""Client for the crash-report case API with a read-through disk cache.
 
 Online, documents come from an HTTP GET of the form
 ``{base}/GetCaseDetails?stateCase=N&caseYear=Y&state=S&format=xml``.
 Offline, documents come from a fixture directory of files named
 ``<state>_<stateCase>_<caseYear>.xml``; a missing fixture is a CacheMiss.
-Fetched documents are cached in memory and, when a cache directory is
-configured, on disk under the same file naming, so repeated batch runs do
-not re-hit the service.
+When a cache directory is configured, fetched documents are cached on disk
+under the same file naming, so repeated batch runs do not re-hit the
+service; nothing is kept in memory between requests.
 """
 
 from __future__ import annotations

@@ -97,7 +97,6 @@ class Approach(NamedTuple):
     s_contact: float   # arc length where the approach meets the crash/junction
     direction: int     # +1 travels toward increasing s
     run: float         # admissible backward distance from the contact point
-    hop: int = 0       # 0 on the crash road, 1+ on connected continuations
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -127,15 +126,15 @@ def _speed(record: VehicleRecord) -> float:
     return record.travel_speed if record.travel_speed is not None else DEFAULT_SPEED_MPS
 
 
-def _road_approaches(road: Road, s_contact: float, d: float, hop: int = 0) -> list[Approach]:
+def _road_approaches(road: Road, s_contact: float, d: float) -> list[Approach]:
     """Approaches toward ``s_contact`` from both sides, clipped to the road."""
     out = []
     room_below = s_contact
     room_above = road.length - s_contact
     if room_below > 1.0:
-        out.append(Approach(road.road_id, s_contact, 1, min(d, room_below), hop))
+        out.append(Approach(road.road_id, s_contact, 1, min(d, room_below)))
     if room_above > 1.0:
-        out.append(Approach(road.road_id, s_contact, -1, min(d, room_above), hop))
+        out.append(Approach(road.road_id, s_contact, -1, min(d, room_above)))
     return out
 
 
@@ -219,7 +218,7 @@ def _pick_approaches(
     """Deterministic approach assignment; ties break toward low road ids."""
     relation = report.trajectory_relation
     crash_pt = _crash_planar(network, region.crash)
-    order = lambda a: (a.hop, a.road_id, -a.direction, a.s_contact)
+    order = lambda a: (a.road_id, -a.direction, a.s_contact)
     chosen: list[Approach] = []
 
     for i, record in enumerate(report.vehicles):

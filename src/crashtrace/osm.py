@@ -133,11 +133,12 @@ def _http_post_overpass(url: str, query: str) -> str:
 
 
 class OsmClient(ReadThroughSource):
-    """Bounding-box extract retrieval with a synchronized read-through cache.
+    """Bounding-box extract retrieval through a read-through disk cache.
 
-    Each map is parsed once per client: an extract on its way into the memory
-    cache, a fixture when the first offline lookup scans the directory. The
-    graphs are shared between requests and never mutated.
+    An offline client parses its fixture directory once, when it is made, and
+    serves every request from that index; the indexed graphs are shared
+    between requests and never mutated. Fetched and disk-cached extracts are
+    parsed on each request and not kept.
     """
 
     def __init__(
@@ -150,7 +151,7 @@ class OsmClient(ReadThroughSource):
     ):
         super().__init__(cache_dir, offline, fixtures_dir, transport or _http_post_overpass)
         self.url = url
-        self._fixture_maps: list[tuple[float, float, float, float, Path, OsmGraph]] | None = None
+        self._fixture_maps = _scan_fixtures(self.fixtures_dir) if offline else []
 
     def retrieve_osm(self, center: GeoPoint, radius_m: float) -> OsmGraph:
         """Extract around ``center``; raises EmptyExtract when no roads exist."""
@@ -161,12 +162,11 @@ class OsmClient(ReadThroughSource):
             raise EmptyExtract(f"no road-bearing ways within {radius_m} m of {center}")
         return graph
 
-    def _cache_key(self, request: tuple[GeoPoint, float]) -> tuple:
+    def _cache_name(self, request: tuple[GeoPoint, float]) -> str:
         center, radius_m = request
-        return (round(center.latitude, 7), round(center.longitude, 7), round(radius_m, 1))
-
-    def _cache_name(self, key: tuple) -> str:
-        lat, lon, rad = key
+        # rounding before formatting keeps the names earlier runs wrote:
+        # a radius of 1.46 m rounds to 1.5, which formats as 2
+        lat, lon, rad = round(center.latitude, 7), round(center.longitude, 7), round(radius_m, 1)
         return f"osm_{lat:.7f}_{lon:.7f}_{rad:.0f}.osm"
 
     def _parse(self, text: str) -> OsmGraph:
@@ -177,9 +177,6 @@ class OsmClient(ReadThroughSource):
 
         Ties resolve to the bbox center nearest the crash site, then file name.
         """
-        with self._lock:  # the first lookup scans the directory; later ones reuse it
-            if self._fixture_maps is None:
-                self._fixture_maps = _scan_fixtures(self.fixtures_dir)
         margin = 0.01  # ~1 km; fixtures need not extend past their roads
         lat, lon = request[0]
         hits = [

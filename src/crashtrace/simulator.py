@@ -131,7 +131,12 @@ def impact_clock(pose: Pose, body: VehicleBody, contact: PlanarPoint) -> int:
     right side, measured clockwise around the body."""
     if not _inside(contact, pose, body, inflate=0.5):
         raise ContactTooFar(f"contact {contact} outside inflated body at {pose.position}")
-    beta = (math.degrees(pose.heading - bearing(pose.position, contact))) % 360.0
+    return _clock_toward(pose, contact)
+
+
+def _clock_toward(pose: Pose, point: PlanarPoint) -> int:
+    """Clock position of the direction from ``pose`` toward ``point``."""
+    beta = (math.degrees(pose.heading - bearing(pose.position, point))) % 360.0
     clock = int(beta / 30.0 + 0.5) % 12
     return clock if clock else 12
 
@@ -191,10 +196,7 @@ def _clock_for(pose: Pose, body: VehicleBody, contact: PlanarPoint, other: Pose)
     try:
         return impact_clock(pose, body, contact)
     except ContactTooFar:
-        # thin crossing overlap: clock the direction toward the other body
-        beta = (math.degrees(pose.heading - bearing(pose.position, other.position))) % 360.0
-        clock = int(beta / 30.0 + 0.5) % 12
-        return clock if clock else 12
+        return _clock_toward(pose, other.position)  # thin crossing overlap
 
 
 def simulate(

@@ -1,10 +1,11 @@
 """Read-through access to remote documents, and the one HTTP helper.
 
-A source answers a request from its memory cache, then from the disk cache,
-then, offline, from a fixture (or raises CacheMiss), and otherwise from its
-transport, writing the fetched text back to the disk cache. Text is parsed
-once, on its way into the memory cache, which a batch's worker threads share
-under one lock.
+A source answers a request from the disk cache, then, offline, from a
+fixture (or raises CacheMiss), and otherwise from its transport, writing the
+fetched text back to the disk cache. It keeps nothing between requests: each
+case reads its report and its extract once, so a document lives only as long
+as the case that asked for it. Cache files are written atomically, so an
+interrupted write leaves no file under the cache name.
 
 ``http_text`` is the only code that speaks HTTP. It imports ``urllib.request``
 on first use, so offline runs never load it.
@@ -12,9 +13,10 @@ on first use, so offline runs never load it.
 
 from __future__ import annotations
 
-import threading
+import os
+import tempfile
 from pathlib import Path
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from .errors import CacheMiss, NetworkError
 
@@ -47,14 +49,27 @@ def http_text(
         raise NetworkError(f"{url}: {exc}") from exc
 
 
-class ReadThroughSource:
-    """Synchronized memory/disk/fixture/transport lookup for one kind of document.
+def _write_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary sibling of ``path``, then rename it into
+    place; a failed write removes the temporary file and re-raises."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, temporary = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
-    Subclasses supply ``_cache_name(key)``, the disk-cache file name;
+
+class ReadThroughSource:
+    """Disk/fixture/transport lookup for one kind of document.
+
+    Subclasses supply ``_cache_name(request)``, the disk-cache file name;
     ``_fixture(request)``, the offline fixture's parsed document or None; and
     ``_remote(request)``, the fetch through ``self._transport``. They may
-    override ``_cache_key(request)``, which defaults to the request itself,
-    and ``_parse(text)``, which turns fetched or cached text into the
+    override ``_parse(text)``, which turns fetched or cached text into the
     document and defaults to the text itself.
     """
 
@@ -69,34 +84,20 @@ class ReadThroughSource:
         self.offline = offline
         self.fixtures_dir = Path(fixtures_dir) if fixtures_dir else None
         self._transport = transport
-        self._memory: dict[Hashable, Any] = {}
-        self._lock = threading.Lock()
-
-    def _cache_key(self, request) -> Hashable:
-        return request
 
     def _parse(self, text: str) -> Any:
         return text
 
     def _load(self, request) -> Any:
-        key = self._cache_key(request)
-        with self._lock:
-            cached = self._memory.get(key)
-        if cached is not None:
-            return cached
-
-        cache_path = self.cache_dir / self._cache_name(key) if self.cache_dir else None
+        cache_path = self.cache_dir / self._cache_name(request) if self.cache_dir else None
         if cache_path is not None and cache_path.is_file():
-            document = self._parse(cache_path.read_text(encoding="utf-8"))
-        elif self.offline:
+            return self._parse(cache_path.read_text(encoding="utf-8"))
+        if self.offline:
             document = self._fixture(request)
             if document is None:
                 raise CacheMiss(f"no fixture or cached document for {request}")
-        else:
-            text = self._remote(request)
-            if cache_path is not None:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                cache_path.write_text(text, encoding="utf-8")
-            document = self._parse(text)
-        with self._lock:
-            return self._memory.setdefault(key, document)
+            return document
+        text = self._remote(request)
+        if cache_path is not None:
+            _write_atomically(cache_path, text)
+        return self._parse(text)

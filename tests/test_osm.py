@@ -1,7 +1,11 @@
+import errno
+import gc
+import io
 import logging
 import math
 import threading
 import time
+import weakref
 from urllib.parse import parse_qs
 from xml.sax import saxutils
 
@@ -226,7 +230,7 @@ def test_cases_sharing_a_fixture_share_one_parse_and_disk_cache_parses_once(
     assert len(calls) == 3  # plus the disk-cache text
     for center in (ORIGIN, near, cached_center):
         client.retrieve_osm(center, 500.0)
-    assert len(calls) == 3  # memory hits parse nothing
+    assert len(calls) == 4  # fixture hits parse nothing; the cached file is parsed again
 
     before = write_osm(first)
     for center in (ORIGIN, near):
@@ -251,6 +255,73 @@ def test_retrieve_caches_transport_result(tmp_path):
     fresh = OsmClient(cache_dir=tmp_path, transport=transport)
     fresh.retrieve_osm(ORIGIN, 500.0)
     assert len(calls) == 1  # disk cache hit
+
+
+def test_online_client_keeps_no_graph():
+    nodes, ways = straight_road_layout()
+    payload = osm_xml(ORIGIN, nodes, ways)
+    client = OsmClient(transport=lambda url, query: payload)
+    graph = client.retrieve_osm(ORIGIN, 500.0)
+    released = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert released() is None
+
+
+@pytest.mark.parametrize("center, radius_m, name", [
+    (GeoPoint(37.123456789, -77.98765432), 500.0, "osm_37.1234568_-77.9876543_500.osm"),
+    (GeoPoint(37.5, -77.25), 1.46, "osm_37.5000000_-77.2500000_2.osm"),  # 1.46 -> 1.5 -> "2"
+])
+def test_disk_cache_file_name(tmp_path, center, radius_m, name):
+    nodes, ways = straight_road_layout()
+    payload = osm_xml(center, nodes, ways)
+    OsmClient(cache_dir=tmp_path, transport=lambda url, query: payload).retrieve_osm(
+        center, radius_m)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+class _FullDisk:
+    """A text file whose ``write`` stores half the text, then fails."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+    def write(self, text):
+        self._file.write(text[: len(text) // 2])
+        self._file.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    nodes, ways = straight_road_layout()
+    payload = osm_xml(ORIGIN, nodes, ways)
+    calls = []
+
+    def transport(url, query):
+        calls.append(query)
+        return payload
+
+    real_open = io.open
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        opened = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(opened) if "w" in mode else opened
+
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "open", open_on_full_disk)
+        with pytest.raises(OSError):
+            OsmClient(cache_dir=tmp_path, transport=transport).retrieve_osm(ORIGIN, 500.0)
+    assert list(tmp_path.iterdir()) == []  # neither a truncated file nor a temporary one
+    graph = OsmClient(cache_dir=tmp_path, transport=transport).retrieve_osm(ORIGIN, 500.0)
+    assert set(graph.ways) == {10}
+    assert len(calls) == 2  # the fresh client fetched again
+    assert [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()] == [payload]
 
 
 def test_default_transport_posts_overpass_form(tmp_path):
