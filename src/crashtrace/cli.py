@@ -9,6 +9,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,13 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         raise errors.CrashTraceError(f"fixture directory not found: {args.fixtures}")
     if args.estimator == "llm" and not args.llm_endpoint:
         raise errors.CrashTraceError("--estimator llm requires --llm-endpoint URL")
+    for flag, value in (("--radius", args.radius), ("--horizon", args.horizon)):
+        if not (math.isfinite(value) and value > 0):
+            raise errors.CrashTraceError(f"{flag} must be a finite number above 0, not {value}")
+    if args.max_retries < 0:
+        raise errors.CrashTraceError(f"--max-retries must be at least 0, not {args.max_retries}")
+    if args.parallelism is not None and args.parallelism < 1:
+        raise errors.CrashTraceError(f"--parallelism must be at least 1, not {args.parallelism}")
     return PipelineConfig(
         cache_dir=args.cache,
         offline=args.offline,

@@ -108,6 +108,7 @@ class Approach(NamedTuple):
 class CandidateRegion:
     vehicle_approaches: tuple[tuple[Approach, ...], ...]
     crash: RoadLocation
+    crash_point: PlanarPoint  # the crash fix in the plane
     junction: Junction | None = None
 
 
@@ -138,9 +139,7 @@ def _road_approaches(road: Road, s_contact: float, d: float) -> list[Approach]:
     return out
 
 
-def _junction_for_crash(network: RoadNetwork, crash: RoadLocation) -> Junction | None:
-    crash_road = network.road(crash.road_id)
-    crash_pt = offset_point(crash_road.centerline, crash.s, crash.offset)
+def _junction_for_crash(network: RoadNetwork, crash_pt: PlanarPoint) -> Junction | None:
     containing = [
         j for j in network.junctions if point_in_polygon(crash_pt, j.boundary)
     ]
@@ -164,12 +163,13 @@ def candidate_regions(
     the reported trafficway relation."""
     distances = [_speed(record) * settings.horizon_s for record in report.vehicles]
     crash_road = network.road(crash.road_id)
+    crash_point = offset_point(crash_road.centerline, crash.s, crash.offset)
     topology = report.road_topology
     relation = report.trajectory_relation
 
     junction = None
     if topology is not None and topology.is_intersection:
-        junction = _junction_for_crash(network, crash)
+        junction = _junction_for_crash(network, crash_point)
 
     per_vehicle: list[tuple[Approach, ...]] = []
     if junction is not None:
@@ -198,7 +198,7 @@ def candidate_regions(
     for i, approaches in enumerate(per_vehicle):
         if not approaches:
             raise NoCandidates(f"vehicle {report.vehicles[i].vehicle_id}: no admissible approach")
-    return CandidateRegion(tuple(per_vehicle), crash, junction)
+    return CandidateRegion(tuple(per_vehicle), crash, crash_point, junction)
 
 
 def _approach_heading(network: RoadNetwork, approach: Approach) -> float:
@@ -207,17 +207,11 @@ def _approach_heading(network: RoadNetwork, approach: Approach) -> float:
     return t if approach.direction > 0 else wrap_angle(t + math.pi)
 
 
-def _crash_planar(network: RoadNetwork, crash: RoadLocation) -> PlanarPoint:
-    road = network.road(crash.road_id)
-    return offset_point(road.centerline, crash.s, crash.offset)
-
-
 def _pick_approaches(
     region: CandidateRegion, report: CrashReport, network: RoadNetwork
 ) -> list[Approach]:
     """Deterministic approach assignment; ties break toward low road ids."""
     relation = report.trajectory_relation
-    crash_pt = _crash_planar(network, region.crash)
     order = lambda a: (a.road_id, -a.direction, a.s_contact)
     chosen: list[Approach] = []
 
@@ -228,7 +222,7 @@ def _pick_approaches(
             want_left = record.maneuver is Maneuver.TURNING_LEFT
             for a in options:
                 h_in = _approach_heading(network, a)
-                h_out = _exit_heading(network, region.crash, crash_pt, a)
+                h_out = _exit_heading(network, region, a)
                 turn = math.degrees(wrap_angle(h_out - h_in))
                 if (turn >= TURN_THRESHOLD_DEG) == want_left and abs(turn) >= TURN_THRESHOLD_DEG:
                     pick = a
@@ -264,51 +258,46 @@ def _pick_approaches(
     return chosen
 
 
-def _exit_heading(network: RoadNetwork, crash: RoadLocation, crash_pt: PlanarPoint,
-                  approach: Approach) -> float:
+def _exit_heading(network: RoadNetwork, region: CandidateRegion, approach: Approach) -> float:
     """Heading out of the junction toward the crash fix."""
-    crash_road = network.road(crash.road_id)
-    t = tangent_at(crash_road.centerline, crash.s)
+    crash_road = network.road(region.crash.road_id)
+    t = tangent_at(crash_road.centerline, region.crash.s)
     contact = network.road(approach.road_id)
     start = offset_point(contact.centerline, approach.s_contact, 0.0)
-    if distance(start, crash_pt) > 1.0:
-        return bearing(start, crash_pt)
+    if distance(start, region.crash_point) > 1.0:
+        return bearing(start, region.crash_point)
     return t
 
 
-def heuristic_estimate(
-    region: CandidateRegion,
-    report: CrashReport,
-    network: RoadNetwork,
-    crash: RoadLocation,
-    settings: EstimationSettings = EstimationSettings(),
-) -> tuple[InitialState, InitialState]:
-    """Backward-trajectory placement with right-hand lane assignment."""
-    distances = [_speed(record) * settings.horizon_s for record in report.vehicles]
-    approaches = _pick_approaches(region, report, network)
+def _lane_state(road: Road, s: float, direction: int, lane_index: int,
+                speed: float) -> InitialState:
+    """The state at arc length ``s`` in a lane: lane-center position,
+    heading along the lane tangent for the travel direction."""
+    try:
+        off = lane_offset(road, direction, lane_index)
+    except ValueError as exc:
+        raise NoValidPlacement(str(exc)) from exc
+    cum = cumulative_lengths(road.centerline)
+    position = offset_point(road.centerline, s, off, cum)
+    tangent = tangent_at(road.centerline, s, cum)
+    heading = tangent if direction > 0 else wrap_angle(tangent + math.pi)
+    return InitialState(position, canonical_heading(heading), speed, road.road_id, lane_index)
 
+
+def heuristic_estimate(
+    region: CandidateRegion, report: CrashReport, network: RoadNetwork
+) -> tuple[InitialState, InitialState]:
+    """Backward-trajectory placement with right-hand lane assignment: each
+    vehicle spawns its approach's full run (already clipped to speed times
+    the horizon) behind the contact point."""
     states = []
-    for record, d, approach in zip(report.vehicles, distances, approaches):
+    for record, approach in zip(report.vehicles, _pick_approaches(region, report, network)):
         road = network.road(approach.road_id)
-        back = min(d, approach.run)
-        spawn_s = approach.s_contact - approach.direction * back
+        spawn_s = approach.s_contact - approach.direction * approach.run
         lanes_own = road.lanes_forward if approach.direction > 0 else road.lanes_backward
-        if lanes_own > 0:
-            lane_index = lanes_own  # rightmost through lane for this direction
-        else:
-            lane_index = -1         # wrong-way: adjacent opposing lane
-        try:
-            off = lane_offset(road, approach.direction, lane_index)
-        except ValueError as exc:
-            raise NoValidPlacement(str(exc)) from exc
-        cum = cumulative_lengths(road.centerline)
-        position = offset_point(road.centerline, spawn_s, off, cum)
-        tangent = tangent_at(road.centerline, spawn_s, cum)
-        heading = tangent if approach.direction > 0 else wrap_angle(tangent + math.pi)
-        states.append(
-            InitialState(position, canonical_heading(heading), _speed(record),
-                         road.road_id, lane_index)
-        )
+        # the rightmost through lane, or wrong-way in the adjacent opposing lane
+        lane_index = lanes_own if lanes_own > 0 else -1
+        states.append(_lane_state(road, spawn_s, approach.direction, lane_index, _speed(record)))
     return tuple(states)
 
 
@@ -406,7 +395,6 @@ def _load_prompt_template() -> Template:
 
 def build_prompt(
     report: CrashReport,
-    network: RoadNetwork,
     region: CandidateRegion,
     prior_violations: Sequence[str],
     settings: EstimationSettings,
@@ -422,7 +410,6 @@ def build_prompt(
         vehicles.append(
             f"  vehicle {record.vehicle_id}: {speed}, {clock}, maneuver {record.maneuver.value}"
         )
-    crash_pt = _crash_planar(network, region.crash)
     regions = []
     for i, approaches in enumerate(region.vehicle_approaches):
         for a in approaches:
@@ -444,8 +431,8 @@ def build_prompt(
     return _load_prompt_template().substitute(
         narrative=narrative,
         vehicles="\n".join(vehicles),
-        crash_x=f"{crash_pt.x:.3f}",
-        crash_y=f"{crash_pt.y:.3f}",
+        crash_x=f"{region.crash_point.x:.3f}",
+        crash_y=f"{region.crash_point.y:.3f}",
         regions="\n".join(regions),
         horizon_s=f"{settings.horizon_s:g}",
         violations_block=block,
@@ -486,7 +473,6 @@ def _extract_json(text: str) -> dict:
 
 def llm_estimate(
     report: CrashReport,
-    network: RoadNetwork,
     region: CandidateRegion,
     prior_violations: Sequence[str],
     settings: EstimationSettings,
@@ -499,7 +485,7 @@ def llm_estimate(
     else:
         raise EndpointError("no estimation endpoint configured")
 
-    prompt = build_prompt(report, network, region, prior_violations, settings)
+    prompt = build_prompt(report, region, prior_violations, settings)
     raw = transport(prompt)
     payload = _extract_json(raw)
     entries = payload.get("vehicles")
@@ -525,68 +511,56 @@ def llm_estimate(
 
 
 def _snap_state(state: InitialState, network: RoadNetwork) -> InitialState:
-    """Clip a state onto its lane: lane-center position, tangent heading."""
-    try:
-        road = network.road(state.road_id)
-    except KeyError:
-        return state
+    """Clip a heuristic state onto its lane: lane-center position, tangent heading."""
+    road = network.road(state.road_id)
     fix = locate_on_polyline(road.centerline, state.position)
     direction = travel_direction(road, fix.s, state.heading)
     lanes_own = road.lanes_forward if direction > 0 else road.lanes_backward
     lane_index = min(max(state.lane_index, 1), lanes_own) if lanes_own else -1
-    off = lane_offset(road, direction, lane_index)
-    position = offset_point(road.centerline, fix.s, off)
-    tangent = tangent_at(road.centerline, fix.s)
-    heading = tangent if direction > 0 else wrap_angle(tangent + math.pi)
-    return InitialState(position, canonical_heading(heading), state.speed,
-                        state.road_id, lane_index)
+    return _lane_state(road, fix.s, direction, lane_index, state.speed)
 
 
 def estimate_with_feedback(
     report: CrashReport,
     network: RoadNetwork,
     region: CandidateRegion,
-    crash: RoadLocation,
     settings: EstimationSettings = EstimationSettings(),
 ) -> tuple[SceneSpec, EstimatorTrace]:
     """Propose, check, and re-prompt until a valid scene or the retry budget.
 
-    The returned scene always passes :func:`validate_states`. On exhaustion
-    raises EstimationFailed carrying the full attempt trace.
+    The external estimator gets ``max_retries`` re-prompts, each fed the
+    previous violations; the heuristic makes one estimate and, if that is
+    rejected, one clip of it onto its lanes. The returned scene always
+    passes :func:`validate_states`. On exhaustion raises EstimationFailed
+    carrying the full attempt trace.
     """
-    crash_pt = _crash_planar(network, crash)
     attempts: list[tuple[tuple[InitialState, InitialState] | None, tuple[str, ...]]] = []
     violations: list[str] = []
-
-    if settings.mode == "heuristic":
-        max_attempts = 2  # one estimate plus the clip-and-retry fallback
-    else:
-        max_attempts = settings.max_retries + 1
+    heuristic = settings.mode == "heuristic"
+    max_attempts = 2 if heuristic else settings.max_retries + 1
+    states = None
 
     for attempt in range(max_attempts):
-        states = None
         try:
-            if settings.mode == "heuristic":
-                if attempt == 0:
-                    states = heuristic_estimate(region, report, network, crash, settings)
-                else:
-                    prev = attempts[-1][0]
-                    if prev is None:
-                        break
-                    states = tuple(_snap_state(s, network) for s in prev)
+            if not heuristic:
+                states = llm_estimate(report, region, violations, settings)
+            elif attempt == 0:
+                states = heuristic_estimate(region, report, network)
+            elif states is not None:
+                states = tuple(_snap_state(s, network) for s in states)
             else:
-                states = llm_estimate(report, network, region, violations, settings)
+                break  # no estimate to clip
         except (UnparseableResponse, NoValidPlacement) as exc:
             attempts.append((None, (str(exc),)))
             violations = [str(exc)]
             continue
 
-        violations = validate_states(states, network, report, crash_pt)
+        violations = validate_states(states, network, report, region.crash_point)
         attempts.append((states, tuple(violations)))
         if not violations:
             scene = SceneSpec(
                 case_key=report.case_key,
-                crash_point=crash_pt,
+                crash_point=region.crash_point,
                 states=states,
                 vehicle_ids=tuple(v.vehicle_id for v in report.vehicles),
                 maneuvers=tuple(v.maneuver for v in report.vehicles),

@@ -305,7 +305,7 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
 
     settings = config.estimation
     region = estimator.candidate_regions(network, report, crash_fix, settings)
-    scene, _trace = estimator.estimate_with_feedback(report, network, region, crash_fix, settings)
+    scene, _trace = estimator.estimate_with_feedback(report, network, region, settings)
 
     trajectories = [
         generate_trajectory(state, scene.crash_point, network, maneuver, vid)

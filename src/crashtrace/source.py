@@ -5,7 +5,8 @@ fixture (or raises CacheMiss), and otherwise from its transport, writing the
 fetched text back to the disk cache. It keeps nothing between requests: each
 case reads its report and its extract once, so a document lives only as long
 as the case that asked for it. Cache files are written atomically, so an
-interrupted write leaves no file under the cache name.
+interrupted write leaves no file under the cache name; a cache file that does
+not parse anyway is logged and treated as a miss.
 
 ``http_text`` is the only code that speaks HTTP. It imports ``urllib.request``
 on first use, so offline runs never load it.
@@ -13,12 +14,15 @@ on first use, so offline runs never load it.
 
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
 from .errors import CacheMiss, NetworkError
+
+logger = logging.getLogger(__name__)
 
 
 def http_text(
@@ -91,7 +95,10 @@ class ReadThroughSource:
     def _load(self, request) -> Any:
         cache_path = self.cache_dir / self._cache_name(request) if self.cache_dir else None
         if cache_path is not None and cache_path.is_file():
-            return self._parse(cache_path.read_text(encoding="utf-8"))
+            try:
+                return self._parse(cache_path.read_text(encoding="utf-8"))
+            except (SyntaxError, ValueError) as exc:  # ElementTree's ParseError is a SyntaxError
+                logger.warning("ignoring unreadable cache file %s: %s", cache_path, exc)
         if self.offline:
             document = self._fixture(request)
             if document is None:

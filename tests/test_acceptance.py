@@ -313,7 +313,7 @@ def test_acceptance_6_backward_trajectory_law():
         crash = locate_crash_point(network, PlanarPoint(0.0, 0.0))
         assert crash is not None
         region = candidate_regions(network, report, crash)
-        states = heuristic_estimate(region, report, network, crash)
+        states = heuristic_estimate(region, report, network)
         road = network.road(crash.road_id)
         from crashtrace.geometry import locate_on_polyline
 
@@ -350,13 +350,13 @@ def test_acceptance_7_feedback_loop():
     ]})
     settings = EstimationSettings(mode="llm", max_retries=3, llm_transport=lambda p: bad)
     with pytest.raises(EstimationFailed) as excinfo:
-        estimate_with_feedback(report, network, region, crash, settings)
+        estimate_with_feedback(report, network, region, settings)
     trace = excinfo.value.trace
     assert trace.attempt_count == 4
     assert len(trace.attempts) == 4
     assert all(violations for _, violations in trace.attempts)
 
-    good_states = heuristic_estimate(region, report, network, crash)
+    good_states = heuristic_estimate(region, report, network)
     good = json.dumps({"vehicles": [
         {"id": vid, "road_id": s.road_id, "lane_index": s.lane_index,
          "x": s.position.x, "y": s.position.y,
@@ -366,7 +366,7 @@ def test_acceptance_7_feedback_loop():
     responses = iter([bad, good])
     settings2 = EstimationSettings(mode="llm", max_retries=3,
                                    llm_transport=lambda p: next(responses))
-    scene, trace2 = estimate_with_feedback(report, network, region, crash, settings2)
+    scene, trace2 = estimate_with_feedback(report, network, region, settings2)
     assert trace2.attempt_count == 2
     assert validate_states(scene.states, network, report, scene.crash_point) == []
     _verdict(7, True, "always-invalid: 4 attempts with 4 violation lists; "

@@ -73,7 +73,7 @@ def test_heuristic_verdicts_on_single_bend_roads():
         for report in reports:
             region = candidate_regions(network, report, crash)
             try:
-                _, trace = estimate_with_feedback(report, network, region, crash)
+                _, trace = estimate_with_feedback(report, network, region)
             except EstimationFailed as exc:
                 verdict, trace = "failed", exc.trace
             else:

@@ -111,7 +111,7 @@ def test_regions_no_candidates_for_point_road():
 
 def test_heuristic_backward_distance_and_right_lanes():
     network, report, crash, region = _setup("ftf")
-    s1, s2 = heuristic_estimate(region, report, network, crash)
+    s1, s2 = heuristic_estimate(region, report, network)
     d = 13.4112 * 6.0
     assert distance(s1.position, CRASH) == pytest.approx(d, abs=0.1)
     assert distance(s2.position, CRASH) == pytest.approx(d, abs=0.1)
@@ -130,7 +130,7 @@ def test_heuristic_default_speed_for_unknown():
     ])
     crash = locate_crash_point(network, CRASH)
     region = candidate_regions(network, report, crash)
-    s1, _ = heuristic_estimate(region, report, network, crash)
+    s1, _ = heuristic_estimate(region, report, network)
     assert distance(s1.position, CRASH) == pytest.approx(13.41 * 6.0, abs=0.1)
     assert s1.speed == 13.41
 
@@ -140,14 +140,14 @@ def test_heuristic_clips_to_short_road():
     report = _report()
     crash = locate_crash_point(network, CRASH)
     region = candidate_regions(network, report, crash)
-    s1, s2 = heuristic_estimate(region, report, network, crash)
+    s1, s2 = heuristic_estimate(region, report, network)
     assert distance(s1.position, CRASH) == pytest.approx(40.0, abs=0.1)
     assert distance(s2.position, CRASH) == pytest.approx(40.0, abs=0.1)
 
 
 def test_heuristic_crossing_assignment_at_four_way():
     network, report, crash, region = _setup("cross")
-    s1, s2 = heuristic_estimate(region, report, network, crash)
+    s1, s2 = heuristic_estimate(region, report, network)
     assert s1.road_id == 10  # south arm, northbound
     assert s2.road_id == 12  # west arm, eastbound
     assert s1.position.y < -5 and abs(s1.position.x) < 5
@@ -156,14 +156,14 @@ def test_heuristic_crossing_assignment_at_four_way():
 
 def test_heuristic_deterministic_bitwise():
     network, report, crash, region = _setup("cross")
-    a = heuristic_estimate(region, report, network, crash)
-    b = heuristic_estimate(region, report, network, crash)
+    a = heuristic_estimate(region, report, network)
+    b = heuristic_estimate(region, report, network)
     assert a == b
 
 
 def test_heuristic_same_direction_same_lane():
     network, report, crash, region = _setup("ftr")
-    s1, s2 = heuristic_estimate(region, report, network, crash)
+    s1, s2 = heuristic_estimate(region, report, network)
     assert s1.position.y == pytest.approx(s2.position.y, abs=1e-6)
     assert distance(s1.position, CRASH) > distance(s2.position, CRASH)
 
@@ -173,13 +173,13 @@ def test_heuristic_same_direction_same_lane():
 
 def test_validate_accepts_heuristic_output():
     network, report, crash, region = _setup("ftf")
-    states = heuristic_estimate(region, report, network, crash)
+    states = heuristic_estimate(region, report, network)
     assert validate_states(states, network, report, CRASH) == []
 
 
 def test_validate_flags_offroad_position():
     network, report, crash, region = _setup("ftf")
-    s1, s2 = heuristic_estimate(region, report, network, crash)
+    s1, s2 = heuristic_estimate(region, report, network)
     bad = InitialState(PlanarPoint(s1.position.x, s1.position.y - 10.0),
                        s1.heading, s1.speed, s1.road_id, s1.lane_index)
     violations = validate_states((bad, s2), network, report, CRASH)
@@ -188,7 +188,7 @@ def test_validate_flags_offroad_position():
 
 def test_validate_flags_reversed_heading():
     network, report, crash, region = _setup("ftf")
-    s1, s2 = heuristic_estimate(region, report, network, crash)
+    s1, s2 = heuristic_estimate(region, report, network)
     bad = InitialState(s1.position, s1.heading + math.pi, s1.speed,
                        s1.road_id, s1.lane_index)
     violations = validate_states((bad, s2), network, report, CRASH)
@@ -200,7 +200,7 @@ def test_validate_wrong_way_lane_is_legal():
     network, report, crash, region = _setup("ftf")
     road = network.road(crash.road_id)
     state = InitialState(PlanarPoint(-50.0, -1.75), math.pi, 10.0, road.road_id, -1)
-    s1, s2 = heuristic_estimate(region, report, network, crash)
+    s1, s2 = heuristic_estimate(region, report, network)
     violations = validate_states((state, s2), network, report, CRASH)
     assert not any("orientation" in v for v in violations)
 
@@ -259,9 +259,9 @@ def _echo_transport(states, report):
 
 def test_llm_estimate_parses_valid_mock():
     network, report, crash, region = _setup("ftf")
-    states = heuristic_estimate(region, report, network, crash)
+    states = heuristic_estimate(region, report, network)
     settings = EstimationSettings(mode="llm", llm_transport=_echo_transport(states, report))
-    parsed = llm_estimate(report, network, region, [], settings)
+    parsed = llm_estimate(report, region, [], settings)
     assert parsed == states
 
 
@@ -269,21 +269,21 @@ def test_llm_estimate_unparseable():
     network, report, crash, region = _setup("ftf")
     settings = EstimationSettings(mode="llm", llm_transport=lambda prompt: "no json here")
     with pytest.raises(UnparseableResponse):
-        llm_estimate(report, network, region, [], settings)
+        llm_estimate(report, region, [], settings)
 
 
 def test_llm_default_transport_posts_prompt():
     network, report, crash, region = _setup("ftf")
-    states = heuristic_estimate(region, report, network, crash)
+    states = heuristic_estimate(region, report, network)
     reply = _echo_transport(states, report)("").encode("utf-8")
     with http_endpoint(lambda path: (200, reply, "text/plain")) as (base, received):
         settings = EstimationSettings(mode="llm", llm_endpoint=base + "/v1", llm_model="m-7")
-        assert llm_estimate(report, network, region, [], settings) == states
+        assert llm_estimate(report, region, [], settings) == states
     method, path, headers, body = received[0]
     assert (method, path) == ("POST", "/v1")
     assert headers["Content-Type"] == "text/plain"
     assert headers["X-Model-Name"] == "m-7"
-    assert body.decode("utf-8") == build_prompt(report, network, region, [], settings)
+    assert body.decode("utf-8") == build_prompt(report, region, [], settings)
 
 
 def test_llm_default_transport_failures_are_endpoint_errors():
@@ -291,22 +291,22 @@ def test_llm_default_transport_failures_are_endpoint_errors():
     with http_endpoint(lambda path: (503, b"busy", "text/plain")) as (base, received):
         settings = EstimationSettings(mode="llm", llm_endpoint=base)
         with pytest.raises(EndpointError):
-            llm_estimate(report, network, region, [], settings)
+            llm_estimate(report, region, [], settings)
     assert "X-Model-Name" not in received[0][2]
     settings = EstimationSettings(mode="llm", llm_endpoint=closed_port_url())
     with pytest.raises(EndpointError):
-        llm_estimate(report, network, region, [], settings)
+        llm_estimate(report, region, [], settings)
 
 
 def test_prompt_contains_directives_and_violations():
     network, report, crash, region = _setup("ftf")
     settings = EstimationSettings(mode="llm")
-    prompt = build_prompt(report, network, region, [], settings)
+    prompt = build_prompt(report, region, [], settings)
     assert "backward trajectory" in prompt
     assert "right-hand traffic" in prompt
     assert "road" in prompt and "s in [" in prompt
     retry = build_prompt(
-        report, network, region,
+        report, region,
         ["vehicle 1: position outside road boundary (lateral error 9.99 m on road 10)"],
         settings,
     )
@@ -318,7 +318,7 @@ def test_prompt_contains_directives_and_violations():
 
 def test_feedback_valid_first_attempt():
     network, report, crash, region = _setup("ftf")
-    scene, trace = estimate_with_feedback(report, network, region, crash)
+    scene, trace = estimate_with_feedback(report, network, region)
     assert trace.attempt_count == 1
     assert validate_states(scene.states, network, report, scene.crash_point) == []
     assert scene.case_key == KEY
@@ -336,7 +336,7 @@ def test_feedback_heuristic_snap_rescues_placement_at_bend():
                                {"speed_mph": 7.5, "clock": 6, "maneuver": "Going Straight"}])
     crash = locate_crash_point(network, CRASH)
     region = candidate_regions(network, report, crash)
-    scene, trace = estimate_with_feedback(report, network, region, crash)
+    scene, trace = estimate_with_feedback(report, network, region)
     assert trace.attempt_count == 2
     assert trace.attempts[0][1] == ("vehicle 2: orientation misaligned "
                                     "(45.0 deg off the lane tangent)",)
@@ -346,7 +346,7 @@ def test_feedback_heuristic_snap_rescues_placement_at_bend():
 
 def test_feedback_second_attempt_valid():
     network, report, crash, region = _setup("ftf")
-    good = heuristic_estimate(region, report, network, crash)
+    good = heuristic_estimate(region, report, network)
     bad_payload = json.dumps({
         "vehicles": [
             {"id": 1, "road_id": 10, "lane_index": 1, "x": 0.0, "y": 500.0,
@@ -363,7 +363,7 @@ def test_feedback_second_attempt_valid():
         return responses[len(calls) - 1]
 
     settings = EstimationSettings(mode="llm", llm_transport=transport, max_retries=3)
-    scene, trace = estimate_with_feedback(report, network, region, crash, settings)
+    scene, trace = estimate_with_feedback(report, network, region, settings)
     assert trace.attempt_count == 2
     assert len(trace.attempts[0][1]) > 0  # first attempt carries violations
     assert trace.attempts[0][1][0] in calls[1]  # fed back verbatim
@@ -382,7 +382,7 @@ def test_feedback_exhausts_retries():
     settings = EstimationSettings(mode="llm", llm_transport=lambda p: bad_payload,
                                   max_retries=3)
     with pytest.raises(EstimationFailed) as excinfo:
-        estimate_with_feedback(report, network, region, crash, settings)
+        estimate_with_feedback(report, network, region, settings)
     trace = excinfo.value.trace
     assert trace.attempt_count == 4
     assert all(len(violations) > 0 for _, violations in trace.attempts)
@@ -390,7 +390,7 @@ def test_feedback_exhausts_retries():
 
 def test_feedback_unparseable_counts_as_attempt():
     network, report, crash, region = _setup("ftf")
-    good = heuristic_estimate(region, report, network, crash)
+    good = heuristic_estimate(region, report, network)
     responses = ["garbage", _echo_transport(good, report)("")]
     calls = []
 
@@ -399,7 +399,7 @@ def test_feedback_unparseable_counts_as_attempt():
         return responses[len(calls) - 1]
 
     settings = EstimationSettings(mode="llm", llm_transport=transport)
-    scene, trace = estimate_with_feedback(report, network, region, crash, settings)
+    scene, trace = estimate_with_feedback(report, network, region, settings)
     assert trace.attempt_count == 2
     assert trace.attempts[0][0] is None
 
@@ -414,7 +414,7 @@ def _document(scene):
 
 def test_scene_roundtrip_identity():
     network, report, crash, region = _setup("ftf")
-    scene, _ = estimate_with_feedback(report, network, region, crash)
+    scene, _ = estimate_with_feedback(report, network, region)
     text = _document(scene)
     assert parse_scenario(text)[0] == scene
     assert _document(parse_scenario(text)[0]) == text
@@ -422,7 +422,7 @@ def test_scene_roundtrip_identity():
 
 def test_scene_serialization_deterministic_and_precise():
     network, report, crash, region = _setup("ftf")
-    scene, _ = estimate_with_feedback(report, network, region, crash)
+    scene, _ = estimate_with_feedback(report, network, region)
     a, b = _document(scene), _document(scene)
     assert a == b
     doc = json.loads(a)
@@ -434,7 +434,7 @@ def test_scene_zero_crash_point():
     import dataclasses
 
     network, report, crash, region = _setup("ftf")
-    scene, _ = estimate_with_feedback(report, network, region, crash)
+    scene, _ = estimate_with_feedback(report, network, region)
     at_zero = dataclasses.replace(scene, crash_point=PlanarPoint(0.0, 0.0))
     text = _document(at_zero)
     doc = json.loads(text)

@@ -324,6 +324,32 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     assert [p.read_text(encoding="utf-8") for p in tmp_path.iterdir()] == [payload]
 
 
+def test_unparseable_cache_file_is_a_miss(tmp_path, caplog):
+    fixtures, cache = tmp_path / "fixtures", tmp_path / "cache"
+    fixtures.mkdir()
+    nodes, ways = straight_road_layout()
+    payload = osm_xml(ORIGIN, nodes, ways)
+    (fixtures / "site.osm").write_text(payload, encoding="utf-8")
+    calls = []
+
+    def transport(url, query):
+        calls.append(query)
+        return payload
+
+    OsmClient(cache_dir=cache, transport=transport).retrieve_osm(ORIGIN, 500.0)
+    (cached,) = cache.iterdir()
+    cached.write_text(payload[: payload.index("<node") + len("<node")], encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="crashtrace.source"):
+        offline = OsmClient(cache_dir=cache, offline=True, fixtures_dir=fixtures)
+        assert write_osm(offline.retrieve_osm(ORIGIN, 500.0)) == write_osm(parse_osm(payload))
+        graph = OsmClient(cache_dir=cache, transport=transport).retrieve_osm(ORIGIN, 500.0)
+    assert set(graph.ways) == {10}
+    assert len(calls) == 2  # the online client fetched again
+    assert cached.read_text(encoding="utf-8") == payload  # and its write-back replaced the file
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == \
+        [f"ignoring unreadable cache file {cached}"] * 2
+
+
 def test_default_transport_posts_overpass_form(tmp_path):
     nodes, ways = straight_road_layout()
     payload = osm_xml(ORIGIN, nodes, ways)

@@ -35,6 +35,7 @@ from crashtrace.simulator import validation_from_json
 from crashtrace.trajectory import Trajectory, Waypoint
 
 import corpus
+from local_http import closed_port_url
 
 
 @pytest.fixture(scope="module")
@@ -559,6 +560,41 @@ def test_corpus_module_imports_no_test_servers():
     proc = subprocess.run([sys.executable, "-c", _CORPUS_IMPORTS],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture
+def one_case_run(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    key = corpus.write_case(fixtures, "ftf_straight", 702, 47)
+    return ["run", "--state", str(key.state), "--case", str(key.state_case),
+            "--year", str(key.case_year), "--offline", "--fixtures", str(fixtures),
+            "--out", str(tmp_path / "out")]
+
+
+def _rejected(argv, capsys, tmp_path):
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    return rc == 1 and err.startswith("error: ") and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_cli_rejects_bad_radius(one_case_run, value, capsys, tmp_path):
+    assert _rejected([*one_case_run, "--radius", value], capsys, tmp_path)
+
+
+@pytest.mark.parametrize("value", ["0", "-6", "nan", "inf"])
+def test_cli_rejects_bad_horizon(one_case_run, value, capsys, tmp_path):
+    assert _rejected([*one_case_run, "--horizon", value], capsys, tmp_path)
+
+
+def test_cli_rejects_negative_max_retries(one_case_run, capsys, tmp_path):
+    argv = [*one_case_run, "--estimator", "llm", "--llm-endpoint", closed_port_url(),
+            "--max-retries", "-1"]
+    assert _rejected(argv, capsys, tmp_path)
+
+
+def test_cli_rejects_parallelism_below_one(one_case_run, capsys, tmp_path):
+    assert _rejected([*one_case_run, "--parallelism", "0"], capsys, tmp_path)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
