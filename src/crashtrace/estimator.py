@@ -45,7 +45,6 @@ from .roadnet import (
     RoadLocation,
     RoadNetwork,
     lane_offset,
-    locate_crash_point,
     travel_direction,
 )
 from .source import http_text
@@ -310,7 +309,7 @@ def validate_states(
     states: Sequence[InitialState],
     network: RoadNetwork,
     report: CrashReport,
-    crash_point: PlanarPoint,
+    region: CandidateRegion,
 ) -> list[str]:
     """Named violations for every check a proposal fails; empty means valid."""
     violations = []
@@ -354,9 +353,9 @@ def validate_states(
                 f"({math.degrees(misalign):.1f} deg off the lane tangent)"
             )
 
-        to_crash = distance(state.position, crash_point)
+        to_crash = distance(state.position, region.crash_point)
         if record.maneuver is Maneuver.GOING_STRAIGHT and to_crash > 1.0:
-            aim = bearing(state.position, crash_point)
+            aim = bearing(state.position, region.crash_point)
             err = abs(wrap_angle(state.heading - aim))
             if err > math.radians(MANEUVER_TOLERANCE_DEG):
                 violations.append(
@@ -365,20 +364,17 @@ def validate_states(
                 )
         elif record.maneuver in (Maneuver.TURNING_LEFT, Maneuver.TURNING_RIGHT) \
                 and to_crash > 1.0:
-            crash_fix = locate_crash_point(network, crash_point)
-            if crash_fix is not None:
-                crash_road = network.road(crash_fix.road_id)
-                t = tangent_at(crash_road.centerline, crash_fix.s)
-                aim = bearing(state.position, crash_point)
-                h_out = t if abs(wrap_angle(t - aim)) <= math.pi / 2 \
-                    else wrap_angle(t + math.pi)
-                turn = math.degrees(wrap_angle(h_out - state.heading))
-                want_left = record.maneuver is Maneuver.TURNING_LEFT
-                if abs(turn) < TURN_THRESHOLD_DEG or (turn > 0) != want_left:
-                    violations.append(
-                        f"{tag}: maneuver inconsistent: approach does not turn "
-                        f"{'left' if want_left else 'right'} onto the crash road"
-                    )
+            crash_road = network.road(region.crash.road_id)
+            t = tangent_at(crash_road.centerline, region.crash.s)
+            aim = bearing(state.position, region.crash_point)
+            h_out = t if abs(wrap_angle(t - aim)) <= math.pi / 2 else wrap_angle(t + math.pi)
+            turn = math.degrees(wrap_angle(h_out - state.heading))
+            want_left = record.maneuver is Maneuver.TURNING_LEFT
+            if abs(turn) < TURN_THRESHOLD_DEG or (turn > 0) != want_left:
+                violations.append(
+                    f"{tag}: maneuver inconsistent: approach does not turn "
+                    f"{'left' if want_left else 'right'} onto the crash road"
+                )
     return violations
 
 
@@ -495,13 +491,16 @@ def llm_estimate(
     states = []
     for record, entry in zip(report.vehicles, entries):
         try:
-            position = PlanarPoint(float(entry["x"]), float(entry["y"]))
-            heading = canonical_heading(math.radians(float(entry["heading_deg"])))
+            x, y, heading_deg = (float(entry[k]) for k in ("x", "y", "heading_deg"))
             road_id = int(entry["road_id"])
             lane_index = int(entry["lane_index"])
         except (KeyError, TypeError, ValueError) as exc:
             raise UnparseableResponse(f"bad vehicle entry {entry!r}") from exc
-        states.append(InitialState(position, heading, _speed(record), road_id, lane_index))
+        if not all(map(math.isfinite, (x, y, heading_deg))):
+            # JSON's NaN and Infinity pass float() but fail every check silently
+            raise UnparseableResponse(f"non-finite number in vehicle entry {entry!r}")
+        heading = canonical_heading(math.radians(heading_deg))
+        states.append(InitialState(PlanarPoint(x, y), heading, _speed(record), road_id, lane_index))
     return tuple(states)
 
 
@@ -555,7 +554,7 @@ def estimate_with_feedback(
             violations = [str(exc)]
             continue
 
-        violations = validate_states(states, network, report, region.crash_point)
+        violations = validate_states(states, network, report, region)
         attempts.append((states, tuple(violations)))
         if not violations:
             scene = SceneSpec(

@@ -308,8 +308,8 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
     scene, _trace = estimator.estimate_with_feedback(report, network, region, settings)
 
     trajectories = [
-        generate_trajectory(state, scene.crash_point, network, maneuver, vid)
-        for state, vid, maneuver in zip(scene.states, scene.vehicle_ids, scene.maneuvers)
+        generate_trajectory(state, region.crash, region.crash_point, network, vid)
+        for state, vid in zip(scene.states, scene.vehicle_ids)
     ]
 
     map_osm = osm.write_osm(pruned)
@@ -354,11 +354,8 @@ def run_batch(
         if not config.offline:
             workers = min(workers, 4)  # politeness cap on external-service calls
 
-    if workers == 1:
-        outcomes = [run_case(key, config, clients) for key in case_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda key: run_case(key, config, clients), case_list))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(lambda key: run_case(key, config, clients), case_list))
 
     packages = [o.package for o in outcomes if o.package is not None]
     return packages, outcomes

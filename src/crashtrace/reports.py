@@ -12,6 +12,7 @@ everything downstream works in one unit.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
@@ -164,12 +165,14 @@ def _category(text: str | None, labels: dict, other):
 
 
 def _float_or_none(text: str | None) -> float | None:
+    """The number in ``text``; None when it is missing, malformed or not finite."""
     if text is None or not text.strip():
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
 
 
 def parse_report(doc: RawCaseDocument) -> CrashReport:

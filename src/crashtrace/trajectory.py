@@ -28,7 +28,7 @@ from .geometry import (
     wrap_angle,
 )
 from .reports import Maneuver
-from .roadnet import RoadNetwork, lane_offset, locate_crash_point
+from .roadnet import RoadLocation, RoadNetwork, lane_offset
 
 WAYPOINT_SPACING_M = 2.0
 TERMINAL_BLEND_M = 10.0
@@ -262,30 +262,27 @@ def _terminal_blend(points: list[PlanarPoint], crash: PlanarPoint) -> list[Plana
 
 def generate_trajectory(
     state,
-    crash: PlanarPoint,
+    crash_fix: RoadLocation,
+    crash_point: PlanarPoint,
     network: RoadNetwork,
-    maneuver: Maneuver = Maneuver.GOING_STRAIGHT,
     vehicle_id: int = 0,
 ) -> Trajectory:
     """Waypoints from the spawn state to the crash point at 2 m spacing.
 
-    The first waypoint repeats the spawn pose exactly; the last lands on the
-    crash point. Raises UnreachableCrashPoint when no road chain connects
-    the spawn road to the crash road.
+    ``crash_fix`` is the crash point's place on the crash road. The first
+    waypoint repeats the spawn pose exactly; the last lands on the crash
+    point. Raises UnreachableCrashPoint when no road chain connects the
+    spawn road to the crash road.
     """
-    crash_fix = locate_crash_point(network, crash)
-    if crash_fix is None:
-        raise UnreachableCrashPoint("crash point is outside every road envelope")
-
     spawn_road = network.road(state.road_id)
     spawn_fix = locate_on_polyline(spawn_road.centerline, state.position)
 
-    if distance(state.position, crash) < 2 * WAYPOINT_SPACING_M:
-        heading = bearing(state.position, crash) if distance(state.position, crash) > 1e-9 \
-            else state.heading
+    gap = distance(state.position, crash_point)
+    if gap < 2 * WAYPOINT_SPACING_M:
+        heading = bearing(state.position, crash_point) if gap > 1e-9 else state.heading
         return Trajectory(vehicle_id, (
             Waypoint(state.position, state.heading, state.speed),
-            Waypoint(crash, heading, state.speed),
+            Waypoint(crash_point, heading, state.speed),
         ))
 
     chain = _road_chain(network, state.road_id, crash_fix.road_id)
@@ -318,7 +315,7 @@ def generate_trajectory(
     path = _concat([leg for leg in joined if leg])
     path[0] = state.position
 
-    blended = _terminal_blend(path, crash)
+    blended = _terminal_blend(path, crash_point)
     samples = resample_polyline(blended, WAYPOINT_SPACING_M)
 
     waypoints = []

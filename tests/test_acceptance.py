@@ -368,7 +368,7 @@ def test_acceptance_7_feedback_loop():
                                    llm_transport=lambda p: next(responses))
     scene, trace2 = estimate_with_feedback(report, network, region, settings2)
     assert trace2.attempt_count == 2
-    assert validate_states(scene.states, network, report, scene.crash_point) == []
+    assert validate_states(scene.states, network, report, region) == []
     _verdict(7, True, "always-invalid: 4 attempts with 4 violation lists; "
              "second-try-valid: 2 attempts, scene validates")
 

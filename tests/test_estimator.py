@@ -174,7 +174,7 @@ def test_heuristic_same_direction_same_lane():
 def test_validate_accepts_heuristic_output():
     network, report, crash, region = _setup("ftf")
     states = heuristic_estimate(region, report, network)
-    assert validate_states(states, network, report, CRASH) == []
+    assert validate_states(states, network, report, region) == []
 
 
 def test_validate_flags_offroad_position():
@@ -182,7 +182,7 @@ def test_validate_flags_offroad_position():
     s1, s2 = heuristic_estimate(region, report, network)
     bad = InitialState(PlanarPoint(s1.position.x, s1.position.y - 10.0),
                        s1.heading, s1.speed, s1.road_id, s1.lane_index)
-    violations = validate_states((bad, s2), network, report, CRASH)
+    violations = validate_states((bad, s2), network, report, region)
     assert any("position outside road boundary" in v for v in violations)
 
 
@@ -191,7 +191,7 @@ def test_validate_flags_reversed_heading():
     s1, s2 = heuristic_estimate(region, report, network)
     bad = InitialState(s1.position, s1.heading + math.pi, s1.speed,
                        s1.road_id, s1.lane_index)
-    violations = validate_states((bad, s2), network, report, CRASH)
+    violations = validate_states((bad, s2), network, report, region)
     assert any("orientation misaligned" in v for v in violations)
 
 
@@ -201,12 +201,12 @@ def test_validate_wrong_way_lane_is_legal():
     road = network.road(crash.road_id)
     state = InitialState(PlanarPoint(-50.0, -1.75), math.pi, 10.0, road.road_id, -1)
     s1, s2 = heuristic_estimate(region, report, network)
-    violations = validate_states((state, s2), network, report, CRASH)
+    violations = validate_states((state, s2), network, report, region)
     assert not any("orientation" in v for v in violations)
 
 
 def test_validate_turning_consistency():
-    network, _, crash, _ = _setup("cross")
+    network = _setup("cross")[0]
     report = _report(
         topology="Four-Way Intersection",
         relation="Changing Trafficway, Vehicle Turning",
@@ -216,10 +216,11 @@ def test_validate_turning_consistency():
         ],
     )
     # eastbound on the west arm; the crash sits on the north arm: a left turn
-    crash_pt = PlanarPoint(0.0, 40.0)
+    crash = locate_crash_point(network, PlanarPoint(0.0, 40.0))
+    region = candidate_regions(network, report, crash)
     v1 = InitialState(PlanarPoint(-60.0, -1.75), 0.0, 8.9408, 12, 1)
     v2 = InitialState(PlanarPoint(-1.75, 120.0), -math.pi / 2, 8.9408, 11, 1)
-    assert validate_states((v1, v2), network, report, crash_pt) == []
+    assert validate_states((v1, v2), network, report, region) == []
 
     right_report = _report(
         topology="Four-Way Intersection",
@@ -229,7 +230,7 @@ def test_validate_turning_consistency():
             {"speed_mph": 20, "clock": 12, "maneuver": "Going Straight"},
         ],
     )
-    violations = validate_states((v1, v2), network, right_report, crash_pt)
+    violations = validate_states((v1, v2), network, right_report, region)
     assert any("maneuver inconsistent" in v for v in violations)
 
 
@@ -320,7 +321,7 @@ def test_feedback_valid_first_attempt():
     network, report, crash, region = _setup("ftf")
     scene, trace = estimate_with_feedback(report, network, region)
     assert trace.attempt_count == 1
-    assert validate_states(scene.states, network, report, scene.crash_point) == []
+    assert validate_states(scene.states, network, report, region) == []
     assert scene.case_key == KEY
 
 
@@ -341,7 +342,7 @@ def test_feedback_heuristic_snap_rescues_placement_at_bend():
     assert trace.attempts[0][1] == ("vehicle 2: orientation misaligned "
                                     "(45.0 deg off the lane tangent)",)
     assert scene.states[1].heading == 0.0
-    assert validate_states(scene.states, network, report, scene.crash_point) == []
+    assert validate_states(scene.states, network, report, region) == []
 
 
 def test_feedback_second_attempt_valid():
@@ -402,6 +403,23 @@ def test_feedback_unparseable_counts_as_attempt():
     scene, trace = estimate_with_feedback(report, network, region, settings)
     assert trace.attempt_count == 2
     assert trace.attempts[0][0] is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("heading_deg", math.nan), ("heading_deg", math.inf), ("x", math.nan),
+])
+def test_feedback_rejects_non_finite_proposal(field, value):
+    network, report, crash, region = _setup("ftf")
+    reply = _echo_transport(heuristic_estimate(region, report, network), report)("")
+    payload = json.loads(reply[reply.index("{"):])
+    payload["vehicles"][0][field] = value  # json.dumps writes NaN / Infinity
+    settings = EstimationSettings(mode="llm", max_retries=0,
+                                  llm_transport=lambda prompt: json.dumps(payload))
+    with pytest.raises(EstimationFailed) as excinfo:
+        estimate_with_feedback(report, network, region, settings)
+    (states, violations), = excinfo.value.trace.attempts
+    assert states is None
+    assert violations == (f"non-finite number in vehicle entry {payload['vehicles'][0]!r}",)
 
 
 # --- persistence ---

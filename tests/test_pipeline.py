@@ -517,6 +517,48 @@ def test_internal_error_is_one_ledger_line(good_batch, tmp_path, monkeypatch, ca
     assert [str(exc) for exc in logged] == ["stage bug"]
 
 
+def test_each_case_locates_its_crash_point_once(good_batch, tmp_path, monkeypatch):
+    from crashtrace import estimator, pipeline, roadnet, trajectory
+
+    keys, config, _, _ = good_batch
+    calls = []
+
+    def counted(network, point):
+        calls.append(point)
+        return roadnet.locate_crash_point(network, point)
+
+    for module in (pipeline, trajectory, estimator):
+        if hasattr(module, "locate_crash_point"):
+            monkeypatch.setattr(module, "locate_crash_point", counted)
+    config = PipelineConfig(offline=True, fixtures_dir=config.fixtures_dir,
+                            out_dir=tmp_path / "out")
+    for key in keys:
+        calls.clear()
+        assert run_case(key, config).package is not None
+        assert len(calls) == 1, key.slug
+
+
+def test_non_finite_speed_is_unknown_speed(tmp_path):
+    # 1e309 parses to inf; it must read as "no speed given", not end the case
+    origin = corpus.case_origin(0)
+    straight = {"clock": 12, "maneuver": "Going Straight"}
+    packages = []
+    for label, speed in (("inf", "1e309"), ("unknown", None)):
+        fixtures = tmp_path / label / "fixtures"
+        key = corpus.write_case(fixtures, "ftf_straight", 310, 0)
+        (fixtures / f"{key.slug}.xml").write_text(corpus.report_xml(
+            coords=origin, vehicles=[{"speed_mph": speed, **straight}, straight]),
+            encoding="utf-8")
+        config = PipelineConfig(offline=True, fixtures_dir=fixtures,
+                                out_dir=tmp_path / label / "out")
+        packages.append(run_case(key, config).package)
+    inf_case, unknown_case = packages
+    assert inf_case is not None and unknown_case is not None
+    for name in ("scenario.json", "validation.json"):
+        assert (inf_case.directory / name).read_bytes() \
+            == (unknown_case.directory / name).read_bytes()
+
+
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """
 import sys
 from pathlib import Path

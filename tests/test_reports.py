@@ -95,6 +95,13 @@ def test_speed_unit_conversion_exact():
     assert report.vehicles[1].travel_speed is None
 
 
+@pytest.mark.parametrize("text", ["1e309", "inf", "-inf", "nan"])
+def test_non_finite_number_is_unknown(text):
+    report = parse_report(_doc(vehicles=[{"speed_mph": text, "clock": text}] * 2))
+    assert report.vehicles[0].travel_speed is None
+    assert report.vehicles[0].impact_clock is None
+
+
 def test_vehicle_fields():
     report = parse_report(
         _doc(

@@ -7,7 +7,7 @@ from crashtrace.estimator import InitialState, canonical_heading
 from crashtrace.geometry import PlanarPoint, distance, wrap_angle
 from crashtrace.osm import parse_osm
 from crashtrace.reports import Maneuver
-from crashtrace.roadnet import build_road_network, unify_lanes
+from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
 from crashtrace.trajectory import (
     Trajectory,
     Waypoint,
@@ -46,7 +46,7 @@ def test_straight_lane_waypoint_count_and_headings():
     network = _flat_road()
     state = InitialState(PlanarPoint(-100.0, -1.75), 0.0, 13.4112, 10, 1)
     crash = PlanarPoint(0.0, -1.75)
-    traj = generate_trajectory(state, crash, network, Maneuver.GOING_STRAIGHT)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     assert len(traj.waypoints) == 51
     for wp in traj.waypoints:
         assert wp.heading == pytest.approx(0.0, abs=1e-6)
@@ -57,7 +57,7 @@ def test_straight_segment_heading_matches_bearing():
     network = _flat_road()
     state = InitialState(PlanarPoint(-80.0, -1.75), 0.0, 10.0, 10, 1)
     crash = PlanarPoint(0.0, -1.75)
-    traj = generate_trajectory(state, crash, network, Maneuver.GOING_STRAIGHT)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     for a, b in zip(traj.waypoints[1:-1], traj.waypoints[2:]):
         seg = math.atan2(b.position.y - a.position.y, b.position.x - a.position.x)
         assert abs(wrap_angle(a.heading - seg)) <= 1e-6
@@ -67,7 +67,7 @@ def test_terminal_blend_reaches_offset_crash():
     network = _flat_road()
     state = InitialState(PlanarPoint(-80.0, -1.75), 0.0, 10.0, 10, 1)
     crash = PlanarPoint(0.0, 0.0)  # on the centerline, off the lane line
-    traj = generate_trajectory(state, crash, network, Maneuver.GOING_STRAIGHT)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     _assert_contract(traj, state, crash)
     assert traj.waypoints[-1].position == crash
 
@@ -76,7 +76,7 @@ def test_left_turn_arc_monotonic_heading():
     network = _network(*cross_layout())
     state = InitialState(PlanarPoint(-80.0, -1.75), 0.0, 8.9408, 12, 1)
     crash = PlanarPoint(1.75, 40.0)  # on the exit lane line: pure arc geometry
-    traj = generate_trajectory(state, crash, network, Maneuver.TURNING_LEFT)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     _assert_contract(traj, state, crash)
     headings = [w.heading for w in traj.waypoints]
     deltas = [wrap_angle(b - a) for a, b in zip(headings, headings[1:])]
@@ -92,7 +92,7 @@ def test_wrong_way_accepted():
     state = InitialState(PlanarPoint(80.0, -1.75), canonical_heading(math.pi),
                          13.4112, 10, -1)
     crash = PlanarPoint(0.0, -1.75)
-    traj = generate_trajectory(state, crash, network, Maneuver.GOING_STRAIGHT)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     _assert_contract(traj, state, crash)
     assert classify_direction(traj) is Maneuver.GOING_STRAIGHT
 
@@ -106,16 +106,17 @@ def test_unreachable_crash_point():
         ],
     )
     state = InitialState(PlanarPoint(-80.0, 498.25), 0.0, 10.0, 11, 1)
+    crash = PlanarPoint(0.0, 0.0)  # on South Road, which no road chain reaches
     with pytest.raises(UnreachableCrashPoint):
-        generate_trajectory(state, PlanarPoint(0.0, 0.0), network, Maneuver.GOING_STRAIGHT)
+        generate_trajectory(state, locate_crash_point(network, crash), crash, network)
 
 
 def test_generate_deterministic_bitwise():
     network = _network(*cross_layout())
     state = InitialState(PlanarPoint(-80.0, -1.75), 0.0, 8.9408, 12, 1)
     crash = PlanarPoint(0.0, 40.0)
-    a = generate_trajectory(state, crash, network, Maneuver.TURNING_LEFT)
-    b = generate_trajectory(state, crash, network, Maneuver.TURNING_LEFT)
+    a = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
+    b = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     assert a == b
 
 
@@ -125,7 +126,7 @@ def test_curve_stays_within_spacing():
     road = network.roads[0]
     state = InitialState(PlanarPoint(-80.0, 8.0), 0.2, 13.4112, road.road_id, 1)
     crash = PlanarPoint(0.0, 0.0)
-    traj = generate_trajectory(state, crash, network, Maneuver.GOING_STRAIGHT)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     for a, b in zip(traj.waypoints, traj.waypoints[1:]):
         assert distance(a.position, b.position) <= 2.0 + 1e-9
 
