@@ -108,7 +108,6 @@ class CandidateRegion:
     vehicle_approaches: tuple[tuple[Approach, ...], ...]
     crash: RoadLocation
     crash_point: PlanarPoint  # the crash fix in the plane
-    junction: Junction | None = None
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def candidate_regions(
     for i, approaches in enumerate(per_vehicle):
         if not approaches:
             raise NoCandidates(f"vehicle {report.vehicles[i].vehicle_id}: no admissible approach")
-    return CandidateRegion(tuple(per_vehicle), crash, crash_point, junction)
+    return CandidateRegion(tuple(per_vehicle), crash, crash_point)
 
 
 def _approach_heading(network: RoadNetwork, approach: Approach) -> float:

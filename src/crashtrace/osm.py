@@ -56,9 +56,13 @@ def parse_osm(text: str) -> OsmGraph:
     """Parse ``.osm`` XML; ways keep only references to nodes that exist.
 
     A missing or non-numeric id, ref or coordinate is a ValueError that names
-    the element.
+    the element, and so is a root other than ``<osm>`` or a ``<remark>``, by
+    which Overpass reports a query that failed (a timeout, say).
     """
     root = ET.fromstring(text)
+    remark = root.findtext("remark")
+    if root.tag != "osm" or remark is not None:
+        raise ValueError(f"not an OSM extract: <{root.tag}> {(remark or '').strip()}")
     nodes: dict[int, GeoPoint] = {}
     ways: dict[int, OsmWay] = {}
     try:

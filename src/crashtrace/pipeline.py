@@ -8,7 +8,7 @@ byte-identical packages at any parallelism.
 
 ``run`` and ``replay`` score through one function, ``score_scenario``, on
 the serialized scenario document and with the simulator's fixed timestep,
-grace period and body size, so ``replay_command`` on a package reproduces
+grace period and body size, so ``replay_package`` on a package reproduces
 its ``validation.json`` byte for byte.
 """
 
@@ -131,16 +131,16 @@ def build_clients(config: PipelineConfig) -> Clients:
 def scenario_document(scene: SceneSpec, trajectories: Sequence[Trajectory]) -> str:
     """The scene with each vehicle's waypoints, byte for byte as ``json.dumps(doc,
     indent=2) + "\\n"`` writes it; every number is written as its ``repr``."""
-    by_id = {t.vehicle_id: t for t in trajectories}
     vehicles = []
-    for vid, state, maneuver in zip(scene.vehicle_ids, scene.states, scene.maneuvers):
+    for vid, state, maneuver, trajectory in zip(
+            scene.vehicle_ids, scene.states, scene.maneuvers, trajectories):
         waypoints = [f"""
         {{
           "x": {w.position.x!r},
           "y": {w.position.y!r},
           "heading_deg": {math.degrees(w.heading)!r},
           "target_speed_mps": {w.target_speed!r}
-        }}""" for w in by_id[vid].waypoints]
+        }}""" for w in trajectory.waypoints]
         vehicles.append(f"""
     {{
       "id": {vid!r},
@@ -280,8 +280,7 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
 def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict[str, str]:
     raw = clients.report_client.fetch_case(key)
     report = reports.parse_report(raw)
-    verdict = reports.check_completeness(report)
-    if not verdict.accepted:
+    if reports.missing_fields(report):
         raise _Excluded(ExclusionReason.INCOMPLETE_INFO)
     if not reports.filter_dual_vehicle(report):
         raise _Excluded(ExclusionReason.NOT_DUAL_VEHICLE)
@@ -475,20 +474,16 @@ def coverage_stats(package_root: Path) -> CoverageTable:
     return CoverageTable(dict(collision), dict(topology), dict(trajectory), len(report_paths))
 
 
-def replay_command(scenario_path: Path, map_path: Path) -> ValidationReport:
-    """Re-run the replay from persisted artifacts.
-
-    The report document is read from ``report.xml`` next to the scenario
-    file (packages always carry it); identical inputs reproduce the stored
-    validation verdict exactly.
-    """
-    scenario_path, map_path = Path(scenario_path), Path(map_path)
-    if not scenario_path.is_file():
-        raise errors.ParseError(f"missing scenario file {scenario_path}")
-    if not map_path.is_file():
-        raise errors.ParseError(f"missing map file {map_path}")
+def replay_package(package_dir: Path) -> ValidationReport:
+    """Re-run the replay of a package from its ``scenario.json``, ``map.xodr``
+    and ``report.xml``; identical inputs reproduce the stored validation
+    verdict exactly."""
+    scenario_path, map_path, report_path = (
+        Path(package_dir) / name for name in ("scenario.json", "map.xodr", "report.xml"))
+    for path in (scenario_path, map_path):
+        if not path.is_file():
+            raise errors.ParseError(f"missing {path}")
     opendrive.parse_opendrive(map_path.read_text("utf-8"))
-    report_path = scenario_path.parent / "report.xml"
 
     def load_report(key: CaseKey) -> CrashReport:
         if not report_path.is_file():
@@ -496,8 +491,3 @@ def replay_command(scenario_path: Path, map_path: Path) -> ValidationReport:
         return reports.parse_report(reports.RawCaseDocument(key, report_path.read_text("utf-8")))
 
     return score_scenario(scenario_path.read_text("utf-8"), load_report)[1]
-
-
-def replay_package(package_dir: Path) -> ValidationReport:
-    package_dir = Path(package_dir)
-    return replay_command(package_dir / "scenario.json", package_dir / "map.xodr")

@@ -13,9 +13,9 @@ from pathlib import Path
 from .geometry import PlanarPoint, offset_polyline
 from .opendrive import parse_opendrive
 from .pipeline import parse_scenario
-from .roadnet import RoadNetwork
 
 _TRAJECTORY_COLORS = ("#c0392b", "#2471a3")
+_MARGIN = 25.0  # metres of background around the drawing
 
 
 def _fmt(v: float) -> str:
@@ -32,26 +32,19 @@ def _road_envelope(road) -> list[PlanarPoint]:
     return left + list(reversed(right))
 
 
-def render_network_svg(
-    network: RoadNetwork,
-    trajectories=(),
-    spawns=(),
-    crash: PlanarPoint | None = None,
-    margin: float = 25.0,
-) -> str:
-    xs, ys = [], []
-    for road in network.roads:
-        for p in road.centerline:
-            xs.append(p.x)
-            ys.append(p.y)
+def render_plot(package_dir: Path) -> str:
+    """SVG for one case package (map, trajectories, spawns, crash point)."""
+    package_dir = Path(package_dir)
+    network = parse_opendrive((package_dir / "map.xodr").read_text("utf-8"))
+    scene, trajectories = parse_scenario((package_dir / "scenario.json").read_text("utf-8"))
+
+    xs = [p.x for road in network.roads for p in road.centerline]
+    ys = [p.y for road in network.roads for p in road.centerline]
     for traj in trajectories:
-        for w in traj.waypoints:
-            xs.append(w.position.x)
-            ys.append(w.position.y)
-    if not xs:
-        xs, ys = [0.0], [0.0]
-    min_x, max_x = min(xs) - margin, max(xs) + margin
-    min_y, max_y = min(ys) - margin, max(ys) + margin
+        xs.extend(w.position.x for w in traj.waypoints)
+        ys.extend(w.position.y for w in traj.waypoints)
+    min_x, max_x = min(xs) - _MARGIN, max(xs) + _MARGIN
+    min_y, max_y = min(ys) - _MARGIN, max(ys) + _MARGIN
     width, height = max_x - min_x, max_y - min_y
 
     lines = [
@@ -86,30 +79,20 @@ def render_network_svg(
             f'<polyline class="trajectory" points="{_points_attr(pts)}" '
             f'fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
-    for i, spawn in enumerate(spawns):
+    for i, spawn in enumerate(state.position for state in scene.states):
         color = _TRAJECTORY_COLORS[i % len(_TRAJECTORY_COLORS)]
         lines.append(
             f'<circle class="spawn" cx="{_fmt(spawn.x)}" cy="{_fmt(spawn.y)}" r="3" '
             f'fill="{color}"/>'
         )
-    if crash is not None:
-        r = 4.0
-        lines.append(
-            f'<path class="crash" d="M {_fmt(crash.x - r)} {_fmt(crash.y - r)} '
-            f'L {_fmt(crash.x + r)} {_fmt(crash.y + r)} '
-            f'M {_fmt(crash.x - r)} {_fmt(crash.y + r)} '
-            f'L {_fmt(crash.x + r)} {_fmt(crash.y - r)}" '
-            'stroke="#1d1d1d" stroke-width="1.5" fill="none"/>'
-        )
+    crash, r = scene.crash_point, 4.0
+    lines.append(
+        f'<path class="crash" d="M {_fmt(crash.x - r)} {_fmt(crash.y - r)} '
+        f'L {_fmt(crash.x + r)} {_fmt(crash.y + r)} '
+        f'M {_fmt(crash.x - r)} {_fmt(crash.y + r)} '
+        f'L {_fmt(crash.x + r)} {_fmt(crash.y - r)}" '
+        'stroke="#1d1d1d" stroke-width="1.5" fill="none"/>'
+    )
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def render_plot(package_dir: Path) -> str:
-    """SVG for one case package (map, trajectories, spawns, crash point)."""
-    package_dir = Path(package_dir)
-    network = parse_opendrive((package_dir / "map.xodr").read_text("utf-8"))
-    scene, trajectories = parse_scenario((package_dir / "scenario.json").read_text("utf-8"))
-    spawns = [state.position for state in scene.states]
-    return render_network_svg(network, trajectories, spawns, scene.crash_point)

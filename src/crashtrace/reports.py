@@ -1,10 +1,8 @@
 """Crash-report types and the parser that normalizes raw case documents.
 
 The source documents are large semi-structured XML files; this module only
-extracts the handful of fields the pipeline consumes. The element paths it
-reads are collected in ``EXTRACTION_PATHS`` so the mapping can be re-pointed
-at a different document dialect without touching the parsing logic. Every
-other field survives only in the verbatim copy kept in the case package.
+extracts the handful of fields the pipeline consumes. Every other field
+survives only in the verbatim copy kept in the case package.
 
 Speeds are assumed reported in miles per hour and converted to m/s here, so
 everything downstream works in one unit.
@@ -107,28 +105,6 @@ class CrashReport:
     vehicles: tuple[VehicleRecord, ...] = ()
 
 
-@dataclass(frozen=True)
-class CompletenessVerdict:
-    accepted: bool
-    missing_fields: tuple[str, ...] = ()
-
-
-# Element paths read out of a case document, relative to the document root.
-# Re-point these to adapt to another dialect of the source schema.
-EXTRACTION_PATHS = {
-    "latitude": "Crash/Latitude",
-    "longitude": "Crash/Longitude",
-    "collision_type": "Crash/MannerOfCollision",
-    "road_topology": "Crash/TypeOfIntersection",
-    "trajectory_relation": "Crash/PreCrashRelation",
-    "events": "Crash/Events/Event",
-    "vehicles": "Vehicles/Vehicle",
-    "vehicle_speed": "TravelSpeed",
-    "vehicle_clock": "ImpactClock",
-    "vehicle_maneuver": "PreCrashManeuver",
-}
-
-
 def _norm(label: str) -> str:
     return "".join(c for c in label.lower() if c.isalnum())
 
@@ -187,60 +163,50 @@ def parse_report(doc: RawCaseDocument) -> CrashReport:
     except ET.ParseError as exc:
         raise MalformedDocument(f"case {doc.case_key.slug}: {exc}") from exc
 
-    lat = _float_or_none(root.findtext(EXTRACTION_PATHS["latitude"]))
-    lon = _float_or_none(root.findtext(EXTRACTION_PATHS["longitude"]))
+    lat = _float_or_none(root.findtext("Crash/Latitude"))
+    lon = _float_or_none(root.findtext("Crash/Longitude"))
     coords = None
     if lat is not None and lon is not None and abs(lat) <= 90 and abs(lon) <= 180:
         coords = GeoPoint(lat, lon)
 
     events = tuple(
         (el.text or "").strip()
-        for el in root.iterfind(EXTRACTION_PATHS["events"])
+        for el in root.iterfind("Crash/Events/Event")
         if (el.text or "").strip()
     )
 
     vehicles = []
-    for i, el in enumerate(root.iterfind(EXTRACTION_PATHS["vehicles"])):
+    for i, el in enumerate(root.iterfind("Vehicles/Vehicle")):
         try:
             vid = int(el.get("number", i + 1))
         except ValueError:
             vid = i + 1
-        speed_mph = _float_or_none(el.findtext(EXTRACTION_PATHS["vehicle_speed"]))
+        speed_mph = _float_or_none(el.findtext("TravelSpeed"))
         speed = speed_mph * MPH_TO_MPS if speed_mph is not None and speed_mph >= 0 else None
-        clock_raw = _float_or_none(el.findtext(EXTRACTION_PATHS["vehicle_clock"]))
+        clock_raw = _float_or_none(el.findtext("ImpactClock"))
         clock = int(clock_raw) if clock_raw is not None and clock_raw in range(1, 13) else None
         maneuver = _category(
-            el.findtext(EXTRACTION_PATHS["vehicle_maneuver"]), _MANEUVER_LABELS, Maneuver.OTHER
-        ) or Maneuver.OTHER
+            el.findtext("PreCrashManeuver"), _MANEUVER_LABELS, Maneuver.OTHER) or Maneuver.OTHER
         vehicles.append(VehicleRecord(vid, speed, clock, maneuver))
 
     return CrashReport(
         case_key=doc.case_key,
         crash_coords=coords,
         collision_type=_category(
-            root.findtext(EXTRACTION_PATHS["collision_type"]), _COLLISION_LABELS,
-            CollisionType.OTHER),
+            root.findtext("Crash/MannerOfCollision"), _COLLISION_LABELS, CollisionType.OTHER),
         road_topology=_category(
-            root.findtext(EXTRACTION_PATHS["road_topology"]), _TOPOLOGY_LABELS,
-            RoadTopology.OTHER),
+            root.findtext("Crash/TypeOfIntersection"), _TOPOLOGY_LABELS, RoadTopology.OTHER),
         trajectory_relation=_category(
-            root.findtext(EXTRACTION_PATHS["trajectory_relation"]), _RELATION_LABELS,
-            TrajectoryRelation.OTHER),
+            root.findtext("Crash/PreCrashRelation"), _RELATION_LABELS, TrajectoryRelation.OTHER),
         event_sequence=events,
         vehicles=tuple(vehicles),
     )
 
 
-def check_completeness(report: CrashReport) -> CompletenessVerdict:
-    """Reject reports missing the fields reconstruction cannot do without."""
-    missing = []
-    if report.crash_coords is None:
-        missing.append("crash_coords")
-    if report.road_topology is None:
-        missing.append("road_topology")
-    if report.trajectory_relation is None:
-        missing.append("trajectory_relation")
-    return CompletenessVerdict(accepted=not missing, missing_fields=tuple(missing))
+def missing_fields(report: CrashReport) -> tuple[str, ...]:
+    """The fields reconstruction cannot do without that the report lacks."""
+    return tuple(name for name in ("crash_coords", "road_topology", "trajectory_relation")
+                 if getattr(report, name) is None)
 
 
 def filter_dual_vehicle(report: CrashReport) -> bool:

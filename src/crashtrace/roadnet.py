@@ -394,10 +394,10 @@ def locate_crash_point(network: RoadNetwork, crash: PlanarPoint) -> RoadLocation
 
     The envelope is the centerline buffered by the road half-width plus 2 m
     of slack. Returns None (off-road) when no envelope contains the point;
-    among containing roads the nearest centerline wins.
+    among containing roads the nearest centerline wins, then the lowest id.
     """
     best: tuple[float, int, RoadLocation] | None = None
-    for road in sorted(network.roads, key=lambda r: r.road_id):
+    for road in network.roads:
         fix = locate_on_polyline(road.centerline, crash)
         if fix.dist > road.half_width + CRASH_ENVELOPE_SLACK_M:
             continue
@@ -435,10 +435,7 @@ def validate_geometry(graph, network: RoadNetwork, origin: GeoPoint) -> GeoValid
     ]
     chosen: list[int] = []
     for key in selectors:
-        for nid in sorted(candidates, key=key):
-            if nid not in chosen:
-                chosen.append(nid)
-                break
+        chosen.append(min((nid for nid in candidates if nid not in chosen), key=key))
 
     samples = [(graph.nodes[nid], network.node_positions[nid]) for nid in chosen]
     worst = 0.0

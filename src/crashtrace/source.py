@@ -2,11 +2,12 @@
 
 A source answers a request from the disk cache, then, offline, from a
 fixture (or raises CacheMiss), and otherwise from its transport, writing the
-fetched text back to the disk cache. It keeps nothing between requests: each
-case reads its report and its extract once, so a document lives only as long
-as the case that asked for it. Cache files are written atomically, so an
-interrupted write leaves no file under the cache name; a cache file that does
-not parse anyway is logged and treated as a miss.
+fetched text back to the disk cache once it parses; fetched text that does
+not parse raises NetworkError and is not cached. It keeps nothing between
+requests: each case reads its report and its extract once, so a document
+lives only as long as the case that asked for it. Cache files are written
+atomically, so an interrupted write leaves no file under the cache name; a
+cache file that does not parse anyway is logged and treated as a miss.
 
 ``http_text`` is the only code that speaks HTTP. It imports ``urllib.request``
 on first use, so offline runs never load it.
@@ -74,7 +75,8 @@ class ReadThroughSource:
     ``_fixture(request)``, the offline fixture's parsed document or None; and
     ``_remote(request)``, the fetch through ``self._transport``. They may
     override ``_parse(text)``, which turns fetched or cached text into the
-    document and defaults to the text itself.
+    document, raising SyntaxError or ValueError on text it cannot read, and
+    defaults to the text itself.
     """
 
     def __init__(
@@ -105,6 +107,10 @@ class ReadThroughSource:
                 raise CacheMiss(f"no fixture or cached document for {request}")
             return document
         text = self._remote(request)
+        try:
+            document = self._parse(text)
+        except (SyntaxError, ValueError) as exc:
+            raise NetworkError(f"unreadable answer for {request}: {exc}") from exc
         if cache_path is not None:
             _write_atomically(cache_path, text)
-        return self._parse(text)
+        return document

@@ -165,20 +165,6 @@ def _intersect_lines(p: PlanarPoint, hp: float, q: PlanarPoint, hq: float):
     return t, u
 
 
-def _cut_end(points: list[PlanarPoint], cut: float) -> list[PlanarPoint]:
-    if cut <= 1e-9:
-        return points
-    total = cumulative_lengths(points)[-1]
-    return _sub_polyline(points, 0.0, max(total - cut, 1e-6))
-
-
-def _cut_start(points: list[PlanarPoint], cut: float) -> list[PlanarPoint]:
-    if cut <= 1e-9:
-        return points
-    total = cumulative_lengths(points)[-1]
-    return _sub_polyline(points, min(cut, total - 1e-6), total)
-
-
 def _fillet(leg_a: list[PlanarPoint], leg_b: list[PlanarPoint]
             ) -> tuple[list[PlanarPoint], list[PlanarPoint], list[PlanarPoint]]:
     """Trim two legs and bridge them with a tangent circular arc."""
@@ -226,9 +212,11 @@ def _fillet(leg_a: list[PlanarPoint], leg_b: list[PlanarPoint]
     ]
     arc[-1] = tb
 
-    leg_a_cut = _cut_end(leg_a, max(trim - t1, 0.0))
-    leg_b_cut = _cut_start(leg_b, max(trim - t2, 0.0))
-    return leg_a_cut, arc, leg_b_cut
+    if trim - t1 > 1e-9:
+        leg_a = _sub_polyline(leg_a, 0.0, max(len_a - (trim - t1), 1e-6))
+    if trim - t2 > 1e-9:
+        leg_b = _sub_polyline(leg_b, min(trim - t2, len_b - 1e-6), len_b)
+    return leg_a, arc, leg_b
 
 
 def _concat(legs: list[list[PlanarPoint]]) -> list[PlanarPoint]:

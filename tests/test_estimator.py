@@ -80,7 +80,6 @@ def test_regions_opposite_direction_on_crash_road():
 
 def test_regions_four_way_has_all_approaches():
     network, report, crash, region = _setup("cross")
-    assert region.junction is not None
     assert len(region.vehicle_approaches[0]) == 4
     assert {a.road_id for a in region.vehicle_approaches[0]} == {10, 11, 12, 13}
 

@@ -22,7 +22,6 @@ from crashtrace.pipeline import (
     coverage_stats,
     emit_summary,
     parse_scenario,
-    replay_command,
     replay_package,
     run_batch,
     run_case,
@@ -257,8 +256,12 @@ def test_replay_detects_tampered_spawn(good_batch, tmp_path):
 
 def test_replay_missing_map(good_batch, tmp_path):
     keys, config, packages, outcomes = good_batch
+    for name in PACKAGE_FILES:
+        if name != "map.xodr":
+            (tmp_path / name).write_text((packages[0].directory / name).read_text("utf-8"),
+                                         encoding="utf-8")
     with pytest.raises(ParseError):
-        replay_command(packages[0].directory / "scenario.json", tmp_path / "nope.xodr")
+        replay_package(tmp_path)
 
 
 # --- plotting ---
@@ -330,8 +333,8 @@ def test_parse_scenario_rejects_unknown_maneuver(good_batch):
 
 
 def _json_dumps_scenario(scene, trajectories):
-    """Reference: the whole document through ``json.dumps(indent=2)``."""
-    by_id = {t.vehicle_id: t for t in trajectories}
+    """Reference: the whole document through ``json.dumps(indent=2)``; the
+    n-th trajectory belongs to the n-th vehicle, whatever their ids."""
     doc = {
         "case_key": {
             "state": scene.case_key.state,
@@ -358,10 +361,11 @@ def _json_dumps_scenario(scene, trajectories):
                         "heading_deg": math.degrees(w.heading),
                         "target_speed_mps": w.target_speed,
                     }
-                    for w in by_id[vid].waypoints
+                    for w in trajectory.waypoints
                 ],
             }
-            for vid, state, maneuver in zip(scene.vehicle_ids, scene.states, scene.maneuvers)
+            for vid, state, maneuver, trajectory in zip(
+                scene.vehicle_ids, scene.states, scene.maneuvers, trajectories)
         ],
         "map_file": "map.xodr",
     }
@@ -557,6 +561,53 @@ def test_non_finite_speed_is_unknown_speed(tmp_path):
     for name in ("scenario.json", "validation.json"):
         assert (inf_case.directory / name).read_bytes() \
             == (unknown_case.directory / name).read_bytes()
+
+
+@pytest.mark.parametrize("first, second", [
+    ('<Vehicle number="1">', '<Vehicle number="1">'),
+    ('<Vehicle number="2">', "<Vehicle>"),  # an unnumbered second vehicle reads as 2
+], ids=["both_1", "2_then_unnumbered"])
+def test_duplicate_vehicle_ids_keep_their_own_trajectories(tmp_path, first, second):
+    fixtures = tmp_path / "fixtures"
+    key = corpus.write_case(fixtures, "ftf_straight", 501, 30)
+    path = fixtures / f"{key.slug}.xml"
+    head, tail = path.read_text("utf-8").split('<Vehicle number="2">')
+    path.write_text(head.replace('<Vehicle number="1">', first) + second + tail, encoding="utf-8")
+    config = PipelineConfig(offline=True, fixtures_dir=fixtures, out_dir=tmp_path / "out")
+    package = run_case(key, config).package
+    assert package is not None
+    doc = json.loads((package.directory / "scenario.json").read_text("utf-8"))
+    assert len({v["id"] for v in doc["vehicles"]}) == 1
+    for vehicle in doc["vehicles"]:
+        start = vehicle["waypoints"][0]
+        assert (start["x"], start["y"]) == (vehicle["spawn"]["x"], vehicle["spawn"]["y"])
+
+
+_OVERPASS_TIMEOUT = """<?xml version="1.0" encoding="UTF-8"?>
+<osm version="0.6" generator="Overpass API">
+<remark> runtime error: Query timed out in "query" at line 1 after 61 seconds. </remark>
+</osm>
+"""
+
+
+@pytest.mark.parametrize("answer", [
+    "<html><body>Too many requests<br></body></html>",
+    "truncated",
+    "<html>busy</html>",
+    _OVERPASS_TIMEOUT,
+], ids=["malformed_html", "truncated", "html", "overpass_timeout"])
+def test_unreadable_overpass_answer_is_a_fetch_failure_and_not_cached(tmp_path, answer):
+    origin = corpus.case_origin(0)
+    report, osm_text = corpus.case_fixture("ftf_straight", origin)
+    if answer == "truncated":
+        answer = osm_text[: len(osm_text) // 2]
+    cache = tmp_path / "cache"
+    config = PipelineConfig(cache_dir=cache, out_dir=tmp_path / "out",
+                            report_transport=lambda url: report,
+                            osm_transport=lambda url, query: answer)
+    key = CaseKey(51, 320, 2023)
+    assert run_case(key, config).ledger_line() == f"{key.slug}\texcluded\tFetchFailed"
+    assert list(cache.glob("osm_*.osm")) == []
 
 
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """

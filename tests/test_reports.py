@@ -13,8 +13,8 @@ from crashtrace.reports import (
     RawCaseDocument,
     RoadTopology,
     TrajectoryRelation,
-    check_completeness,
     filter_dual_vehicle,
+    missing_fields,
     parse_report,
 )
 
@@ -148,25 +148,20 @@ def test_parse_deterministic():
 
 
 def test_completeness_all_present():
-    verdict = check_completeness(parse_report(_doc()))
-    assert verdict.accepted
-    assert verdict.missing_fields == ()
+    assert missing_fields(parse_report(_doc())) == ()
 
 
 def test_completeness_missing_coords():
-    verdict = check_completeness(parse_report(_doc(coords=None)))
-    assert not verdict.accepted
-    assert verdict.missing_fields == ("crash_coords",)
+    assert missing_fields(parse_report(_doc(coords=None))) == ("crash_coords",)
 
 
 def test_completeness_missing_topology_and_relation():
-    verdict = check_completeness(parse_report(_doc(topology=None, relation=None)))
-    assert set(verdict.missing_fields) == {"road_topology", "trajectory_relation"}
+    missing = missing_fields(parse_report(_doc(topology=None, relation=None)))
+    assert missing == ("road_topology", "trajectory_relation")
 
 
 def test_completeness_unrecognized_but_present_is_known():
-    verdict = check_completeness(parse_report(_doc(topology="Enneagram")))
-    assert verdict.accepted
+    assert missing_fields(parse_report(_doc(topology="Enneagram"))) == ()
 
 
 def test_dual_vehicle_filter():
