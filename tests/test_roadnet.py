@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +14,16 @@ from crashtrace.geometry import (
     project,
     unproject,
 )
-from crashtrace.osm import parse_osm
+from crashtrace.geometry import bearing, locate_on_polyline, point_at, polyline_length, wrap_angle
+from crashtrace.opendrive import emit_opendrive
+from crashtrace.osm import parse_osm, prune_osm, write_osm
 from crashtrace.roadnet import (
+    CRASH_ENVELOPE_SLACK_M,
+    FOLD_MAX_SEPARATION_LANE_WIDTHS,
+    MERGE_MAX_HEADING_DEG,
+    Road,
+    RoadNetwork,
+    _fold_pair,
     build_road_network,
     lane_offset,
     locate_crash_point,
@@ -28,9 +38,111 @@ ORIGIN = case_origin(0)
 
 
 def _network(nodes, ways, origin=ORIGIN, unify=False):
+    """The built network, unified when asked, and its graph.
+
+    Every unification here is also checked against the fixed-point oracle.
+    """
     graph = parse_osm(osm_xml(origin, nodes, ways))
     network = build_road_network(graph, origin)
-    return (unify_lanes(network) if unify else network), graph
+    return (_unified(network) if unify else network), graph
+
+
+def _unified(network):
+    unified = unify_lanes(network)
+    assert unified == _fixed_point_unify(network)
+    return unified
+
+
+# --- reference unification: merge everything, fold the first pair, repeat ---
+
+
+def _fixed_point_unify(network):
+    """Lane unification as a fixed-point loop, an oracle for ``unify_lanes``.
+
+    Before each fold every endpoint is swept for merges; then the first
+    foldable pair in road-id order is folded, until none is left.
+    """
+    roads = {r.road_id: r for r in sorted(network.roads, key=lambda r: r.road_id)}
+    junction_nodes = {j.node_id for j in network.junctions}
+    id_map = {}
+
+    def resolve(rid):
+        while rid in id_map:
+            rid = id_map[rid]
+        return rid
+
+    def merge_all():
+        ends = {}
+        for road in roads.values():
+            ends.setdefault(road.node_ids[0], []).append(road.road_id)
+            ends.setdefault(road.node_ids[-1], []).append(road.road_id)
+        for nid in sorted(ends):
+            if nid in junction_nodes or len(ends[nid]) != 2:
+                continue
+            a_id, b_id = sorted(resolve(rid) for rid in ends[nid])
+            if a_id == b_id:
+                continue
+            a, b = roads[a_id], roads[b_id]
+            if a.name_key != b.name_key:
+                continue
+            a_o = a if a.node_ids[-1] == nid else a.reversed()
+            b_o = b if b.node_ids[0] == nid else b.reversed()
+            h_out = bearing(a_o.centerline[-2], a_o.centerline[-1])
+            h_in = bearing(b_o.centerline[0], b_o.centerline[1])
+            if abs(wrap_angle(h_in - h_out)) > math.radians(MERGE_MAX_HEADING_DEG):
+                continue
+            if (a_o.lanes_forward, a_o.lanes_backward) != (b_o.lanes_forward, b_o.lanes_backward):
+                continue
+            merged = replace(a_o, centerline=a_o.centerline + b_o.centerline[1:],
+                             node_ids=a_o.node_ids + b_o.node_ids[1:])
+            roads[a_id] = merged.reversed() if merged.lanes_forward == 0 else merged
+            del roads[b_id]
+            id_map[b_id] = a_id
+
+    def mean_heading(road):
+        sx = sy = 0.0
+        for p, q in zip(road.centerline, road.centerline[1:]):
+            h = bearing(p, q)
+            w = math.dist(p, q)
+            sx += w * math.cos(h)
+            sy += w * math.sin(h)
+        return math.atan2(sy, sx)
+
+    def fold_once():
+        ordered = list(roads.values())
+        for ia, a in enumerate(ordered):
+            if a.lanes_backward != 0:
+                continue
+            for b in ordered[ia + 1:]:
+                if b.lanes_backward != 0 or a.name_key != b.name_key:
+                    continue
+                dh = abs(wrap_angle(mean_heading(a) - mean_heading(b) + math.pi))
+                if dh > math.radians(MERGE_MAX_HEADING_DEG):
+                    continue
+                mid_b = point_at(b.centerline, polyline_length(b.centerline) / 2)
+                if locate_on_polyline(a.centerline, mid_b).dist > (
+                        FOLD_MAX_SEPARATION_LANE_WIDTHS * a.lane_width):
+                    continue
+                longer_b = (polyline_length(b.centerline), b.road_id) > (
+                    polyline_length(a.centerline), a.road_id)
+                return a.road_id, b.road_id, _fold_pair(*((b, a) if longer_b else (a, b)))
+        return None
+
+    while True:
+        merge_all()
+        folded = fold_once()
+        if folded is None:
+            break
+        a_id, b_id, road = folded
+        roads[a_id] = road
+        del roads[b_id]
+        id_map[b_id] = a_id
+
+    junctions = tuple(
+        replace(j, members=tuple(sorted({resolve(m) for m in j.members} & roads.keys())))
+        for j in network.junctions
+    )
+    return RoadNetwork(network.origin, tuple(roads.values()), junctions, network.node_positions)
 
 
 # --- projection ---
@@ -166,8 +278,8 @@ def test_unify_preserves_t_junction():
 
 def test_unify_idempotent():
     network, _ = _network(*cross_layout())
-    once = unify_lanes(network)
-    twice = unify_lanes(once)
+    once = _unified(network)
+    twice = _unified(once)
     assert once == twice
 
 
@@ -175,7 +287,7 @@ def test_unify_concatenation_preserves_length():
     nodes, ways = grid_layout()
     network, _ = _network(nodes, ways)
     total = sum(r.length for r in network.roads)
-    unified = unify_lanes(network)
+    unified = _unified(network)
     assert sum(r.length for r in unified.roads) == pytest.approx(total, rel=1e-9)
 
 
@@ -234,15 +346,16 @@ def test_unify_fold_frees_node_for_merge():
     assert _structure(network)[0] == [(10, 1, 1, (1, 2, 5))]
 
 
-def _fragmented_grid(seed: int, n: int = 3, pitch: float = 60.0) -> tuple[dict, list]:
+def _fragmented_grid(seed: int, n: int = 3, pitch: float = 60.0,
+                     dual: tuple[int, ...] = (1,)) -> tuple[dict, list]:
     """n x n street grid cut at seeded points into two-node ways.
 
-    Street 1 of each direction is a pair of one-way carriageways 5 m apart
-    whose ways are numbered along travel; two-way pieces are drawn in random
-    directions and node ids are shuffled.
+    The streets numbered in ``dual`` (in each direction) are pairs of one-way
+    carriageways 5 m apart whose ways are numbered along travel; two-way
+    pieces are drawn in random directions and node ids are shuffled.
     """
     rng = random.Random(seed)
-    lines = [[i * pitch - 2.5, i * pitch + 2.5] if i == 1 else [i * pitch] for i in range(n)]
+    lines = [[i * pitch - 2.5, i * pitch + 2.5] if i in dual else [i * pitch] for i in range(n)]
     stations = [p for line in lines for p in line]
     index: dict[tuple[float, float], int] = {}
     ways = []
@@ -315,6 +428,46 @@ def test_unify_fragmented_grid_structure():
     assert _structure(network) == GRID_STRUCTURE
 
 
+def test_unify_matches_fixed_point_oracle_on_fragmented_grids():
+    # seeded grids with no, one and several dual streets; _network checks each
+    layouts = [(seed, n, dual) for seed in range(6) for n, dual in
+               ((3, ()), (3, (1,)), (4, (0, 2)), (5, (1, 3)))]
+    layouts.append((99, 9, (1, 4, 7)))
+    for seed, n, dual in layouts:
+        network, _ = _network(*_fragmented_grid(seed, n, dual=dual), unify=True)
+        assert network.roads
+
+
+# sha256 over map.osm, map.xodr, the geometric check and 300 crash fixes
+# of each pruned, built and unified _fragmented_grid(seed, n, dual=dual)
+GRID_BYTES = {
+    (1, 3, (1,)): "84fbe8d16f38b6249bc900f629c4e5fc5042504f11d2fef9c40bbb90bc28e6e9",
+    (2, 3, (1,)): "4064c86ef94f6e84d9cbeb6a97ae555fce01282359bf731165afdcabd071f525",
+    (3, 3, (0, 2)): "e90c80ded29099ec9767aa0dcb7f3c265848bdb6eb70e30015e822b92111a424",
+    (4, 10, (1, 4, 7)): "857cac443a3d9863e25d9bfea145388bf6532f207b9ab2035454e33e7e33daa5",
+}
+
+
+@pytest.mark.parametrize("seed, n, dual", sorted(GRID_BYTES),
+                         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_fragmented_grid_bytes(seed, n, dual):
+    pitch = 60.0
+    nodes, ways = _fragmented_grid(seed, n, pitch, dual)
+    graph = prune_osm(parse_osm(osm_xml(ORIGIN, nodes, ways)), ORIGIN, 0.8 * n * pitch)
+    network = unify_lanes(build_road_network(graph, ORIGIN))
+    rng = random.Random(seed)
+    fixes = [
+        locate_crash_point(network, PlanarPoint(rng.uniform(-10.0, n * pitch),
+                                                rng.uniform(-10.0, n * pitch)))
+        for _ in range(300)
+    ]
+    digest = hashlib.sha256()
+    for part in (write_osm(graph), emit_opendrive(network),
+                 repr(validate_geometry(graph, network, ORIGIN)), repr(fixes)):
+        digest.update(part.encode("utf-8"))
+    assert digest.hexdigest() == GRID_BYTES[seed, n, dual]
+
+
 # --- crash-point location ---
 
 
@@ -353,6 +506,50 @@ def test_locate_ignores_footway():
     fix = locate_crash_point(network, PlanarPoint(0.0, 4.5))
     assert fix is not None and fix.road_id == 10
     assert fix.offset == pytest.approx(4.5)
+
+
+def _nearest_envelope(network, crash):
+    """``locate_crash_point`` without any reject: every road is projected."""
+    best = None
+    for road in network.roads:
+        fix = locate_on_polyline(road.centerline, crash)
+        if fix.dist > road.half_width + CRASH_ENVELOPE_SLACK_M:
+            continue
+        cand = (fix.dist, road.road_id, (road.road_id, fix.s, fix.offset))
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    return best[2] if best else None
+
+
+def test_locate_matches_unfiltered_scan():
+    rng = random.Random(5)
+    checked = hits = 0
+    for trial in range(60):
+        roads = []
+        for rid in range(8):
+            # a random walk; every third road doubles back on itself (a hairpin)
+            x, y = rng.randint(-60, 60), rng.randint(-60, 60)
+            h = rng.uniform(-math.pi, math.pi)
+            pts = [PlanarPoint(float(x), float(y))]
+            for k in range(rng.randint(1, 6)):
+                h += math.pi * 0.97 if rid % 3 == 0 and k == 1 else rng.uniform(-0.8, 0.8)
+                step = rng.uniform(2.0, 40.0)
+                pts.append(PlanarPoint(pts[-1].x + step * math.cos(h), pts[-1].y + step * math.sin(h)))
+            roads.append(Road(rid + 1, tuple(pts), rng.randint(1, 2), rng.randint(0, 2), 3.5, ""))
+        # axis-aligned road: points exactly on its envelope edge are exact in binary
+        edge = Road(20, (PlanarPoint(-50.0, 0.0), PlanarPoint(50.0, 0.0)), 1, 1, 3.5, "")
+        network = RoadNetwork(ORIGIN, (*roads, edge), (), {})
+        limit = edge.half_width + CRASH_ENVELOPE_SLACK_M
+        points = [PlanarPoint(rng.uniform(-120, 120), rng.uniform(-120, 120)) for _ in range(40)]
+        points += [PlanarPoint(float(x), side * limit) for x in (-50, -7, 0, 31, 50) for side in (1, -1)]
+        points += [PlanarPoint(-50.0 - limit, 0.0), PlanarPoint(50.0 + limit, 0.0)]
+        points += [road.centerline[0] for road in roads] + [road.centerline[-1] for road in roads]
+        for p in points:
+            got = locate_crash_point(network, p)
+            assert (tuple(got) if got else None) == _nearest_envelope(network, p), (trial, p)
+            checked += 1
+            hits += got is not None
+    assert checked == 4080 and hits > 1000
 
 
 # --- geometric validation ---
