@@ -52,13 +52,20 @@ def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
     x grows east, y grows north; ``project(origin, origin)`` is exactly (0, 0).
     Raises OutOfExtent beyond 1 degree of the origin in either coordinate.
     """
-    dlat = p.latitude - origin.latitude
-    dlon = p.longitude - origin.longitude
-    if abs(dlat) > MAX_EXTENT_DEG or abs(dlon) > MAX_EXTENT_DEG:
+    if not (projected := project_all({0: p}, origin)):
         raise OutOfExtent(f"point {p} more than {MAX_EXTENT_DEG} deg from origin {origin}")
-    x = EARTH_RADIUS_M * math.cos(math.radians(origin.latitude)) * math.radians(dlon)
-    y = EARTH_RADIUS_M * math.radians(dlat)
-    return PlanarPoint(x, y)
+    return projected[0]
+
+
+def project_all(points: dict[int, GeoPoint], origin: GeoPoint) -> dict[int, PlanarPoint]:
+    """:func:`project` of each point within 1 degree of ``origin``; the rest are left out."""
+    lat0, lon0 = origin
+    kx = EARTH_RADIUS_M * math.cos(math.radians(lat0))
+    return {
+        nid: PlanarPoint(kx * math.radians(lon - lon0), EARTH_RADIUS_M * math.radians(lat - lat0))
+        for nid, (lat, lon) in points.items()
+        if not (abs(lat - lat0) > MAX_EXTENT_DEG or abs(lon - lon0) > MAX_EXTENT_DEG)
+    }
 
 
 def unproject(p: PlanarPoint, origin: GeoPoint) -> GeoPoint:

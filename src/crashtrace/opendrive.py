@@ -22,10 +22,6 @@ from .osm import xml_escape
 from .roadnet import Junction, Road, RoadNetwork
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def emit_opendrive(network: RoadNetwork) -> str:
     """Serialize a road network as an OpenDRIVE document."""
     if not network.roads:
@@ -42,8 +38,8 @@ def emit_opendrive(network: RoadNetwork) -> str:
     out = ['<?xml version="1.0" encoding="UTF-8"?>', "<OpenDRIVE>"]
     out.append(
         f'  <header revMajor="1" revMinor="4" name="" version="1.00" '
-        f'north="{_fmt(max(ys))}" south="{_fmt(min(ys))}" '
-        f'east="{_fmt(max(xs))}" west="{_fmt(min(xs))}">'
+        f'north="{max(ys)!r}" south="{min(ys)!r}" '
+        f'east="{max(xs)!r}" west="{min(xs)!r}">'
     )
     out.append(f"    <geoReference><![CDATA[{geo_ref}]]></geoReference>")
     out.append("  </header>")
@@ -59,15 +55,15 @@ def emit_opendrive(network: RoadNetwork) -> str:
 def _road_xml(road: Road) -> list[str]:
     cum = cumulative_lengths(road.centerline)
     lines = [
-        f'  <road name="{xml_escape(road.name_key)}" length="{_fmt(cum[-1])}" '
+        f'  <road name="{xml_escape(road.name_key)}" length="{cum[-1]!r}" '
         f'id="{road.road_id}" junction="-1">'
     ]
     lines.append("    <planView>")
     for i in range(len(road.centerline) - 1):
         a, b = road.centerline[i], road.centerline[i + 1]
         lines.append(
-            f'      <geometry s="{_fmt(cum[i])}" x="{_fmt(a.x)}" y="{_fmt(a.y)}" '
-            f'hdg="{_fmt(bearing(a, b))}" length="{_fmt(cum[i + 1] - cum[i])}">'
+            f'      <geometry s="{cum[i]!r}" x="{a.x!r}" y="{a.y!r}" '
+            f'hdg="{bearing(a, b)!r}" length="{cum[i + 1] - cum[i]!r}">'
             "<line/></geometry>"
         )
     lines.append("    </planView>")
@@ -75,7 +71,7 @@ def _road_xml(road: Road) -> list[str]:
     def lane_xml(lane_id: int) -> str:
         return (
             f'          <lane id="{lane_id}" type="driving" level="false">'
-            f'<width sOffset="0.0" a="{_fmt(road.lane_width)}" b="0.0" c="0.0" d="0.0"/>'
+            f'<width sOffset="0.0" a="{road.lane_width!r}" b="0.0" c="0.0" d="0.0"/>'
             "</lane>"
         )
 
@@ -105,11 +101,11 @@ def _junction_xml(junction: Junction) -> list[str]:
             f'    <connection id="{i}" incomingRoad="{member}" '
             f'connectingRoad="{member}" contactPoint="start"/>'
         )
-    boundary = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in junction.boundary)
+    boundary = " ".join(f"{p.x!r},{p.y!r}" for p in junction.boundary)
     lines.append("    <userData>")
     lines.append(
-        f'      <center node="{junction.node_id}" x="{_fmt(junction.center.x)}" '
-        f'y="{_fmt(junction.center.y)}"/>'
+        f'      <center node="{junction.node_id}" x="{junction.center.x!r}" '
+        f'y="{junction.center.y!r}"/>'
     )
     lines.append(f"      <boundary>{boundary}</boundary>")
     lines.append("    </userData>")

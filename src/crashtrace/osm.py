@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import urlencode
 
-from .errors import EmptyAfterPrune, EmptyExtract, NetworkError, OutOfExtent
-from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project
+from .errors import EmptyAfterPrune, EmptyExtract, NetworkError
+from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project_all
 from .source import ReadThroughSource, http_text
 
 DEFAULT_OVERPASS_URL = "https://overpass-api.de/api/interpreter"
@@ -65,16 +65,19 @@ def parse_osm(text: str) -> OsmGraph:
         raise ValueError(f"not an OSM extract: <{root.tag}> {(remark or '').strip()}")
     nodes: dict[int, GeoPoint] = {}
     ways: dict[int, OsmWay] = {}
+    way_elements = []
     try:
-        for el in root.iterfind("node"):
-            nodes[int(el.get("id"))] = GeoPoint(float(el.get("lat")), float(el.get("lon")))
-        for el in root.iterfind("way"):
-            refs = tuple(
-                ref for nd in el.iterfind("nd") if (ref := int(nd.get("ref"))) in nodes
-            )
+        for el in root:  # ways wait for every node
+            if el.tag == "node":
+                nodes[int(el.get("id"))] = GeoPoint(float(el.get("lat")), float(el.get("lon")))
+            elif el.tag == "way":
+                way_elements.append(el)
+        for el in way_elements:
+            refs = tuple(ref for nd in el
+                         if nd.tag == "nd" and (ref := int(nd.get("ref"))) in nodes)
             if len(refs) < 2:
                 continue
-            tags = {t.get("k"): t.get("v", "") for t in el.iterfind("tag")}
+            tags = {t.get("k"): t.get("v", "") for t in el if t.tag == "tag"}
             ways[int(el.get("id"))] = OsmWay(refs, tags)
     except (TypeError, ValueError) as exc:  # int(None)/float(None) raise TypeError
         raise ValueError(f"unreadable <{el.tag}> {el.attrib}: {exc}") from exc
@@ -105,6 +108,8 @@ def xml_escape(s: str) -> str:
     ``xml.sax.saxutils.escape`` gives the same text, but importing it loads
     ``urllib.request``, which an offline run never needs.
     """
+    if "&" not in s and "<" not in s and ">" not in s and '"' not in s:
+        return s
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
@@ -218,11 +223,11 @@ def _scan_fixtures(
     return boxes
 
 
-def _way_within(graph: OsmGraph, way: OsmWay, center: GeoPoint, radius_m: float) -> bool:
-    """True when any part of the way passes within ``radius_m`` of ``center``."""
+def _way_within(positions: dict[int, PlanarPoint], way: OsmWay, radius_m: float) -> bool:
+    """True when any part of the way passes within ``radius_m`` of the origin of ``positions``."""
     try:
-        pts: list[PlanarPoint] = [project(graph.nodes[ref], center) for ref in way.nodes]
-    except OutOfExtent:
+        pts = [positions[ref] for ref in way.nodes]
+    except KeyError:
         return False  # over a degree away: certainly outside any sane radius
     for a, b in zip(pts, pts[1:]):
         dx, dy = b.x - a.x, b.y - a.y
@@ -240,10 +245,11 @@ def prune_osm(graph: OsmGraph, center: GeoPoint, radius_m: float) -> OsmGraph:
     roads running past the crash site survive even when all their nodes sit
     outside the radius. Idempotent.
     """
+    positions = project_all(graph.nodes, center)
     kept_ways = {
         wid: way
         for wid, way in graph.ways.items()
-        if way.is_road and _way_within(graph, way, center, radius_m)
+        if way.is_road and _way_within(positions, way, radius_m)
     }
     if not kept_ways:
         raise EmptyAfterPrune(f"no road within {radius_m} m of {center}")

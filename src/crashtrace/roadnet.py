@@ -29,7 +29,7 @@ from .geometry import (
     locate_on_polyline,
     point_at,
     polyline_length,
-    project,
+    project_all,
     resample_count,
     tangent_at,
     wrap_angle,
@@ -65,13 +65,8 @@ class Road:
         return self.lane_count * self.lane_width / 2.0
 
     def reversed(self) -> "Road":
-        return replace(
-            self,
-            centerline=tuple(reversed(self.centerline)),
-            lanes_forward=self.lanes_backward,
-            lanes_backward=self.lanes_forward,
-            node_ids=tuple(reversed(self.node_ids)),
-        )
+        return Road(self.road_id, self.centerline[::-1], self.lanes_backward,
+                    self.lanes_forward, self.lane_width, self.name_key, self.node_ids[::-1])
 
 
 @dataclass(frozen=True)
@@ -182,8 +177,9 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
     """Project a pruned OSM graph onto the local plane and assemble roads.
 
     A road runs in its direction of travel: ``oneway=-1`` ways are reversed.
+    Every node must lie within a degree of ``origin``, as after ``prune_osm``.
     """
-    node_positions = {nid: project(p, origin) for nid, p in graph.nodes.items()}
+    node_positions = project_all(graph.nodes, origin)
 
     roads: list[Road] = []
     for wid in sorted(graph.ways):
@@ -209,34 +205,35 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
     return RoadNetwork(origin, tuple(roads), tuple(junctions), node_positions)
 
 
+# junction boundary: 16-gon of one lane width radius, counterclockwise from angle pi
+_BOUNDARY_OFFSETS = tuple(
+    (DEFAULT_LANE_WIDTH_M * math.cos(a), DEFAULT_LANE_WIDTH_M * math.sin(a))
+    for a in (2 * math.pi * (k % 16) / 16 for k in range(8, 24))
+)
+
+
 def _detect_junctions(
     roads: list[Road], node_positions: dict[int, PlanarPoint]
 ) -> list[Junction]:
-    incident: dict[int, list[tuple[int, bool]]] = {}
+    incident: dict[int, list[tuple[int, str, bool]]] = {}
     for road in roads:
         last = len(road.node_ids) - 1
         for i, nid in enumerate(road.node_ids):
-            incident.setdefault(nid, []).append((road.road_id, i == 0 or i == last))
+            incident.setdefault(nid, []).append((road.road_id, road.name_key, i == 0 or i == last))
 
-    by_id = {r.road_id: r for r in roads}
     junctions = []
     jid = 0
     for nid in sorted(incident):
         entries = incident[nid]
-        member_ids = sorted({rid for rid, _ in entries})
+        member_ids = sorted({rid for rid, _, _ in entries})
         if len(member_ids) < 2:
             continue
-        end_count = sum(1 for _, at_end in entries if at_end)
-        names = {by_id[rid].name_key for rid in member_ids}
+        end_count = sum(1 for _, _, at_end in entries if at_end)
+        names = {name for _, name, _ in entries}
         if end_count < 3 and len(names) < 2:
             continue
         center = node_positions[nid]
-        # boundary: 16-gon of one lane width radius, counterclockwise from angle pi
-        boundary = tuple(
-            PlanarPoint(center.x + DEFAULT_LANE_WIDTH_M * math.cos(a),
-                        center.y + DEFAULT_LANE_WIDTH_M * math.sin(a))
-            for a in (2 * math.pi * (k % 16) / 16 for k in range(8, 24))
-        )
+        boundary = tuple(PlanarPoint(center.x + dx, center.y + dy) for dx, dy in _BOUNDARY_OFFSETS)
         junctions.append(Junction(jid, nid, center, tuple(member_ids), boundary))
         jid += 1
     return junctions
@@ -255,31 +252,54 @@ def unify_lanes(network: RoadNetwork) -> RoadNetwork:
     direction of travel. Folding collapses a pair of antiparallel
     one-directional segments of the same named road (within 1.5 lane widths
     of each other) into a single two-way road along their midline, so
-    lateral transitions and wrong-way travel stay representable. Every
-    possible merge runs before each fold, because a fold can free a node
-    for merging. Runs to a fixed point, hence idempotent.
+    lateral transitions and wrong-way travel stay representable.
+
+    One merge sweep, then one fold scan in road-id order, reach the fixed
+    point: merges need equal lanes and a folded road has lanes both ways, so
+    one-directional roads only fold away after the sweep, and a fold frees
+    at most its own end nodes for a merge. Idempotent.
     """
     roads = {r.road_id: r for r in sorted(network.roads, key=lambda r: r.road_id)}
     junction_nodes = {j.node_id for j in network.junctions}
     id_map: dict[int, int] = {}
+    ends: dict[int, list[int]] = {}
+    for road in roads.values():
+        ends.setdefault(road.node_ids[0], []).append(road.road_id)
+        ends.setdefault(road.node_ids[-1], []).append(road.road_id)
+    for nid in sorted(ends):
+        _merge_at(nid, roads, ends, junction_nodes, id_map)
 
-    while True:
-        _merge_all(roads, junction_nodes, id_map)
-        folded = _fold_once(list(roads.values()))
-        if folded is None:
-            break
-        a_id, b_id, road = folded
-        roads[a_id] = road
-        del roads[b_id]
-        id_map[b_id] = a_id
+    one_way = [r for r in roads.values() if r.lanes_backward == 0]
+    facts: dict[int, tuple[float, float, PlanarPoint]] = {}  # mean heading, length, midpoint
+    by_name: dict[str, list[Road]] = {}
+    for r in one_way:
+        length = polyline_length(r.centerline)
+        facts[r.road_id] = (_mean_heading(r), length, point_at(r.centerline, length / 2))
+        by_name.setdefault(r.name_key, []).append(r)
+    for a in one_way:  # a bucket keeps the roads not yet visited or folded
+        bucket = by_name[a.name_key]
+        if a not in bucket:
+            continue
+        bucket.remove(a)
+        if (b := next((b for b in bucket if not _cannot_fold(a, b, facts)), None)) is None:
+            continue
+        bucket.remove(b)
+        longer_b = (facts[b.road_id][1], b.road_id) > (facts[a.road_id][1], a.road_id)
+        primary, secondary = (b, a) if longer_b else (a, b)
+        for nid in (secondary.node_ids[0], secondary.node_ids[-1]):
+            ends[nid] = [rid for rid in ends[nid] if _resolve(id_map, rid) != secondary.road_id]
+        road = _fold_pair(primary, secondary)
+        roads[a.road_id] = road
+        del roads[b.road_id]
+        id_map[b.road_id] = a.road_id
+        for nid in sorted({road.node_ids[0], road.node_ids[-1]}):
+            _merge_at(nid, roads, ends, junction_nodes, id_map)
 
-    junctions = []
-    for j in network.junctions:
-        members = tuple(sorted({_resolve(id_map, m) for m in j.members} & roads.keys()))
-        junctions.append(replace(j, members=members))
-
-    return RoadNetwork(network.origin, tuple(roads.values()), tuple(junctions),
-                       network.node_positions)
+    junctions = tuple(
+        replace(j, members=tuple(sorted({_resolve(id_map, m) for m in j.members} & roads.keys())))
+        for j in network.junctions
+    )
+    return RoadNetwork(network.origin, tuple(roads.values()), junctions, network.node_positions)
 
 
 def _resolve(id_map: dict[int, int], rid: int) -> int:
@@ -288,47 +308,35 @@ def _resolve(id_map: dict[int, int], rid: int) -> int:
     return rid
 
 
-def _merge_all(roads: dict[int, Road], junction_nodes: set[int], id_map: dict[int, int]) -> None:
-    """Join, in ascending node id, every pair of roads meeting end to end.
-
-    A merge at one node never changes whether another node qualifies: the
-    checks read only the end segments, names and lanes at that node, and a
-    merge keeps all of them. So one sweep over the endpoints at its start
-    finds every merge; the lower road id survives and the merged road runs
-    from the lower-id road into the other one, then is reversed if that
-    leaves it one-way against its travel.
-    """
-    ends: dict[int, list[int]] = {}
-    for road in roads.values():
-        ends.setdefault(road.node_ids[0], []).append(road.road_id)
-        ends.setdefault(road.node_ids[-1], []).append(road.road_id)
-
-    for nid in sorted(ends):
-        if nid in junction_nodes or len(ends[nid]) != 2:
-            continue
-        a_id, b_id = sorted(_resolve(id_map, rid) for rid in ends[nid])
-        if a_id == b_id:
-            continue  # loop way
-        a, b = roads[a_id], roads[b_id]
-        if a.name_key != b.name_key:
-            continue
-        # orient a to end at the joint and b to start there
-        a_o = a if a.node_ids[-1] == nid else a.reversed()
-        b_o = b if b.node_ids[0] == nid else b.reversed()
-        h_out = bearing(a_o.centerline[-2], a_o.centerline[-1])
-        h_in = bearing(b_o.centerline[0], b_o.centerline[1])
-        if abs(wrap_angle(h_in - h_out)) > math.radians(MERGE_MAX_HEADING_DEG):
-            continue
-        if (a_o.lanes_forward, a_o.lanes_backward) != (b_o.lanes_forward, b_o.lanes_backward):
-            continue
-        merged = replace(
-            a_o,
-            centerline=a_o.centerline + b_o.centerline[1:],
-            node_ids=a_o.node_ids + b_o.node_ids[1:],
-        )
-        roads[a_id] = merged.reversed() if merged.lanes_forward == 0 else merged
-        del roads[b_id]
-        id_map[b_id] = a_id
+def _merge_at(nid: int, roads: dict[int, Road], ends: dict[int, list[int]],
+              junction_nodes: set[int], id_map: dict[int, int]) -> None:
+    """Join the two roads (``ends`` lists them by any id they had) that meet end
+    to end at ``nid``, if they qualify. The lower id survives; the merged road
+    runs from it into the other, then is reversed if that leaves it one-way
+    against its travel. The checks read only what a merge keeps."""
+    if nid in junction_nodes or len(ends[nid]) != 2:
+        return
+    a_id, b_id = sorted(_resolve(id_map, rid) for rid in ends[nid])
+    if a_id == b_id:
+        return  # loop way, or a node merged already
+    a, b = roads[a_id], roads[b_id]
+    if a.name_key != b.name_key:
+        return
+    # orient a to end at the joint and b to start there
+    a_o = a if a.node_ids[-1] == nid else a.reversed()
+    b_o = b if b.node_ids[0] == nid else b.reversed()
+    h_out = bearing(a_o.centerline[-2], a_o.centerline[-1])
+    h_in = bearing(b_o.centerline[0], b_o.centerline[1])
+    if abs(wrap_angle(h_in - h_out)) > math.radians(MERGE_MAX_HEADING_DEG):
+        return
+    if (a_o.lanes_forward, a_o.lanes_backward) != (b_o.lanes_forward, b_o.lanes_backward):
+        return
+    merged = Road(a_id, a_o.centerline + b_o.centerline[1:], a_o.lanes_forward,
+                  a_o.lanes_backward, a_o.lane_width, a_o.name_key,
+                  a_o.node_ids + b_o.node_ids[1:])
+    roads[a_id] = merged.reversed() if merged.lanes_forward == 0 else merged
+    del roads[b_id]
+    id_map[b_id] = a_id
 
 
 def _mean_heading(road: Road) -> float:
@@ -341,47 +349,32 @@ def _mean_heading(road: Road) -> float:
     return math.atan2(sy, sx)
 
 
-def _fold_once(roads: list[Road]) -> tuple[int, int, Road] | None:
-    """The first foldable pair in road order, as (lower id, higher id, folded road)."""
-    for ia in range(len(roads)):
-        a = roads[ia]
-        if a.lanes_backward != 0:
-            continue
-        for ib in range(ia + 1, len(roads)):
-            b = roads[ib]
-            if b.lanes_backward != 0 or a.name_key != b.name_key:
-                continue
-            dh = abs(wrap_angle(_mean_heading(a) - _mean_heading(b) + math.pi))
-            if dh > math.radians(MERGE_MAX_HEADING_DEG):
-                continue
-            mid_b = point_at(b.centerline, polyline_length(b.centerline) / 2)
-            fix = locate_on_polyline(a.centerline, mid_b)
-            if fix.dist > FOLD_MAX_SEPARATION_LANE_WIDTHS * a.lane_width:
-                continue
-            return a.road_id, b.road_id, _fold_pair(a, b)
-    return None
+def _cannot_fold(a: Road, b: Road, facts: dict[int, tuple[float, float, PlanarPoint]]) -> bool:
+    """Whether b is not antiparallel to a or its midpoint is off a's centerline."""
+    heading_a, length_a, _ = facts[a.road_id]
+    heading_b, _, mid_b = facts[b.road_id]
+    limit = FOLD_MAX_SEPARATION_LANE_WIDTHS * a.lane_width
+    return (abs(wrap_angle(heading_a - heading_b + math.pi)) > math.radians(MERGE_MAX_HEADING_DEG)
+            or _beyond(a.centerline, length_a, mid_b, limit)
+            or locate_on_polyline(a.centerline, mid_b).dist > limit)
 
 
-def _fold_pair(a: Road, b: Road) -> Road:
-    # the longer side is primary: its direction becomes forward
-    if (polyline_length(b.centerline), b.road_id) > (polyline_length(a.centerline), a.road_id):
-        a, b = b, a
-    b_rev = tuple(reversed(b.centerline))
-    n = max(len(a.centerline), len(b_rev), 2)
-    pts_a = resample_count(a.centerline, n)
-    pts_b = resample_count(b_rev, n)
-    midline = tuple(
-        PlanarPoint((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in zip(pts_a, pts_b)
-    )
-    return Road(
-        road_id=min(a.road_id, b.road_id),
-        centerline=midline,
-        lanes_forward=a.lanes_forward,
-        lanes_backward=b.lanes_forward,
-        lane_width=a.lane_width,
-        name_key=a.name_key,
-        node_ids=a.node_ids,
-    )
+def _beyond(line: tuple[PlanarPoint, ...], length: float, p: PlanarPoint, limit: float) -> bool:
+    """Whether ``p`` is surely over ``limit`` from the polyline: its points lie
+    within ``length`` of its first (triangle inequality; 1e-6 covers rounding)."""
+    return distance(p, line[0]) - length > limit + 1e-6
+
+
+def _fold_pair(primary: Road, secondary: Road) -> Road:
+    """The two-way road along the midline of two opposing carriageways; the
+    primary's direction becomes forward."""
+    back = secondary.centerline[::-1]
+    n = max(len(primary.centerline), len(back), 2)
+    pts_a = resample_count(primary.centerline, n)
+    pts_b = resample_count(back, n)
+    midline = tuple(PlanarPoint((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in zip(pts_a, pts_b))
+    return Road(min(primary.road_id, secondary.road_id), midline, primary.lanes_forward,
+                secondary.lanes_forward, primary.lane_width, primary.name_key, primary.node_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +389,16 @@ def locate_crash_point(network: RoadNetwork, crash: PlanarPoint) -> RoadLocation
     of slack. Returns None (off-road) when no envelope contains the point;
     among containing roads the nearest centerline wins, then the lowest id.
     """
-    best: tuple[float, int, RoadLocation] | None = None
+    hits = []
     for road in network.roads:
-        fix = locate_on_polyline(road.centerline, crash)
-        if fix.dist > road.half_width + CRASH_ENVELOPE_SLACK_M:
+        limit = road.half_width + CRASH_ENVELOPE_SLACK_M
+        if _beyond(road.centerline, road.length, crash, limit):
             continue
-        cand = (fix.dist, road.road_id, RoadLocation(road.road_id, fix.s, fix.offset))
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    return best[2] if best else None
+        fix = locate_on_polyline(road.centerline, crash)
+        if fix.dist > limit:
+            continue
+        hits.append((fix.dist, road.road_id, fix.s, fix.offset))
+    return RoadLocation(*min(hits)[1:]) if hits else None
 
 
 @dataclass(frozen=True)
@@ -425,17 +419,12 @@ def validate_geometry(graph, network: RoadNetwork, origin: GeoPoint) -> GeoValid
     if len(candidates) < 5:
         raise TooFewNodes(f"need 5 nodes for geometric validation, have {len(candidates)}")
 
-    projected = {nid: project(graph.nodes[nid], origin) for nid in candidates}
-    selectors = [
-        lambda nid: (projected[nid].x ** 2 + projected[nid].y ** 2, nid),
-        lambda nid: (-projected[nid].x, nid),
-        lambda nid: (projected[nid].x, nid),
-        lambda nid: (-projected[nid].y, nid),
-        lambda nid: (projected[nid].y, nid),
-    ]
+    projected = project_all(graph.nodes, origin)
     chosen: list[int] = []
-    for key in selectors:
-        chosen.append(min((nid for nid in candidates if nid not in chosen), key=key))
+    for rank in (lambda p: p.x ** 2 + p.y ** 2, lambda p: -p.x, lambda p: p.x,
+                 lambda p: -p.y, lambda p: p.y):
+        chosen.append(min((nid for nid in candidates if nid not in chosen),
+                          key=lambda nid: (rank(projected[nid]), nid)))
 
     samples = [(graph.nodes[nid], network.node_positions[nid]) for nid in chosen]
     worst = 0.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any, Callable
 
@@ -76,7 +77,7 @@ class ReadThroughSource:
     ``_remote(request)``, the fetch through ``self._transport``. They may
     override ``_parse(text)``, which turns fetched or cached text into the
     document, raising SyntaxError or ValueError on text it cannot read, and
-    defaults to the text itself.
+    defaults to the text itself once it parses as XML.
     """
 
     def __init__(
@@ -92,6 +93,7 @@ class ReadThroughSource:
         self._transport = transport
 
     def _parse(self, text: str) -> Any:
+        ET.fromstring(text)  # ET.ParseError is a SyntaxError
         return text
 
     def _load(self, request) -> Any:

@@ -610,6 +610,23 @@ def test_unreadable_overpass_answer_is_a_fetch_failure_and_not_cached(tmp_path, 
     assert list(cache.glob("osm_*.osm")) == []
 
 
+def test_unreadable_crash_api_answer_is_a_fetch_failure_and_not_cached(tmp_path):
+    origin = corpus.case_origin(0)
+    report, osm_text = corpus.case_fixture("ftf_straight", origin)
+    cache = tmp_path / "cache"
+    key = CaseKey(51, 321, 2023)
+
+    def config(report_answer):
+        return PipelineConfig(cache_dir=cache, out_dir=tmp_path / "out",
+                              report_transport=lambda url: report_answer,
+                              osm_transport=lambda url, query: osm_text)
+
+    busy = run_case(key, config("<html><body>Service busy<br></body></html>"))
+    assert busy.ledger_line() == f"{key.slug}\texcluded\tFetchFailed"
+    assert not (cache / f"{key.slug}.xml").exists()
+    assert run_case(key, config(report)).ledger_line() == f"{key.slug}\tpackage\t-"
+
+
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """
 import sys
 from pathlib import Path
