@@ -42,7 +42,7 @@ CRASH_ENVELOPE_SLACK_M = 2.0
 GEO_VALIDATION_TOLERANCE = 0.005
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Road:
     road_id: int
     centerline: tuple[PlanarPoint, ...]
@@ -225,12 +225,11 @@ def _detect_junctions(
     jid = 0
     for nid in sorted(incident):
         entries = incident[nid]
+        names = {name for _, name, _ in entries}
+        if len(names) < 2 and (len(entries) < 3 or sum(at_end for _, _, at_end in entries) < 3):
+            continue  # under three road ends, all of one street
         member_ids = sorted({rid for rid, _, _ in entries})
         if len(member_ids) < 2:
-            continue
-        end_count = sum(1 for _, _, at_end in entries if at_end)
-        names = {name for _, name, _ in entries}
-        if end_count < 3 and len(names) < 2:
             continue
         center = node_positions[nid]
         boundary = tuple(PlanarPoint(center.x + dx, center.y + dy) for dx, dy in _BOUNDARY_OFFSETS)
@@ -286,7 +285,7 @@ def unify_lanes(network: RoadNetwork) -> RoadNetwork:
         bucket.remove(b)
         longer_b = (facts[b.road_id][1], b.road_id) > (facts[a.road_id][1], a.road_id)
         primary, secondary = (b, a) if longer_b else (a, b)
-        for nid in (secondary.node_ids[0], secondary.node_ids[-1]):
+        for nid in (secondary.node_ids[0], secondary.node_ids[-1]):  # the fold ends where primary does
             ends[nid] = [rid for rid in ends[nid] if _resolve(id_map, rid) != secondary.road_id]
         road = _fold_pair(primary, secondary)
         roads[a.road_id] = road
