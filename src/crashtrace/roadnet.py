@@ -42,8 +42,7 @@ CRASH_ENVELOPE_SLACK_M = 2.0
 GEO_VALIDATION_TOLERANCE = 0.005
 
 
-@dataclass(frozen=True, slots=True)
-class Road:
+class Road(NamedTuple):
     road_id: int
     centerline: tuple[PlanarPoint, ...]
     lanes_forward: int
@@ -315,7 +314,7 @@ def _merge_at(nid: int, roads: dict[int, Road], ends: dict[int, list[int]],
     against its travel. The checks read only what a merge keeps."""
     if nid in junction_nodes or len(ends[nid]) != 2:
         return
-    a_id, b_id = sorted(_resolve(id_map, rid) for rid in ends[nid])
+    a_id, b_id = sorted((_resolve(id_map, ends[nid][0]), _resolve(id_map, ends[nid][1])))
     if a_id == b_id:
         return  # loop way, or a node merged already
     a, b = roads[a_id], roads[b_id]

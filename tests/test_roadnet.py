@@ -93,8 +93,8 @@ def _fixed_point_unify(network):
                 continue
             if (a_o.lanes_forward, a_o.lanes_backward) != (b_o.lanes_forward, b_o.lanes_backward):
                 continue
-            merged = replace(a_o, centerline=a_o.centerline + b_o.centerline[1:],
-                             node_ids=a_o.node_ids + b_o.node_ids[1:])
+            merged = a_o._replace(centerline=a_o.centerline + b_o.centerline[1:],
+                                  node_ids=a_o.node_ids + b_o.node_ids[1:])
             roads[a_id] = merged.reversed() if merged.lanes_forward == 0 else merged
             del roads[b_id]
             id_map[b_id] = a_id
