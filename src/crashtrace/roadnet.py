@@ -15,7 +15,7 @@ one lane width radius around the node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -68,8 +68,7 @@ class Road(NamedTuple):
                     self.lanes_forward, self.lane_width, self.name_key, self.node_ids[::-1])
 
 
-@dataclass(frozen=True)
-class Junction:
+class Junction(NamedTuple):
     junction_id: int
     node_id: int
     center: PlanarPoint
@@ -294,7 +293,7 @@ def unify_lanes(network: RoadNetwork) -> RoadNetwork:
             _merge_at(nid, roads, ends, junction_nodes, id_map)
 
     junctions = tuple(
-        replace(j, members=tuple(sorted({_resolve(id_map, m) for m in j.members} & roads.keys())))
+        j._replace(members=tuple(sorted({_resolve(id_map, m) for m in j.members} & roads.keys())))
         for j in network.junctions
     )
     return RoadNetwork(network.origin, tuple(roads.values()), junctions, network.node_positions)

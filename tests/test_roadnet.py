@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -139,7 +138,7 @@ def _fixed_point_unify(network):
         id_map[b_id] = a_id
 
     junctions = tuple(
-        replace(j, members=tuple(sorted({resolve(m) for m in j.members} & roads.keys())))
+        j._replace(members=tuple(sorted({resolve(m) for m in j.members} & roads.keys())))
         for j in network.junctions
     )
     return RoadNetwork(network.origin, tuple(roads.values()), junctions, network.node_positions)
