@@ -8,12 +8,16 @@ from crashtrace.errors import DegenerateGeometry, OutOfExtent, TooFewNodes
 from crashtrace.geometry import (
     GeoPoint,
     PlanarPoint,
+    bearing,
     distance,
     haversine_m,
+    locate_on_polyline,
+    point_at,
+    polyline_length,
     project,
     unproject,
+    wrap_angle,
 )
-from crashtrace.geometry import bearing, locate_on_polyline, point_at, polyline_length, wrap_angle
 from crashtrace.opendrive import emit_opendrive
 from crashtrace.osm import parse_osm, prune_osm, write_osm
 from crashtrace.roadnet import (
@@ -102,7 +106,7 @@ def _fixed_point_unify(network):
         sx = sy = 0.0
         for p, q in zip(road.centerline, road.centerline[1:]):
             h = bearing(p, q)
-            w = math.dist(p, q)
+            w = distance(p, q)
             sx += w * math.cos(h)
             sy += w * math.sin(h)
         return math.atan2(sy, sx)
