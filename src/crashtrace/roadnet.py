@@ -283,7 +283,8 @@ def unify_lanes(network: RoadNetwork) -> RoadNetwork:
         bucket.remove(b)
         longer_b = (facts[b.road_id][1], b.road_id) > (facts[a.road_id][1], a.road_id)
         primary, secondary = (b, a) if longer_b else (a, b)
-        for nid in (secondary.node_ids[0], secondary.node_ids[-1]):  # the fold ends where primary does
+        # the folded road ends where the primary does: the secondary's ends go
+        for nid in (secondary.node_ids[0], secondary.node_ids[-1]):
             ends[nid] = [rid for rid in ends[nid] if _resolve(id_map, rid) != secondary.road_id]
         road = _fold_pair(primary, secondary)
         roads[a.road_id] = road

@@ -537,14 +537,16 @@ def test_locate_matches_unfiltered_scan():
             for k in range(rng.randint(1, 6)):
                 h += math.pi * 0.97 if rid % 3 == 0 and k == 1 else rng.uniform(-0.8, 0.8)
                 step = rng.uniform(2.0, 40.0)
-                pts.append(PlanarPoint(pts[-1].x + step * math.cos(h), pts[-1].y + step * math.sin(h)))
+                x, y = x + step * math.cos(h), y + step * math.sin(h)
+                pts.append(PlanarPoint(x, y))
             roads.append(Road(rid + 1, tuple(pts), rng.randint(1, 2), rng.randint(0, 2), 3.5, ""))
         # axis-aligned road: points exactly on its envelope edge are exact in binary
         edge = Road(20, (PlanarPoint(-50.0, 0.0), PlanarPoint(50.0, 0.0)), 1, 1, 3.5, "")
         network = RoadNetwork(ORIGIN, (*roads, edge), (), {})
         limit = edge.half_width + CRASH_ENVELOPE_SLACK_M
         points = [PlanarPoint(rng.uniform(-120, 120), rng.uniform(-120, 120)) for _ in range(40)]
-        points += [PlanarPoint(float(x), side * limit) for x in (-50, -7, 0, 31, 50) for side in (1, -1)]
+        points += [PlanarPoint(float(x), side * limit)
+                   for x in (-50, -7, 0, 31, 50) for side in (1, -1)]
         points += [PlanarPoint(-50.0 - limit, 0.0), PlanarPoint(50.0 + limit, 0.0)]
         points += [road.centerline[0] for road in roads] + [road.centerline[-1] for road in roads]
         for p in points:
