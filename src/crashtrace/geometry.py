@@ -50,7 +50,8 @@ def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
     """Project a geodetic point onto the local tangent plane at ``origin``.
 
     x grows east, y grows north; ``project(origin, origin)`` is exactly (0, 0).
-    Raises OutOfExtent beyond 1 degree of the origin in either coordinate.
+    Raises OutOfExtent beyond 1 degree of the origin in either coordinate,
+    and for a NaN coordinate.
     """
     if not (projected := project_all({0: p}, origin)):
         raise OutOfExtent(f"point {p} more than {MAX_EXTENT_DEG} deg from origin {origin}")
@@ -58,13 +59,14 @@ def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
 
 
 def project_all(points: dict[int, GeoPoint], origin: GeoPoint) -> dict[int, PlanarPoint]:
-    """:func:`project` of each point within 1 degree of ``origin``; the rest are left out."""
+    """:func:`project` of each point within 1 degree of ``origin``; the rest, and
+    points with a NaN coordinate, are left out."""
     lat0, lon0 = origin
     kx = EARTH_RADIUS_M * math.cos(math.radians(lat0))
     return {
         nid: PlanarPoint(kx * math.radians(lon - lon0), EARTH_RADIUS_M * math.radians(lat - lat0))
         for nid, (lat, lon) in points.items()
-        if not (abs(lat - lat0) > MAX_EXTENT_DEG or abs(lon - lon0) > MAX_EXTENT_DEG)
+        if abs(lat - lat0) <= MAX_EXTENT_DEG and abs(lon - lon0) <= MAX_EXTENT_DEG
     }
 
 

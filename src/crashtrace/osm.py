@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import logging
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 from urllib.parse import urlencode
+from xml.parsers import expat
 
 from .errors import EmptyAfterPrune, EmptyExtract, NetworkError
 from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project_all
@@ -55,32 +55,79 @@ class OsmGraph:
 def parse_osm(text: str) -> OsmGraph:
     """Parse ``.osm`` XML; ways keep only references to nodes that exist.
 
-    A missing or non-numeric id, ref or coordinate is a ValueError that names
-    the element, and so is a root other than ``<osm>`` or a ``<remark>``, by
-    which Overpass reports a query that failed (a timeout, say).
+    A missing or non-numeric id, ref or coordinate, or a non-finite
+    coordinate, is a ValueError that names the element; so are malformed XML,
+    a root other than ``<osm>`` and a ``<remark>``, by which Overpass reports
+    a query that failed (a timeout, say). Only the root's ``<node>`` and
+    ``<way>`` children and a way's own ``<nd>`` and ``<tag>`` children are read.
     """
-    root = ET.fromstring(text)
-    remark = root.findtext("remark")
-    if root.tag != "osm" or remark is not None:
-        raise ValueError(f"not an OSM extract: <{root.tag}> {(remark or '').strip()}")
     nodes: dict[int, GeoPoint] = {}
-    ways: dict[int, OsmWay] = {}
-    way_elements = []
+    way_parts: list[tuple[dict[str, str], list[int], dict[str, str]]] = []
+    refs: list[int] | None = None  # of the way open at depth 2, else None
+    tags: dict[str, str] = {}
+    remark: list[str] = []
+    depth = 0
+    # the separator makes a namespaced name "uri}local", never a bare "osm"
+    parser = expat.ParserCreate(namespace_separator="}")
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, refs, tags
+        depth += 1
+        try:
+            if depth == 3:  # most elements are a way's <nd> and <tag>
+                if refs is not None:
+                    if tag == "nd":
+                        refs.append(int(attrs["ref"]))
+                    elif tag == "tag":
+                        tags[attrs.get("k")] = attrs.get("v", "")
+            elif depth == 2:
+                refs = None
+                if tag == "node":
+                    lat, lon = float(attrs["lat"]), float(attrs["lon"])
+                    if not (math.isfinite(lat) and math.isfinite(lon)):
+                        raise ValueError("non-finite coordinate")
+                    nodes[int(attrs["id"])] = GeoPoint(lat, lon)
+                elif tag == "way":
+                    refs, tags = [], {}
+                    way_parts.append((attrs, refs, tags))
+                elif tag == "remark":
+                    parser.CharacterDataHandler = remark.append
+                    parser.EndElementHandler = end_remark
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"unreadable <{tag}> {attrs}: {exc}") from exc
+        if depth == 1 and tag != "osm":
+            raise ValueError(f"not an OSM extract: <{tag}>")
+
+    def end(tag: str) -> None:
+        nonlocal depth
+        depth -= 1
+
+    def end_remark(tag: str) -> None:
+        end(tag)
+        if depth == 1:
+            raise ValueError(f"not an OSM extract: <osm> {''.join(remark).strip()}")
+
+    def unresolved_entity(*args) -> None:  # ElementTree rejects what expat would skip
+        raise ValueError(f"undefined or external entity: {args}")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = unresolved_entity
     try:
-        for el in root:  # ways wait for every node
-            if el.tag == "node":
-                nodes[int(el.get("id"))] = GeoPoint(float(el.get("lat")), float(el.get("lon")))
-            elif el.tag == "way":
-                way_elements.append(el)
-        for el in way_elements:
-            refs = tuple(ref for nd in el
-                         if nd.tag == "nd" and (ref := int(nd.get("ref"))) in nodes)
-            if len(refs) < 2:
-                continue
-            tags = {t.get("k"): t.get("v", "") for t in el if t.tag == "tag"}
-            ways[int(el.get("id"))] = OsmWay(refs, tags)
-    except (TypeError, ValueError) as exc:  # int(None)/float(None) raise TypeError
-        raise ValueError(f"unreadable <{el.tag}> {el.attrib}: {exc}") from exc
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise ValueError(f"malformed OSM XML: {exc}") from exc
+    finally:
+        parser.StartElementHandler = None  # it refers to the parser: break the cycle
+    ways: dict[int, OsmWay] = {}
+    for attrs, way_refs, way_tags in way_parts:  # ways wait for every node
+        known = tuple(filter(nodes.__contains__, way_refs))
+        if len(known) < 2:
+            continue
+        try:
+            ways[int(attrs["id"])] = OsmWay(known, way_tags)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"unreadable <way> {attrs}: {exc}") from exc
     return OsmGraph(nodes, ways)
 
 
@@ -213,7 +260,7 @@ def _scan_fixtures(
     for path in sorted(directory.glob("*.osm")):
         try:
             graph = parse_osm(path.read_text(encoding="utf-8"))
-        except (ET.ParseError, ValueError, OSError) as exc:  # ValueError covers decoding
+        except (ValueError, OSError) as exc:  # ValueError covers bad XML and decoding
             logger.warning("skipping unreadable map fixture %s: %s", path.name, exc)
             continue
         if graph.nodes:

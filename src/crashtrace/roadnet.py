@@ -143,21 +143,24 @@ def _oneway(tags: dict[str, str]) -> int:
     return 1 if value in ("yes", "true", "1") else 0
 
 
-def _parse_lanes(tags: dict[str, str]) -> tuple[int, int]:
-    """(forward, backward) lane counts relative to the drawn direction."""
-    oneway = _oneway(tags)
+def _lane_count(value: str | None) -> int | None:
+    """A positive lane count, or None for an absent, non-numeric or non-positive tag."""
+    if value is None:
+        return None
+    try:
+        count = int(value)
+    except ValueError:
+        return None
+    return count if count > 0 else None
 
-    def _intval(key: str) -> int | None:
-        try:
-            v = int(tags[key])
-            return v if v > 0 else None
-        except (KeyError, ValueError):
-            return None
 
-    fwd, bwd = _intval("lanes:forward"), _intval("lanes:backward")
+def _parse_lanes(tags: dict[str, str], oneway: int) -> tuple[int, int]:
+    """(forward, backward) lane counts relative to the drawn direction;
+    ``oneway`` is :func:`_oneway` of the same tags."""
+    fwd, bwd = _lane_count(tags.get("lanes:forward")), _lane_count(tags.get("lanes:backward"))
     if fwd is not None or bwd is not None:
         return fwd or 0, bwd or 0
-    total = _intval("lanes")
+    total = _lane_count(tags.get("lanes"))
     if oneway > 0:
         return total or 1, 0
     if oneway < 0:
@@ -194,10 +197,11 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
             ids.append(ref)
         if len(pts) < 2:
             raise DegenerateGeometry(f"way {wid} has no extent")
-        fwd, bwd = _parse_lanes(way.tags)
+        oneway = _oneway(way.tags)
+        fwd, bwd = _parse_lanes(way.tags, oneway)
         road = Road(wid, tuple(pts), fwd, bwd, DEFAULT_LANE_WIDTH_M, _name_key(way.tags),
                     tuple(ids))
-        roads.append(road.reversed() if _oneway(way.tags) < 0 else road)
+        roads.append(road.reversed() if oneway < 0 else road)
 
     junctions = _detect_junctions(roads, node_positions)
     return RoadNetwork(origin, tuple(roads), tuple(junctions), node_positions)

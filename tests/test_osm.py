@@ -3,20 +3,24 @@ import gc
 import io
 import logging
 import math
+import random
 import threading
 import time
 import weakref
+import xml.etree.ElementTree as ET
 from urllib.parse import parse_qs
 from xml.sax import saxutils
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crashtrace import osm
 from crashtrace.errors import CacheMiss, EmptyAfterPrune, EmptyExtract, NetworkError
 from crashtrace.geometry import EARTH_RADIUS_M, GeoPoint
 from crashtrace.osm import (
     OsmClient,
+    OsmGraph,
+    OsmWay,
     bounding_box,
     detect_vertical_geometry,
     overpass_query,
@@ -43,6 +47,127 @@ def test_parse_write_roundtrip():
     again = parse_osm(write_osm(graph))
     assert again.nodes == graph.nodes
     assert again.ways == graph.ways
+
+
+# --- reference parser: the ElementTree walk that parse_osm replaced ---
+
+
+def _element_tree_parse(text):
+    """``parse_osm`` as a walk over an ElementTree, an oracle for the expat handlers.
+
+    This is the walk ``parse_osm`` used to be, plus its rejection of non-finite
+    coordinates. On malformed XML it raises ElementTree's ParseError, which is
+    a SyntaxError.
+    """
+    root = ET.fromstring(text)
+    remark = root.findtext("remark")
+    if root.tag != "osm" or remark is not None:
+        raise ValueError(f"not an OSM extract: <{root.tag}> {(remark or '').strip()}")
+    nodes = {}
+    ways = {}
+    way_elements = []
+    try:
+        for el in root:  # ways wait for every node
+            if el.tag == "node":
+                point = GeoPoint(float(el.get("lat")), float(el.get("lon")))
+                if not all(map(math.isfinite, point)):
+                    raise ValueError("non-finite coordinate")
+                nodes[int(el.get("id"))] = point
+            elif el.tag == "way":
+                way_elements.append(el)
+        for el in way_elements:
+            refs = tuple(ref for nd in el
+                         if nd.tag == "nd" and (ref := int(nd.get("ref"))) in nodes)
+            if len(refs) < 2:
+                continue
+            tags = {t.get("k"): t.get("v", "") for t in el if t.tag == "tag"}
+            ways[int(el.get("id"))] = OsmWay(refs, tags)
+    except (TypeError, ValueError) as exc:  # int(None)/float(None) raise TypeError
+        raise ValueError(f"unreadable <{el.tag}> {el.attrib}: {exc}") from exc
+    return OsmGraph(nodes, ways)
+
+
+_ODD_NUMBERS = ("", "abc", "2.5", " 4 ", "1_0", "0x1f", "-3", "nan", "NaN", "inf", "-inf", "1e400")
+_TAG_VALUES = ("residential", "", "a &amp; b", "&lt;x&gt;", "caf&#233; &#xE9;", "&quot;q&quot;",
+               "'", "&apos;", "x&#10;y")
+
+
+def _random_extract(rng):
+    """An ``.osm``-like document drawn from ``rng``: ways before or after their
+    nodes, refs to missing nodes, nested and unknown elements, entity-escaped
+    values, other roots, remarks, bad numbers and, now and then, broken XML."""
+
+    def number(good):
+        return rng.choice(_ODD_NUMBERS) if rng.random() < 0.01 else good
+
+    def attrs(**values):
+        return "".join(f' {k}="{v}"' for k, v in values.items() if rng.random() > 0.005)
+
+    def nd():
+        return f"<nd{attrs(ref=number(rng.randint(1, 7)))}/>"
+
+    def tag():
+        k = rng.choice(("highway", "name", "oneway", "lanes", "k&amp;1"))
+        return f"<tag{attrs(k=k, v=rng.choice(_TAG_VALUES))}/>"
+
+    def node():
+        lat, lon = (number(repr(rng.uniform(-0.01, 0.01))) for _ in "ll")
+        inner = rng.choice(("", "", tag(), "<foo>text</foo>"))
+        return f"<node{attrs(id=number(rng.randint(1, 6)), lat=lat, lon=lon)}>{inner}</node>"
+
+    def way():
+        children = [rng.choice((nd, nd, nd, tag, tag))() for _ in range(rng.randint(0, 7))]
+        if rng.random() < 0.2:
+            children.append(rng.choice((
+                "<foo/>", f"<nd ref=\"{rng.randint(1, 8)}\">{nd()}</nd>", "<bar>" + nd() + "</bar>",
+                node(), f"<way id=\"77\">{nd()}{nd()}</way>", "<!-- c -->", "<?pi x?>")))
+        rng.shuffle(children)
+        return f"<way{attrs(id=number(rng.randint(10, 14)))}>{''.join(children)}</way>"
+
+    def other():
+        return rng.choice((
+            "<bounds minlat=\"0\"/>", "<meta osm_base=\"x\"/>", "<note>a &amp; b</note>",
+            f"<relation id=\"5\">{nd()}<member ref=\"1\"/></relation>",
+            f"<group>{node()}{way()}</group>", "<!-- comment -->", "<![CDATA[<way>]]>"))
+
+    parts = [rng.choice((node, node, node, way, way, other))() for _ in range(rng.randint(0, 16))]
+    if rng.random() < 0.05:
+        parts.insert(rng.randint(0, len(parts)), "<remark> runtime error: timed out </remark>")
+    opening, closing = rng.choice((('<osm version="0.6">', "</osm>"),) * 28 + (
+        ("<html>", "</html>"), ('<osm xmlns="http://openstreetmap.org/">', "</osm>"),
+        ('<o:osm xmlns:o="http://o/">', "</o:osm>"), ("<o:osm>", "</o:osm>")))
+    prolog = rng.choice(('<?xml version="1.0" encoding="UTF-8"?>\n', "") * 4 + (
+        '<!DOCTYPE osm [<!ENTITY e "5">]>', '<!DOCTYPE osm SYSTEM "osm.dtd">'))
+    text = prolog + opening + "\n".join(["", *parts, ""]) + closing
+    if prolog.startswith("<!DOCTYPE"):  # an entity that is defined in one prolog only
+        old, new = rng.choice((("</node>", "&e;</node>"), ('<nd ref="', '<nd ref="&e;')))
+        text = text.replace(old, new, 1)
+    if rng.random() < 0.1:  # broken XML, or a document cut short
+        cut = rng.randrange(len(text) + 1)
+        junk = rng.choice(("", "<", "&", "&bogus;", "</x>", "<x/>"))
+        text = text[:cut] + junk + (text[cut:] if rng.random() < 0.5 else "")
+    return text
+
+
+def _assert_same_verdict(text):
+    """``parse_osm`` and the oracle give equal graphs, or both raise."""
+    try:
+        expected = _element_tree_parse(text)
+    except (SyntaxError, ValueError):
+        expected = None
+    try:
+        got = parse_osm(text)
+    except ValueError:
+        got = None
+    assert got == expected, text
+
+
+# a seed per example: st.randoms() skews every draw towards its edge values
+# and takes ten times as long
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parse_matches_element_tree_oracle(seed):
+    _assert_same_verdict(_random_extract(random.Random(seed)))
 
 
 @given(st.one_of(st.text(), st.text(alphabet='&<>"a;q')))
@@ -140,17 +265,41 @@ def test_unreadable_fixtures_are_skipped_and_logged(tmp_path, caplog):
     good = _box_osm(1, 37.0, -77.1, 37.1, -77.0)
     (tmp_path / "bad_lat.osm").write_text(
         _box_osm(2, 38.0, -77.1, 38.1, -77.0).replace('lat="38.0"', 'lat="abc"'), encoding="utf-8")
+    (tmp_path / "bad_nan.osm").write_text(
+        _box_osm(3, 39.0, -77.1, 39.1, -77.0).replace('lat="39.0"', 'lat="nan"'), encoding="utf-8")
     (tmp_path / "bad_bytes.osm").write_bytes(b"\xff\xfe" + good.encode("utf-16-le"))
     (tmp_path / "dir.osm").mkdir()
     (tmp_path / "good.osm").write_text(good, encoding="utf-8")
     client = OsmClient(offline=True, fixtures_dir=tmp_path)
     with caplog.at_level(logging.WARNING, logger="crashtrace.osm"):
         assert _picked_way(client, 37.05, -77.05) == {1}
-        with pytest.raises(CacheMiss):  # the only map here was bad_lat.osm
-            client.retrieve_osm(GeoPoint(38.05, -77.05), 500.0)
+        for lat in (38.05, 39.05):  # the only maps here were bad_lat.osm and bad_nan.osm
+            with pytest.raises(CacheMiss):
+                client.retrieve_osm(GeoPoint(lat, -77.05), 500.0)
     warned = sorted(r.getMessage().split(":")[0] for r in caplog.records)
     assert warned == [f"skipping unreadable map fixture {name}"
-                      for name in ("bad_bytes.osm", "bad_lat.osm", "dir.osm")]
+                      for name in ("bad_bytes.osm", "bad_lat.osm", "bad_nan.osm", "dir.osm")]
+
+
+@pytest.mark.parametrize("lat, lon", [
+    ("nan", "-77.1"), ("37.0", "inf"), ("-inf", "-77.1"), ("1e400", "-77.1"), ("NaN", "-77.1"),
+])
+def test_non_finite_coordinate_is_unreadable(lat, lon):
+    text = _box_osm(1, 37.0, -77.1, 37.1, -77.0).replace(
+        'lat="37.0" lon="-77.1"', f'lat="{lat}" lon="{lon}"')
+    with pytest.raises(ValueError, match=r"unreadable <node> .*non-finite coordinate"):
+        parse_osm(text)
+
+
+def test_parse_osm_needs_no_element_tree(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ElementTree's parser was used")
+
+    monkeypatch.setattr(ET, "XMLParser", refuse)
+    (tmp_path / "site.osm").write_text(_box_osm(3, 37.0, -77.1, 37.1, -77.0), encoding="utf-8")
+    assert _picked_way(OsmClient(offline=True, fixtures_dir=tmp_path), 37.05, -77.05) == {3}
+    nodes, ways = straight_road_layout()
+    assert set(parse_osm(osm_xml(ORIGIN, nodes, ways)).ways) == {10}
 
 
 def _count_parses(monkeypatch, delay_s=0.0):

@@ -595,12 +595,15 @@ _OVERPASS_TIMEOUT = """<?xml version="1.0" encoding="UTF-8"?>
     "truncated",
     "<html>busy</html>",
     _OVERPASS_TIMEOUT,
-], ids=["malformed_html", "truncated", "html", "overpass_timeout"])
+    "non_finite_node",
+], ids=["malformed_html", "truncated", "html", "overpass_timeout", "non_finite_node"])
 def test_unreadable_overpass_answer_is_a_fetch_failure_and_not_cached(tmp_path, answer):
     origin = corpus.case_origin(0)
     report, osm_text = corpus.case_fixture("ftf_straight", origin)
     if answer == "truncated":
         answer = osm_text[: len(osm_text) // 2]
+    elif answer == "non_finite_node":
+        answer = osm_text.replace(' lon="', ' lon="inf" x="', 1)
     cache = tmp_path / "cache"
     config = PipelineConfig(cache_dir=cache, out_dir=tmp_path / "out",
                             report_transport=lambda url: report,

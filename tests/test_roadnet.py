@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -15,6 +16,7 @@ from crashtrace.geometry import (
     point_at,
     polyline_length,
     project,
+    project_all,
     unproject,
     wrap_angle,
 )
@@ -27,6 +29,8 @@ from crashtrace.roadnet import (
     Road,
     RoadNetwork,
     _fold_pair,
+    _oneway,
+    _parse_lanes,
     build_road_network,
     lane_offset,
     locate_crash_point,
@@ -171,6 +175,18 @@ def test_project_extent_guard():
         project(GeoPoint(39.0, -77.0), GeoPoint(37.0, -77.0))
 
 
+@pytest.mark.parametrize("point", [
+    GeoPoint(math.nan, -77.0), GeoPoint(37.0, math.nan), GeoPoint(math.inf, -77.0),
+    GeoPoint(37.0, -math.inf),
+])
+def test_project_extent_guard_drops_non_finite(point):
+    origin = GeoPoint(37.0, -77.0)
+    with pytest.raises(OutOfExtent):
+        project(point, origin)
+    edge = GeoPoint(38.0, -76.0)  # exactly one degree off in both: still projected
+    assert set(project_all({1: point, 2: edge, 3: origin}, origin)) == {2, 3}
+
+
 def test_projection_local_isometry():
     rng = random.Random(1234)
     for _ in range(1000):
@@ -213,6 +229,20 @@ def test_build_oneway_lanes_tag():
         assert (road.lanes_forward, road.lanes_backward) == lanes, tags
         assert road.node_ids == chain, tags
         assert road.centerline[0] == network.node_positions[chain[0]], tags
+
+
+@pytest.mark.parametrize("oneway, default, total_three", [
+    ("yes", (1, 0), (3, 0)), ("-1", (0, 1), (0, 3)), ("no", (1, 1), (2, 1)),
+])
+def test_lane_tags_without_a_positive_count_are_ignored(oneway, default, total_three):
+    keys = ("lanes", "lanes:forward", "lanes:backward")
+    for values in itertools.product((None, "0", "-1", "abc"), repeat=3):  # None: no tag
+        tags = {"oneway": oneway, **{k: v for k, v in zip(keys, values) if v is not None}}
+        assert _parse_lanes(tags, _oneway(tags)) == default, tags
+        for extra, lanes in (({"lanes": "3"}, total_three), ({"lanes:forward": "2"}, (2, 0)),
+                             ({"lanes:backward": "2"}, (0, 2))):
+            both = {**tags, **extra}
+            assert _parse_lanes(both, _oneway(both)) == lanes, both
 
 
 def test_build_cross_junction():
