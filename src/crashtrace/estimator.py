@@ -47,7 +47,7 @@ from .roadnet import (
     lane_offset,
     travel_direction,
 )
-from .source import http_text
+from .source import COMPUTE_SLOT, http_text
 
 DEFAULT_HORIZON_S = 6.0
 DEFAULT_SPEED_MPS = 13.41  # assigned when the report gives no travel speed
@@ -481,7 +481,7 @@ def llm_estimate(
         raise EndpointError("no estimation endpoint configured")
 
     prompt = build_prompt(report, region, prior_violations, settings)
-    raw = transport(prompt)
+    raw = COMPUTE_SLOT.waiting(transport, prompt)
     payload = _extract_json(raw)
     entries = payload.get("vehicles")
     if not isinstance(entries, list) or len(entries) != len(report.vehicles):

@@ -17,7 +17,7 @@ import re
 import xml.etree.ElementTree as ET
 
 from .errors import ParseError, SerializationError
-from .geometry import GeoPoint, PlanarPoint, bearing, cumulative_lengths, distance, point_at
+from .geometry import GeoPoint, PlanarPoint, bearing, cumulative_lengths
 from .osm import xml_escape
 from .roadnet import Junction, Road, RoadNetwork
 
@@ -191,25 +191,3 @@ def parse_opendrive(text: str) -> RoadNetwork:
     if not roads:
         raise ParseError("document contains no roads")
     return RoadNetwork(origin, tuple(roads), tuple(junctions), {})
-
-
-def roundtrip_distance_error(a: RoadNetwork, b: RoadNetwork, samples: int = 8) -> float:
-    """Worst relative pairwise-distance deviation between matched networks."""
-    pts_a, pts_b = [], []
-    roads_b = {r.road_id: r for r in b.roads}
-    for ra in a.roads:
-        rb = roads_b[ra.road_id]
-        cum_a = cumulative_lengths(ra.centerline)
-        cum_b = cumulative_lengths(rb.centerline)
-        for k in range(samples):
-            s = cum_a[-1] * k / max(samples - 1, 1)
-            pts_a.append(point_at(ra.centerline, s, cum_a))
-            pts_b.append(point_at(rb.centerline, min(s, cum_b[-1]), cum_b))
-    worst = 0.0
-    for i in range(len(pts_a)):
-        for j in range(i + 1, len(pts_a)):
-            da = distance(pts_a[i], pts_a[j])
-            db = distance(pts_b[i], pts_b[j])
-            if da > 1e-9:
-                worst = max(worst, abs(db - da) / da)
-    return worst

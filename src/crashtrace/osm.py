@@ -59,7 +59,8 @@ def parse_osm(text: str) -> OsmGraph:
     coordinate, is a ValueError that names the element; so are malformed XML,
     a root other than ``<osm>`` and a ``<remark>``, by which Overpass reports
     a query that failed (a timeout, say). Only the root's ``<node>`` and
-    ``<way>`` children and a way's own ``<nd>`` and ``<tag>`` children are read.
+    ``<way>`` children and a way's own ``<nd>`` and ``<tag>`` children are read;
+    a ``<tag>`` without ``k`` is skipped, as OSM has no key-less tags.
     """
     nodes: dict[int, GeoPoint] = {}
     way_parts: list[tuple[dict[str, str], list[int], dict[str, str]]] = []
@@ -78,8 +79,8 @@ def parse_osm(text: str) -> OsmGraph:
                 if refs is not None:
                     if tag == "nd":
                         refs.append(int(attrs["ref"]))
-                    elif tag == "tag":
-                        tags[attrs.get("k")] = attrs.get("v", "")
+                    elif tag == "tag" and "k" in attrs:
+                        tags[attrs["k"]] = attrs.get("v", "")
             elif depth == 2:
                 refs = None
                 if tag == "node":

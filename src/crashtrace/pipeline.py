@@ -37,6 +37,7 @@ from .simulator import (
     validate_reconstruction,
     validation_to_json,
 )
+from .source import COMPUTE_SLOT
 from .trajectory import Trajectory, Waypoint, generate_trajectory
 
 logger = logging.getLogger(__name__)
@@ -257,10 +258,15 @@ EXCLUSION_FOR_ERROR: dict[type[errors.CrashTraceError], ExclusionReason] = {
 
 
 def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = None) -> CaseOutcome:
-    """Run one case through every stage; failures become exclusion reasons."""
+    """Run one case through every stage; failures become exclusion reasons.
+
+    The case computes inside the process's compute slot, which it gives up
+    only while it waits on a remote answer; the package is written outside it.
+    """
     clients = clients or build_clients(config)
     try:
-        artifacts = _reconstruct(key, config, clients)
+        with COMPUTE_SLOT.held():
+            artifacts = _reconstruct(key, config, clients)
     except _Excluded as exc:
         return CaseOutcome(key, reason=exc.reason)
     except Exception as exc:

@@ -313,16 +313,3 @@ def validation_to_json(report: ValidationReport) -> str:
         "passed": report.passed,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def validation_from_json(text: str) -> ValidationReport:
-    doc = json.loads(text)
-    err = doc["location_error_m"]
-    return ValidationReport(
-        location_error=math.inf if err is None else float(err),
-        clock_deviation=tuple(
-            None if d == "skipped" else int(d) for d in doc["clock_deviation"]
-        ),
-        direction_match=tuple(bool(d) for d in doc["direction_match"]),
-        passed=bool(doc["passed"]),
-    )

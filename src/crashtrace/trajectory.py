@@ -62,10 +62,6 @@ def classify_headings(headings: Sequence[float]) -> Maneuver:
     return Maneuver.TURNING_LEFT if total > 0 else Maneuver.TURNING_RIGHT
 
 
-def classify_direction(trajectory: Trajectory) -> Maneuver:
-    return classify_headings([w.heading for w in trajectory.waypoints])
-
-
 # ---------------------------------------------------------------------------
 # path assembly
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from crashtrace.estimator import (
     validate_states,
 )
 from crashtrace.geometry import PlanarPoint, distance, haversine_m, project, unproject
-from crashtrace.opendrive import parse_opendrive, roundtrip_distance_error
+from crashtrace.opendrive import parse_opendrive
 from crashtrace.osm import parse_osm
 from crashtrace.pipeline import (
     ExclusionReason,
@@ -50,11 +50,11 @@ from crashtrace.simulator import (
     circular_clock_distance,
     impact_clock,
     overlap_margin,
-    validation_from_json,
     validation_to_json,
 )
 
 import corpus
+from readback import roundtrip_distance_error, validation_from_json
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:

@@ -3,11 +3,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from crashtrace.errors import ParseError, SerializationError
-from crashtrace.opendrive import emit_opendrive, parse_opendrive, roundtrip_distance_error
+from crashtrace.opendrive import emit_opendrive, parse_opendrive
 from crashtrace.osm import parse_osm
 from crashtrace.roadnet import RoadNetwork, build_road_network, unify_lanes
 
 from corpus import case_origin, grid_layout, osm_xml
+from readback import roundtrip_distance_error
 
 ORIGIN = case_origin(0)
 

@@ -80,7 +80,8 @@ def _element_tree_parse(text):
                          if nd.tag == "nd" and (ref := int(nd.get("ref"))) in nodes)
             if len(refs) < 2:
                 continue
-            tags = {t.get("k"): t.get("v", "") for t in el if t.tag == "tag"}
+            tags = {t.get("k"): t.get("v", "") for t in el
+                    if t.tag == "tag" and t.get("k") is not None}  # OSM has no key-less tags
             ways[int(el.get("id"))] = OsmWay(refs, tags)
     except (TypeError, ValueError) as exc:  # int(None)/float(None) raise TypeError
         raise ValueError(f"unreadable <{el.tag}> {el.attrib}: {exc}") from exc

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from crashtrace import cli
 from crashtrace.errors import EmptyDirectory, ParseError
-from crashtrace.estimator import InitialState, SceneSpec
+from crashtrace.estimator import EstimationSettings, InitialState, SceneSpec
 from crashtrace.geometry import PlanarPoint
 from crashtrace.pipeline import (
     PACKAGE_FILES,
@@ -30,11 +32,12 @@ from crashtrace.pipeline import (
 )
 from crashtrace.plotting import render_plot
 from crashtrace.reports import CaseKey, Maneuver
-from crashtrace.simulator import validation_from_json
+from crashtrace.source import ComputeSlot
 from crashtrace.trajectory import Trajectory, Waypoint
 
 import corpus
 from local_http import closed_port_url
+from readback import validation_from_json
 
 
 @pytest.fixture(scope="module")
@@ -628,6 +631,99 @@ def test_unreadable_crash_api_answer_is_a_fetch_failure_and_not_cached(tmp_path)
     assert busy.ledger_line() == f"{key.slug}\texcluded\tFetchFailed"
     assert not (cache / f"{key.slug}.xml").exists()
     assert run_case(key, config(report)).ledger_line() == f"{key.slug}\tpackage\t-"
+
+
+def test_tag_without_key_is_skipped(tmp_path):
+    origin = corpus.case_origin(0)
+    report, osm_text = corpus.case_fixture("ftf_straight", origin)
+    odd = osm_text.replace("    <tag ", '    <tag v="x"/>\n    <tag ', 1)
+    assert odd != osm_text
+    maps = {}
+    for label, answer in (("clean", osm_text), ("odd", odd)):
+        config = PipelineConfig(out_dir=tmp_path / label,
+                                report_transport=lambda url: report,
+                                osm_transport=lambda url, query, answer=answer: answer)
+        outcome = run_case(CaseKey(51, 320, 2023), config)
+        assert outcome.package is not None, outcome.ledger_line()
+        maps[label] = (outcome.package.directory / "map.osm").read_bytes()
+    assert maps["odd"] == maps["clean"]
+
+
+# --- batches: network waits overlap, one case computes at a time ---
+
+
+@pytest.mark.parametrize("mode, verdict", [
+    ("heuristic", "package\t-"),
+    ("llm", "excluded\tEstimationFailed"),
+])
+def test_network_waits_overlap_across_cases(tmp_path, mode, verdict):
+    # every transport answers only once both cases wait on it, so a case that
+    # kept the compute slot through a wait would break the barrier
+    report, osm_text = corpus.case_fixture("ftf_straight", corpus.case_origin(0))
+    barriers = [threading.Barrier(2, timeout=5) for _ in range(3)]
+
+    def after_both(barrier, answer):
+        barrier.wait()
+        return answer
+
+    config = PipelineConfig(
+        out_dir=tmp_path / "out", parallelism=2,
+        estimation=EstimationSettings(
+            mode=mode, max_retries=0,
+            llm_transport=lambda prompt: after_both(barriers[2], "no json")),
+        report_transport=lambda url: after_both(barriers[0], report),
+        osm_transport=lambda url, query: after_both(barriers[1], osm_text))
+    keys = [CaseKey(51, 320, 2023), CaseKey(51, 321, 2023)]
+    _, outcomes = run_batch(keys, config)
+    assert [o.ledger_line() for o in outcomes] == [f"{k.slug}\t{verdict}" for k in keys]
+
+
+def test_one_case_computes_at_a_time(good_batch, tmp_path, monkeypatch):
+    from crashtrace import pipeline
+
+    keys, config, _, outcomes = good_batch
+    build = pipeline.build_road_network
+    lock = threading.Lock()
+    inside, most = 0, 0
+
+    def counted(*args):
+        nonlocal inside, most
+        with lock:
+            inside += 1
+            most = max(most, inside)
+        try:
+            time.sleep(0.01)
+            return build(*args)
+        finally:
+            with lock:
+                inside -= 1
+
+    monkeypatch.setattr(pipeline, "build_road_network", counted)
+    config = PipelineConfig(offline=True, fixtures_dir=config.fixtures_dir,
+                            out_dir=tmp_path / "out", parallelism=4)
+    _, again = run_batch(keys, config)
+    assert [o.ledger_line() for o in again] == [o.ledger_line() for o in outcomes]
+    assert most == 1
+
+
+def test_a_thread_without_the_slot_never_gives_it_up():
+    slot = ComputeSlot()
+    entered = threading.Event()
+
+    def enter():
+        with slot.held():
+            entered.set()
+
+    with slot.held():
+        direct = threading.Thread(target=slot.waiting, args=(time.sleep, 0))
+        direct.start()
+        direct.join(5)
+        assert not direct.is_alive()
+        contender = threading.Thread(target=enter)
+        contender.start()
+        assert not entered.wait(0.1)
+    contender.join(5)
+    assert entered.is_set() and not contender.is_alive()
 
 
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """

@@ -17,11 +17,12 @@ from crashtrace.simulator import (
     overlap_margin,
     simulate,
     validate_reconstruction,
-    validation_from_json,
     validation_to_json,
     ValidationReport,
 )
 from crashtrace.trajectory import Trajectory, Waypoint
+
+from readback import validation_from_json
 
 BODY = VehicleBody()
 BODIES = (BODY, BODY)

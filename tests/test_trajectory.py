@@ -11,7 +11,6 @@ from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lan
 from crashtrace.trajectory import (
     Trajectory,
     Waypoint,
-    classify_direction,
     classify_headings,
     generate_trajectory,
 )
@@ -19,6 +18,10 @@ from crashtrace.trajectory import (
 from corpus import case_origin, cross_layout, curve_road_layout, osm_xml
 
 ORIGIN = case_origin(0)
+
+
+def classify_direction(trajectory: Trajectory) -> Maneuver:
+    return classify_headings([w.heading for w in trajectory.waypoints])
 
 
 def _network(nodes, ways):
