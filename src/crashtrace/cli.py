@@ -78,12 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    if args.offline and not args.fixtures:
-        raise errors.CrashTraceError("--offline requires --fixtures DIR")
+    if args.offline != (args.fixtures is not None):
+        raise errors.CrashTraceError("--offline and --fixtures DIR go together")
     if args.fixtures and not args.fixtures.is_dir():
         raise errors.CrashTraceError(f"fixture directory not found: {args.fixtures}")
-    if args.estimator == "llm" and not args.llm_endpoint:
-        raise errors.CrashTraceError("--estimator llm requires --llm-endpoint URL")
+    if (args.estimator == "llm") != bool(args.llm_endpoint):
+        raise errors.CrashTraceError("--estimator llm and --llm-endpoint URL go together")
     for flag, value in (("--radius", args.radius), ("--horizon", args.horizon)):
         if not (math.isfinite(value) and value > 0):
             raise errors.CrashTraceError(f"{flag} must be a finite number above 0, not {value}")

@@ -1,54 +1,124 @@
-"""Exception types raised across the pipeline.
+"""Exception types raised across the pipeline, and the ledger's reasons.
 
-Every error that can end a case early maps onto one exclusion reason in
-``pipeline.EXCLUSION_FOR_ERROR``; nothing here should escape a batch run.
+Each ledger reason but ``InternalError`` is one exception class below,
+named after its ledger word and carrying it as ``reason``; a subclass is
+kept only where a caller tells it apart. A case that raises one of them ends
+with that ``reason``, and the message says what failed. Any other error, a
+``CrashTraceError`` whose ``reason`` is None included, is a defect in
+crashtrace and ends the case as ``InternalError``, so nothing here escapes a
+batch run.
 """
 
 from __future__ import annotations
 
+from enum import Enum
+
+
+class ExclusionReason(Enum):
+    UNSUPPORTED_VERTICAL_GEOMETRY = "UnsupportedVerticalGeometry"
+    INCOMPLETE_INFO = "IncompleteInfo"
+    INCONSISTENT_CRASH_LOCATION = "InconsistentCrashLocation"
+    GEOMETRY_VALIDATION_FAILED = "GeometryValidationFailed"
+    ESTIMATION_FAILED = "EstimationFailed"
+    FAILED_TO_COLLIDE = "FailedToCollide"
+    VALIDATION_FAILED = "ValidationFailed"
+    NOT_DUAL_VEHICLE = "NotDualVehicle"
+    FETCH_FAILED = "FetchFailed"
+    INTERNAL_ERROR = "InternalError"   # a defect in crashtrace, logged with its traceback
+
 
 class CrashTraceError(Exception):
     """Base class for all pipeline errors."""
+    reason: ExclusionReason | None = None
 
 
-# --- report fetching / parsing ---
+# --- ledger reasons ---
 
-class NetworkError(CrashTraceError):
+class FetchFailed(CrashTraceError):
+    """A report or map extract could not be had or read."""
+    reason = ExclusionReason.FETCH_FAILED
+
+
+class IncompleteInfo(CrashTraceError):
+    """The report lacks a field reconstruction cannot do without."""
+    reason = ExclusionReason.INCOMPLETE_INFO
+
+
+class NotDualVehicle(CrashTraceError):
+    """The report does not involve exactly two vehicles."""
+    reason = ExclusionReason.NOT_DUAL_VEHICLE
+
+
+class UnsupportedVerticalGeometry(CrashTraceError):
+    """A bridge, tunnel or layer the flat-world conversion cannot represent."""
+    reason = ExclusionReason.UNSUPPORTED_VERTICAL_GEOMETRY
+
+
+class InconsistentCrashLocation(CrashTraceError):
+    """No road where the report places the crash."""
+    reason = ExclusionReason.INCONSISTENT_CRASH_LOCATION
+
+
+class GeometryValidationFailed(CrashTraceError):
+    """The converted road geometry is degenerate or fails the 5-point check."""
+    reason = ExclusionReason.GEOMETRY_VALIDATION_FAILED
+
+
+class EstimationFailed(CrashTraceError):
+    """No valid initial states; on exhaustion carries the full attempt trace."""
+    reason = ExclusionReason.ESTIMATION_FAILED
+
+    def __init__(self, message: str, trace=None):
+        super().__init__(message)
+        self.trace = trace
+
+
+class FailedToCollide(CrashTraceError):
+    """The replayed vehicles never meet."""
+    reason = ExclusionReason.FAILED_TO_COLLIDE
+
+
+class ValidationFailed(CrashTraceError):
+    """The replayed collision misses the report's location, clocks or maneuvers."""
+    reason = ExclusionReason.VALIDATION_FAILED
+
+
+# --- fetch failures callers tell apart ---
+
+class NetworkError(FetchFailed):
     """Remote endpoint unreachable or returned a transport-level failure."""
 
 
-class NotFound(CrashTraceError):
+class NotFound(FetchFailed):
     """The remote service has no document for the requested case."""
 
 
-class CacheMiss(CrashTraceError):
+class CacheMiss(FetchFailed):
     """Offline mode and no fixture/cache entry for the requested key."""
 
 
-class MalformedDocument(CrashTraceError):
+class MalformedDocument(FetchFailed):
     """Report body is not well-formed markup."""
 
 
-# --- map retrieval / conversion ---
+# --- estimation failures callers tell apart ---
 
-class EmptyExtract(CrashTraceError):
-    """No road-bearing ways in the requested extract."""
-
-
-class EmptyAfterPrune(CrashTraceError):
-    """Pruning removed every way."""
+class NoValidPlacement(EstimationFailed):
+    """The deterministic estimator could not place a vehicle; it is retried."""
 
 
-class OutOfExtent(CrashTraceError):
-    """Point too far from the projection origin for the local-plane guard."""
+class EndpointError(EstimationFailed):
+    """The external estimation endpoint failed at the transport level."""
 
 
-class DegenerateGeometry(CrashTraceError):
-    """A way has no usable extent (fewer than two distinct points)."""
+# --- errors that end no case by design ---
+
+class UnparseableResponse(CrashTraceError):
+    """The external estimator returned text that does not parse."""
 
 
-class TooFewNodes(CrashTraceError):
-    """Geometric validation needs at least five nodes."""
+class ContactTooFar(CrashTraceError):
+    """Contact point lies outside the inflated vehicle body."""
 
 
 class SerializationError(CrashTraceError):
@@ -61,39 +131,3 @@ class ParseError(CrashTraceError):
 
 class EmptyDirectory(CrashTraceError):
     """No case packages found where some were expected."""
-
-
-# --- state estimation ---
-
-class NoCandidates(CrashTraceError):
-    """No admissible spawn region could be derived for a vehicle."""
-
-
-class NoValidPlacement(CrashTraceError):
-    """The deterministic estimator could not place a vehicle."""
-
-
-class EndpointError(CrashTraceError):
-    """The external estimation endpoint failed at the transport level."""
-
-
-class UnparseableResponse(CrashTraceError):
-    """The external estimator returned text that does not parse."""
-
-
-class EstimationFailed(CrashTraceError):
-    """All estimation attempts exhausted; carries the full attempt trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
-# --- trajectory / replay ---
-
-class UnreachableCrashPoint(CrashTraceError):
-    """No geometric path connects the spawn state to the crash point."""
-
-
-class ContactTooFar(CrashTraceError):
-    """Contact point lies outside the inflated vehicle body."""

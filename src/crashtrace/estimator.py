@@ -23,7 +23,6 @@ from .errors import (
     EndpointError,
     EstimationFailed,
     NetworkError,
-    NoCandidates,
     NoValidPlacement,
     UnparseableResponse,
 )
@@ -195,7 +194,8 @@ def candidate_regions(
 
     for i, approaches in enumerate(per_vehicle):
         if not approaches:
-            raise NoCandidates(f"vehicle {report.vehicles[i].vehicle_id}: no admissible approach")
+            raise EstimationFailed(
+                f"vehicle {report.vehicles[i].vehicle_id}: no admissible approach")
     return CandidateRegion(tuple(per_vehicle), crash, crash_point)
 
 

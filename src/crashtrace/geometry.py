@@ -17,8 +17,6 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .errors import OutOfExtent
-
 EARTH_RADIUS_M = 6_371_000.0
 MPH_TO_MPS = 0.44704
 
@@ -46,21 +44,10 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     return EARTH_RADIUS_M * 2 * math.atan2(math.sqrt(h), math.sqrt(1 - h))
 
 
-def project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
-    """Project a geodetic point onto the local tangent plane at ``origin``.
-
-    x grows east, y grows north; ``project(origin, origin)`` is exactly (0, 0).
-    Raises OutOfExtent beyond 1 degree of the origin in either coordinate,
-    and for a NaN coordinate.
-    """
-    if not (projected := project_all({0: p}, origin)):
-        raise OutOfExtent(f"point {p} more than {MAX_EXTENT_DEG} deg from origin {origin}")
-    return projected[0]
-
-
 def project_all(points: dict[int, GeoPoint], origin: GeoPoint) -> dict[int, PlanarPoint]:
-    """:func:`project` of each point within 1 degree of ``origin``; the rest, and
-    points with a NaN coordinate, are left out."""
+    """Each point within 1 degree of ``origin`` on the local tangent plane
+    there, x east and y north; the rest, and points with a NaN coordinate,
+    are left out."""
     lat0, lon0 = origin
     kx = EARTH_RADIUS_M * math.cos(math.radians(lat0))
     return {
@@ -68,15 +55,6 @@ def project_all(points: dict[int, GeoPoint], origin: GeoPoint) -> dict[int, Plan
         for nid, (lat, lon) in points.items()
         if abs(lat - lat0) <= MAX_EXTENT_DEG and abs(lon - lon0) <= MAX_EXTENT_DEG
     }
-
-
-def unproject(p: PlanarPoint, origin: GeoPoint) -> GeoPoint:
-    """Inverse of :func:`project`."""
-    lat = origin.latitude + math.degrees(p.y / EARTH_RADIUS_M)
-    lon = origin.longitude + math.degrees(
-        p.x / (EARTH_RADIUS_M * math.cos(math.radians(origin.latitude)))
-    )
-    return GeoPoint(lat, lon)
 
 
 def wrap_angle(a: float) -> float:

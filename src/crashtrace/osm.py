@@ -18,7 +18,7 @@ from typing import Callable
 from urllib.parse import urlencode
 from xml.parsers import expat
 
-from .errors import EmptyAfterPrune, EmptyExtract, NetworkError
+from .errors import InconsistentCrashLocation, NetworkError
 from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project_all
 from .source import ReadThroughSource, http_text
 
@@ -211,12 +211,12 @@ class OsmClient(ReadThroughSource):
         self._fixture_maps = _scan_fixtures(self.fixtures_dir) if offline else []
 
     def retrieve_osm(self, center: GeoPoint, radius_m: float) -> OsmGraph:
-        """Extract around ``center``; raises EmptyExtract when no roads exist."""
+        """Extract around ``center``; raises InconsistentCrashLocation when no roads exist."""
         if radius_m <= 0:
             raise ValueError("radius must be positive")
         graph = self._load((center, radius_m))
         if not any(w.is_road for w in graph.ways.values()):
-            raise EmptyExtract(f"no road-bearing ways within {radius_m} m of {center}")
+            raise InconsistentCrashLocation(f"no road-bearing ways within {radius_m} m of {center}")
         return graph
 
     def _cache_name(self, request: tuple[GeoPoint, float]) -> str:
@@ -300,7 +300,7 @@ def prune_osm(graph: OsmGraph, center: GeoPoint, radius_m: float) -> OsmGraph:
         if way.is_road and _way_within(positions, way, radius_m)
     }
     if not kept_ways:
-        raise EmptyAfterPrune(f"no road within {radius_m} m of {center}")
+        raise InconsistentCrashLocation(f"no road within {radius_m} m of {center}")
     referenced = {ref for way in kept_ways.values() for ref in way.nodes}
     kept_nodes = {nid: p for nid, p in graph.nodes.items() if nid in referenced}
     return OsmGraph(kept_nodes, kept_ways)

@@ -21,13 +21,13 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import crash_api, errors, estimator, opendrive, osm, reports
 from .estimator import EstimationSettings, InitialState, SceneSpec
-from .geometry import PlanarPoint, project
+from .errors import ExclusionReason
+from .geometry import PlanarPoint
 from .reports import CaseKey, CrashReport, Maneuver
 from .roadnet import build_road_network, locate_crash_point, unify_lanes, validate_geometry
 from .simulator import (
@@ -41,19 +41,6 @@ from .source import COMPUTE_SLOT
 from .trajectory import Trajectory, Waypoint, generate_trajectory
 
 logger = logging.getLogger(__name__)
-
-
-class ExclusionReason(Enum):
-    UNSUPPORTED_VERTICAL_GEOMETRY = "UnsupportedVerticalGeometry"
-    INCOMPLETE_INFO = "IncompleteInfo"
-    INCONSISTENT_CRASH_LOCATION = "InconsistentCrashLocation"
-    GEOMETRY_VALIDATION_FAILED = "GeometryValidationFailed"
-    ESTIMATION_FAILED = "EstimationFailed"
-    FAILED_TO_COLLIDE = "FailedToCollide"
-    VALIDATION_FAILED = "ValidationFailed"
-    NOT_DUAL_VEHICLE = "NotDualVehicle"
-    FETCH_FAILED = "FetchFailed"
-    INTERNAL_ERROR = "InternalError"   # a defect in crashtrace, logged with its traceback
 
 
 PACKAGE_FILES = (
@@ -230,33 +217,6 @@ def score_scenario(
 # ---------------------------------------------------------------------------
 
 
-class _Excluded(Exception):
-    """A verdict, rather than an error, that ends the case."""
-
-    def __init__(self, reason: ExclusionReason):
-        self.reason = reason
-
-
-# Errors a case may end on by design; any other error ends the case as
-# INTERNAL_ERROR, so one defective case never aborts the batch.
-EXCLUSION_FOR_ERROR: dict[type[errors.CrashTraceError], ExclusionReason] = {
-    errors.NetworkError: ExclusionReason.FETCH_FAILED,
-    errors.NotFound: ExclusionReason.FETCH_FAILED,
-    errors.CacheMiss: ExclusionReason.FETCH_FAILED,
-    errors.MalformedDocument: ExclusionReason.INCOMPLETE_INFO,
-    errors.EmptyExtract: ExclusionReason.INCONSISTENT_CRASH_LOCATION,
-    errors.EmptyAfterPrune: ExclusionReason.INCONSISTENT_CRASH_LOCATION,
-    errors.DegenerateGeometry: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
-    errors.OutOfExtent: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
-    errors.TooFewNodes: ExclusionReason.GEOMETRY_VALIDATION_FAILED,
-    errors.NoCandidates: ExclusionReason.ESTIMATION_FAILED,
-    errors.NoValidPlacement: ExclusionReason.ESTIMATION_FAILED,
-    errors.EstimationFailed: ExclusionReason.ESTIMATION_FAILED,
-    errors.EndpointError: ExclusionReason.ESTIMATION_FAILED,
-    errors.UnreachableCrashPoint: ExclusionReason.FAILED_TO_COLLIDE,
-}
-
-
 def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = None) -> CaseOutcome:
     """Run one case through every stage; failures become exclusion reasons.
 
@@ -267,10 +227,8 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
     try:
         with COMPUTE_SLOT.held():
             artifacts = _reconstruct(key, config, clients)
-    except _Excluded as exc:
-        return CaseOutcome(key, reason=exc.reason)
     except Exception as exc:
-        reason = EXCLUSION_FOR_ERROR.get(type(exc))
+        reason = exc.reason if isinstance(exc, errors.CrashTraceError) else None
         if reason is None:
             logger.exception("case %s: internal error", key.slug)
             reason = ExclusionReason.INTERNAL_ERROR
@@ -286,27 +244,29 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
 def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict[str, str]:
     raw = clients.report_client.fetch_case(key)
     report = reports.parse_report(raw)
-    if reports.missing_fields(report):
-        raise _Excluded(ExclusionReason.INCOMPLETE_INFO)
+    if missing := reports.missing_fields(report):
+        raise errors.IncompleteInfo(f"report lacks {', '.join(missing)}")
     if not reports.filter_dual_vehicle(report):
-        raise _Excluded(ExclusionReason.NOT_DUAL_VEHICLE)
+        raise errors.NotDualVehicle(f"report has {len(report.vehicles)} vehicles, not 2")
 
     origin = report.crash_coords
     graph = clients.osm_client.retrieve_osm(origin, config.radius_m)
     pruned = osm.prune_osm(graph, origin, config.radius_m)
-    if osm.detect_vertical_geometry(pruned):
-        raise _Excluded(ExclusionReason.UNSUPPORTED_VERTICAL_GEOMETRY)
+    if flagged := osm.detect_vertical_geometry(pruned):
+        raise errors.UnsupportedVerticalGeometry(f"ways {flagged} are bridges, tunnels or layered")
 
     network = build_road_network(pruned, origin)
     network = unify_lanes(network)
     geo_check = validate_geometry(pruned, network, origin)
     if not geo_check.passed:
-        raise _Excluded(ExclusionReason.GEOMETRY_VALIDATION_FAILED)
+        raise errors.GeometryValidationFailed(
+            f"planar distances deviate up to {geo_check.max_relative_deviation:.3%} "
+            "from geodesic ones")
 
-    crash_planar = project(origin, origin)
-    crash_fix = locate_crash_point(network, crash_planar)
+    # the crash site is the projection origin, so it lands at planar (0, 0)
+    crash_fix = locate_crash_point(network, PlanarPoint(0.0, 0.0))
     if crash_fix is None:
-        raise _Excluded(ExclusionReason.INCONSISTENT_CRASH_LOCATION)
+        raise errors.InconsistentCrashLocation(f"no road's lanes reach the crash site {origin}")
 
     settings = config.estimation
     region = estimator.candidate_regions(network, report, crash_fix, settings)
@@ -323,9 +283,11 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
 
     outcome, validation = score_scenario(scenario_json, lambda _key: report)
     if not outcome.collided:
-        raise _Excluded(ExclusionReason.FAILED_TO_COLLIDE)
+        raise errors.FailedToCollide("the vehicles never touch in the replay")
     if not validation.passed:
-        raise _Excluded(ExclusionReason.VALIDATION_FAILED)
+        raise errors.ValidationFailed(
+            f"location error {validation.location_error:.3f} m, clock deviations "
+            f"{validation.clock_deviation}, direction matches {validation.direction_match}")
 
     return {
         "report.xml": raw.body,

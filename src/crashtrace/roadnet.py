@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DegenerateGeometry, TooFewNodes
+from .errors import GeometryValidationFailed
 from .geometry import (
     GeoPoint,
     PlanarPoint,
@@ -196,7 +196,7 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
             pts.append(p)
             ids.append(ref)
         if len(pts) < 2:
-            raise DegenerateGeometry(f"way {wid} has no extent")
+            raise GeometryValidationFailed(f"way {wid} has no extent")
         oneway = _oneway(way.tags)
         fwd, bwd = _parse_lanes(way.tags, oneway)
         road = Road(wid, tuple(pts), fwd, bwd, DEFAULT_LANE_WIDTH_M, _name_key(way.tags),
@@ -419,7 +419,8 @@ def validate_geometry(graph, network: RoadNetwork, origin: GeoPoint) -> GeoValid
     """
     candidates = [nid for nid in sorted(graph.nodes) if nid in network.node_positions]
     if len(candidates) < 5:
-        raise TooFewNodes(f"need 5 nodes for geometric validation, have {len(candidates)}")
+        raise GeometryValidationFailed(
+            f"need 5 nodes for geometric validation, have {len(candidates)}")
 
     projected = project_all(graph.nodes, origin)
     chosen: list[int] = []

@@ -117,8 +117,11 @@ def detect_collision(pose_a: Pose, pose_b: Pose,
         return PlanarPoint((pose_a.position.x + pose_b.position.x) / 2,
                            (pose_a.position.y + pose_b.position.y) / 2)
     hits = sorted(set(hits))
-    n = len(hits)
-    return PlanarPoint(sum(p.x for p in hits) / n, sum(p.y for p in hits) / n)
+    x = y = 0.0
+    for p in hits:  # left to right: sum() rounds floats differently from Python 3.12 on
+        x += p.x
+        y += p.y
+    return PlanarPoint(x / len(hits), y / len(hits))
 
 
 # ---------------------------------------------------------------------------

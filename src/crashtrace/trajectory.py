@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import UnreachableCrashPoint
+from .errors import FailedToCollide
 from .geometry import (
     PlanarPoint,
     bearing,
@@ -130,7 +130,7 @@ def _road_chain(network: RoadNetwork, start: int, goal: int) -> list[tuple[int, 
                 return nxt_path
             seen.add(nxt)
             queue.append(nxt_path)
-    raise UnreachableCrashPoint(f"no road path from {start} to {goal}")
+    raise FailedToCollide(f"no road path from {start} to {goal}")
 
 
 def _leg_points(network: RoadNetwork, road_id: int, s_from: float, s_to: float,
@@ -255,7 +255,7 @@ def generate_trajectory(
 
     ``crash_fix`` is the crash point's place on the crash road. The first
     waypoint repeats the spawn pose exactly; the last lands on the crash
-    point. Raises UnreachableCrashPoint when no road chain connects the
+    point. Raises FailedToCollide when no road chain connects the
     spawn road to the crash road.
     """
     spawn_road = network.road(state.road_id)
@@ -289,7 +289,7 @@ def generate_trajectory(
 
     legs = [leg for leg in legs if len(leg) >= 2]
     if not legs:
-        raise UnreachableCrashPoint("degenerate path geometry")
+        raise FailedToCollide("degenerate path geometry")
 
     joined = [legs[0]]
     for leg in legs[1:]:

@@ -11,10 +11,19 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from crashtrace.geometry import GeoPoint, PlanarPoint, unproject
+from crashtrace.geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint
 
 STATE = 51
 YEAR = 2023
+
+
+def unproject(p: PlanarPoint, origin: GeoPoint) -> GeoPoint:
+    """Inverse of the projection ``geometry.project_all`` makes."""
+    lat = origin.latitude + math.degrees(p.y / EARTH_RADIUS_M)
+    lon = origin.longitude + math.degrees(
+        p.x / (EARTH_RADIUS_M * math.cos(math.radians(origin.latitude)))
+    )
+    return GeoPoint(lat, lon)
 
 
 def case_origin(index: int) -> GeoPoint:

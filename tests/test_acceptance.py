@@ -24,7 +24,7 @@ from crashtrace.estimator import (
     heuristic_estimate,
     validate_states,
 )
-from crashtrace.geometry import PlanarPoint, distance, haversine_m, project, unproject
+from crashtrace.geometry import PlanarPoint, distance, haversine_m, project_all
 from crashtrace.opendrive import parse_opendrive
 from crashtrace.osm import parse_osm
 from crashtrace.pipeline import (
@@ -158,9 +158,9 @@ def test_acceptance_3_geometric_fidelity():
         b = PlanarPoint(rng.uniform(-2000, 2000), rng.uniform(-2000, 2000))
         if distance(a, b) < 1.0:
             continue
-        ga, gb = unproject(a, origin), unproject(b, origin)
+        ga, gb = corpus.unproject(a, origin), corpus.unproject(b, origin)
         geod = haversine_m(ga, gb)
-        plan = distance(project(ga, origin), project(gb, origin))
+        plan = distance(*project_all({1: ga, 2: gb}, origin).values())
         worst = max(worst, abs(plan - geod) / geod)
         checked += 1
     assert worst <= 1e-3

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from crashtrace.errors import EndpointError, EstimationFailed, NoCandidates, UnparseableResponse
+from crashtrace.errors import EndpointError, EstimationFailed, UnparseableResponse
 from crashtrace.estimator import (
     EstimationSettings,
     InitialState,
@@ -101,7 +101,7 @@ def test_regions_no_candidates_for_point_road():
                        [(10, [1, 2], {"highway": "residential"})])
     report = _report()
     crash = locate_crash_point(network, CRASH)
-    with pytest.raises(NoCandidates):
+    with pytest.raises(EstimationFailed, match="no admissible approach"):
         candidate_regions(network, report, crash)
 
 

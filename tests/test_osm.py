@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crashtrace import osm
-from crashtrace.errors import CacheMiss, EmptyAfterPrune, EmptyExtract, NetworkError
+from crashtrace.errors import CacheMiss, InconsistentCrashLocation, NetworkError
 from crashtrace.geometry import EARTH_RADIUS_M, GeoPoint
 from crashtrace.osm import (
     OsmClient,
@@ -206,7 +206,7 @@ def test_retrieve_empty_extract(tmp_path):
         encoding="utf-8",
     )
     client = OsmClient(offline=True, fixtures_dir=tmp_path)
-    with pytest.raises(EmptyExtract):
+    with pytest.raises(InconsistentCrashLocation, match="no road-bearing ways"):
         client.retrieve_osm(ORIGIN, 500.0)
 
 
@@ -543,7 +543,7 @@ def test_prune_idempotent():
 def test_prune_empty_when_all_far():
     graph = _graph({1: (5000.0, 0.0), 2: (6000.0, 0.0)},
                    [(10, [1, 2], {"highway": "residential"})])
-    with pytest.raises(EmptyAfterPrune):
+    with pytest.raises(InconsistentCrashLocation, match="no road within"):
         prune_osm(graph, ORIGIN, 500.0)
 
 

@@ -6,15 +6,16 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from crashtrace import cli
+from crashtrace import cli, errors
 from crashtrace.errors import EmptyDirectory, ParseError
 from crashtrace.estimator import EstimationSettings, InitialState, SceneSpec
-from crashtrace.geometry import PlanarPoint
+from crashtrace.geometry import GeoPoint, PlanarPoint
 from crashtrace.pipeline import (
     PACKAGE_FILES,
     CaseOutcome,
@@ -101,6 +102,67 @@ def test_not_dual_vehicle_reason(tmp_path):
     config = PipelineConfig(offline=True, fixtures_dir=tmp_path, out_dir=tmp_path / "out")
     outcome = run_case(CaseKey(51, 300, 2023), config)
     assert outcome.reason is ExclusionReason.NOT_DUAL_VEHICLE
+
+
+def test_one_error_class_per_ledger_reason():
+    # InternalError is any other error, so it has no class of its own
+    own_reason = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.CrashTraceError)
+                  and "reason" in vars(cls) and cls.reason is not None]
+    assert {cls.__name__: cls.reason for cls in own_reason} \
+        == {r.value: r for r in ExclusionReason if r is not ExclusionReason.INTERNAL_ERROR}
+
+
+def _l_shaped_way_at_60_north() -> tuple[str, str]:
+    """A 10-node way 0.5 degrees north, then 0.8 degrees east: too large for
+    the flat-plane projection to keep distances within 0.5%."""
+    corners = [(60.0 + 0.1 * i, 10.0) for i in range(6)]
+    corners += [(60.5, 10.0 + 0.2 * i) for i in range(1, 5)]
+    nodes = "".join(f'  <node id="{i}" lat="{lat!r}" lon="{lon!r}"/>\n'
+                    for i, (lat, lon) in enumerate(corners, start=1))
+    refs = "".join(f'    <nd ref="{i}"/>\n' for i in range(1, len(corners) + 1))
+    osm_text = (f'<osm version="0.6">\n{nodes}  <way id="1">\n{refs}'
+                '    <tag k="highway" v="primary"/>\n  </way>\n</osm>\n')
+    return corpus.report_xml(coords=GeoPoint(60.0, 10.0)), osm_text
+
+
+def test_every_ledger_reason_is_reached(tmp_path):
+    origin = corpus.case_origin(0)
+    straight_report, straight_map = corpus.case_fixture("ftf_straight", origin)
+
+    def served(report, osm_text=None, **settings):
+        return PipelineConfig(out_dir=tmp_path / "out", report_transport=lambda url: report,
+                              osm_transport=lambda url, query: osm_text,
+                              estimation=EstimationSettings(**settings))
+
+    def defective_transport(url):
+        raise RuntimeError("not an error crashtrace expects")
+
+    configs = {
+        ExclusionReason.FETCH_FAILED:
+            PipelineConfig(offline=True, fixtures_dir=tmp_path, out_dir=tmp_path / "out"),
+        ExclusionReason.INCOMPLETE_INFO:
+            served(*corpus.case_fixture("incomplete_topology", origin)),
+        ExclusionReason.NOT_DUAL_VEHICLE:
+            served(corpus.report_xml(coords=origin, vehicles=[{"speed_mph": 30}])),
+        ExclusionReason.UNSUPPORTED_VERTICAL_GEOMETRY:
+            served(*corpus.case_fixture("vertical_tunnel", origin)),
+        ExclusionReason.INCONSISTENT_CRASH_LOCATION:
+            served(*corpus.case_fixture("offroad", origin)),
+        ExclusionReason.GEOMETRY_VALIDATION_FAILED: served(*_l_shaped_way_at_60_north()),
+        ExclusionReason.ESTIMATION_FAILED: served(straight_report, straight_map, mode="llm",
+                                                  max_retries=0, llm_transport=lambda p: "no json"),
+        ExclusionReason.FAILED_TO_COLLIDE: served(*corpus.case_fixture("no_collision", origin)),
+        ExclusionReason.VALIDATION_FAILED: served(
+            straight_report.replace("<ImpactClock>12<", "<ImpactClock>6<"), straight_map),
+        ExclusionReason.INTERNAL_ERROR: PipelineConfig(out_dir=tmp_path / "out",
+                                                       report_transport=defective_transport),
+    }
+    reached = [run_case(CaseKey(51, 330 + i, 2023), config).reason
+               for i, config in enumerate(configs.values())]
+    assert reached == list(configs)
+    assert set(reached) == set(ExclusionReason)
+    assert not (tmp_path / "out").exists()
 
 
 # --- batches ---
@@ -633,6 +695,17 @@ def test_unreadable_crash_api_answer_is_a_fetch_failure_and_not_cached(tmp_path)
     assert run_case(key, config(report)).ledger_line() == f"{key.slug}\tpackage\t-"
 
 
+def test_unreadable_report_fixture_is_a_fetch_failure(tmp_path):
+    # the same verdict as for an unreadable answer from the service or the cache
+    fixtures = tmp_path / "fixtures"
+    key = corpus.write_case(fixtures, "ftf_straight", 322, 0)
+    path = fixtures / f"{key.slug}.xml"
+    text = path.read_text("utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    config = PipelineConfig(offline=True, fixtures_dir=fixtures, out_dir=tmp_path / "out")
+    assert run_case(key, config).ledger_line() == f"{key.slug}\texcluded\tFetchFailed"
+
+
 def test_tag_without_key_is_skipped(tmp_path):
     origin = corpus.case_origin(0)
     report, osm_text = corpus.case_fixture("ftf_straight", origin)
@@ -804,6 +877,20 @@ def test_cli_rejects_negative_max_retries(one_case_run, capsys, tmp_path):
 
 def test_cli_rejects_parallelism_below_one(one_case_run, capsys, tmp_path):
     assert _rejected([*one_case_run, "--parallelism", "0"], capsys, tmp_path)
+
+
+def test_cli_rejects_fixtures_without_offline(one_case_run, capsys, tmp_path, monkeypatch):
+    # such a run would go online and never read the fixtures; keep it off the network
+    def no_network(*args, **kwargs):
+        raise OSError("no network in tests")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    assert _rejected([arg for arg in one_case_run if arg != "--offline"], capsys, tmp_path)
+
+
+def test_cli_rejects_llm_endpoint_without_llm_estimator(one_case_run, capsys, tmp_path):
+    # the heuristic estimator never reads the endpoint
+    assert _rejected([*one_case_run, "--llm-endpoint", closed_port_url()], capsys, tmp_path)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from crashtrace.errors import DegenerateGeometry, OutOfExtent, TooFewNodes
+from crashtrace.errors import GeometryValidationFailed
 from crashtrace.geometry import (
     GeoPoint,
     PlanarPoint,
@@ -15,9 +15,7 @@ from crashtrace.geometry import (
     locate_on_polyline,
     point_at,
     polyline_length,
-    project,
     project_all,
-    unproject,
     wrap_angle,
 )
 from crashtrace.opendrive import emit_opendrive
@@ -39,7 +37,7 @@ from crashtrace.roadnet import (
     validate_geometry,
 )
 
-from corpus import case_origin, cross_layout, grid_layout, osm_xml, t_layout
+from corpus import case_origin, cross_layout, grid_layout, osm_xml, t_layout, unproject
 
 ORIGIN = case_origin(0)
 
@@ -155,24 +153,28 @@ def _fixed_point_unify(network):
 # --- projection ---
 
 
+def _project(p: GeoPoint, origin: GeoPoint) -> PlanarPoint:
+    return project_all({0: p}, origin)[0]
+
+
 def test_project_origin_identity():
-    assert project(ORIGIN, ORIGIN) == PlanarPoint(0.0, 0.0)
+    # the pipeline fixes the crash at planar (0, 0) without projecting it
+    assert _project(ORIGIN, ORIGIN) == PlanarPoint(0.0, 0.0)
 
 
 def test_project_equator_milli_degree():
-    p = project(GeoPoint(0.0, 0.001), GeoPoint(0.0, 0.0))
+    p = _project(GeoPoint(0.0, 0.001), GeoPoint(0.0, 0.0))
     assert p.x == pytest.approx(111.195, abs=1e-3)
     assert p.y == pytest.approx(0.0, abs=1e-9)
 
 
 def test_project_cos_scaling_at_60_north():
-    p = project(GeoPoint(60.0, 0.001), GeoPoint(60.0, 0.0))
+    p = _project(GeoPoint(60.0, 0.001), GeoPoint(60.0, 0.0))
     assert p.x == pytest.approx(55.597, abs=1e-3)
 
 
 def test_project_extent_guard():
-    with pytest.raises(OutOfExtent):
-        project(GeoPoint(39.0, -77.0), GeoPoint(37.0, -77.0))
+    assert project_all({1: GeoPoint(39.0, -77.0)}, GeoPoint(37.0, -77.0)) == {}
 
 
 @pytest.mark.parametrize("point", [
@@ -181,8 +183,6 @@ def test_project_extent_guard():
 ])
 def test_project_extent_guard_drops_non_finite(point):
     origin = GeoPoint(37.0, -77.0)
-    with pytest.raises(OutOfExtent):
-        project(point, origin)
     edge = GeoPoint(38.0, -76.0)  # exactly one degree off in both: still projected
     assert set(project_all({1: point, 2: edge, 3: origin}, origin)) == {2, 3}
 
@@ -195,7 +195,7 @@ def test_projection_local_isometry():
         if distance(a, b) < 1.0:
             continue
         ga, gb = unproject(a, ORIGIN), unproject(b, ORIGIN)
-        planar = distance(project(ga, ORIGIN), project(gb, ORIGIN))
+        planar = distance(*project_all({1: ga, 2: gb}, ORIGIN).values())
         geod = haversine_m(ga, gb)
         assert abs(planar - geod) / geod <= 1e-3
 
@@ -253,7 +253,7 @@ def test_build_cross_junction():
 
 
 def test_build_degenerate_way():
-    with pytest.raises(DegenerateGeometry):
+    with pytest.raises(GeometryValidationFailed, match="no extent"):
         _network({1: (5.0, 5.0), 2: (5.0, 5.0)}, [(10, [1, 2], {"highway": "service"})])
 
 
@@ -615,5 +615,5 @@ def test_validate_geometry_too_few_nodes():
         {1: (0.0, 0.0), 2: (100.0, 0.0), 3: (100.0, 100.0), 4: (0.0, 100.0)},
         [(10, [1, 2, 3, 4], {"highway": "residential"})],
     )
-    with pytest.raises(TooFewNodes):
+    with pytest.raises(GeometryValidationFailed, match="need 5 nodes"):
         validate_geometry(graph, network, ORIGIN)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from crashtrace.errors import UnreachableCrashPoint
+from crashtrace.errors import FailedToCollide
 from crashtrace.estimator import InitialState, canonical_heading
 from crashtrace.geometry import PlanarPoint, distance, wrap_angle
 from crashtrace.osm import parse_osm
@@ -110,7 +110,7 @@ def test_unreachable_crash_point():
     )
     state = InitialState(PlanarPoint(-80.0, 498.25), 0.0, 10.0, 11, 1)
     crash = PlanarPoint(0.0, 0.0)  # on South Road, which no road chain reaches
-    with pytest.raises(UnreachableCrashPoint):
+    with pytest.raises(FailedToCollide, match="no road path"):
         generate_trajectory(state, locate_crash_point(network, crash), crash, network)
 
 
