@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import errors
-from .estimator import EstimationSettings
+from .estimator import EstimationSettings, http_transport
 from .pipeline import (
     PipelineConfig,
     batch_summary,
@@ -37,19 +37,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--offline", action="store_true",
-                       help="serve reports and maps from local fixtures only")
         p.add_argument("--fixtures", type=Path, metavar="DIR",
-                       help="fixture directory for offline mode")
+                       help="serve reports and maps from this fixture directory only")
         p.add_argument("--cache", type=Path, metavar="DIR",
                        help="read-through cache directory")
         p.add_argument("--out", type=Path, metavar="DIR", default=Path("out"),
                        help="output directory for case packages")
         p.add_argument("--radius", type=float, metavar="M", default=500.0,
                        help="map retrieval radius in meters")
-        p.add_argument("--estimator", choices=("heuristic", "llm"), default="heuristic")
-        p.add_argument("--llm-endpoint", metavar="URL")
-        p.add_argument("--max-retries", type=int, metavar="N", default=3)
+        p.add_argument("--llm-endpoint", metavar="URL",
+                       help="estimate initial states with this text-completion endpoint")
+        p.add_argument("--max-retries", type=int, metavar="N", default=3,
+                       help="re-prompts of the --llm-endpoint estimator")
         p.add_argument("--horizon", type=float, metavar="S", default=6.0,
                        help="backward-trajectory horizon in seconds")
         p.add_argument("--parallelism", type=int, metavar="N")
@@ -78,12 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    if args.offline != (args.fixtures is not None):
-        raise errors.CrashTraceError("--offline and --fixtures DIR go together")
     if args.fixtures and not args.fixtures.is_dir():
         raise errors.CrashTraceError(f"fixture directory not found: {args.fixtures}")
-    if (args.estimator == "llm") != bool(args.llm_endpoint):
-        raise errors.CrashTraceError("--estimator llm and --llm-endpoint URL go together")
     for flag, value in (("--radius", args.radius), ("--horizon", args.horizon)):
         if not (math.isfinite(value) and value > 0):
             raise errors.CrashTraceError(f"{flag} must be a finite number above 0, not {value}")
@@ -93,15 +88,14 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         raise errors.CrashTraceError(f"--parallelism must be at least 1, not {args.parallelism}")
     return PipelineConfig(
         cache_dir=args.cache,
-        offline=args.offline,
+        offline=args.fixtures is not None,
         fixtures_dir=args.fixtures,
         out_dir=args.out,
         radius_m=args.radius,
         estimation=EstimationSettings(
-            mode=args.estimator,
             max_retries=args.max_retries,
             horizon_s=args.horizon,
-            llm_endpoint=args.llm_endpoint,
+            llm_transport=http_transport(args.llm_endpoint) if args.llm_endpoint else None,
         ),
         parallelism=args.parallelism,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
-from .errors import NetworkError, NotFound
+from .errors import NotFound
 from .reports import CaseKey, RawCaseDocument
 from .source import ReadThroughSource, http_text
 
@@ -31,11 +31,7 @@ def build_case_url(base: str, key: CaseKey) -> str:
 
 
 def _http_get_report(url: str) -> str:
-    status, body = http_text(url)
-    if status == 404:
-        raise NotFound(url)
-    if status != 200:
-        raise NetworkError(f"HTTP {status} for {url}")
+    body = http_text(url)
     if not body.strip():
         raise NotFound(url)
     return body

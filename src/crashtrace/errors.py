@@ -60,7 +60,7 @@ class InconsistentCrashLocation(CrashTraceError):
 
 
 class GeometryValidationFailed(CrashTraceError):
-    """The converted road geometry is degenerate or fails the 5-point check."""
+    """The converted road geometry has too few nodes for, or fails, the 5-point check."""
     reason = ExclusionReason.GEOMETRY_VALIDATION_FAILED
 
 
@@ -90,7 +90,7 @@ class NetworkError(FetchFailed):
 
 
 class NotFound(FetchFailed):
-    """The remote service has no document for the requested case."""
+    """The remote service answered 404, or sent an empty report."""
 
 
 class CacheMiss(FetchFailed):

@@ -4,10 +4,10 @@ The default estimator is deterministic: it traces a backward trajectory
 from the crash point along each vehicle's admissible approach (path
 distance = reported speed times the approach horizon, 6 s by default),
 assigns the rightmost lane for the travel direction, and aligns the
-heading with the lane tangent. An external text-completion endpoint can be
-used instead; either way every proposal passes through the same analytical
-checks, and rejected proposals are re-attempted with the violations fed
-back, up to a retry budget.
+heading with the lane tangent. When ``EstimationSettings.llm_transport`` is
+set, an external text-completion endpoint proposes instead; either way every
+proposal passes through the same analytical checks, and rejected proposals
+are re-attempted with the violations fed back, up to a retry budget.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import (
     EndpointError,
     EstimationFailed,
-    NetworkError,
+    FetchFailed,
     NoValidPlacement,
     UnparseableResponse,
 )
@@ -111,11 +111,9 @@ class CandidateRegion:
 
 @dataclass(frozen=True)
 class EstimationSettings:
-    mode: str = "heuristic"  # heuristic | llm
     max_retries: int = DEFAULT_MAX_RETRIES
     horizon_s: float = DEFAULT_HORIZON_S
-    llm_endpoint: str | None = None
-    llm_model: str | None = None
+    # prompt -> reply of the external estimator; None runs the heuristic
     llm_transport: Callable[[str], str] | None = None
 
 
@@ -434,20 +432,16 @@ def build_prompt(
     )
 
 
-def _http_transport(endpoint: str, model: str | None = None) -> Callable[[str], str]:
-    headers = {"Content-Type": "text/plain"}
-    if model:
-        headers["X-Model-Name"] = model
+def http_transport(endpoint: str) -> Callable[[str], str]:
+    """An ``llm_transport`` that POSTs the prompt as plain text to ``endpoint``;
+    any failed fetch raises EndpointError."""
 
     def send(prompt: str) -> str:
         try:
-            status, text = http_text(endpoint, data=prompt.encode("utf-8"),
-                                     headers=headers, timeout=120)
-        except NetworkError as exc:
+            return http_text(endpoint, data=prompt.encode("utf-8"),
+                             headers={"Content-Type": "text/plain"}, timeout=120)
+        except FetchFailed as exc:
             raise EndpointError(str(exc)) from exc
-        if status != 200:
-            raise EndpointError(f"HTTP {status} from {endpoint}")
-        return text
 
     return send
 
@@ -472,16 +466,9 @@ def llm_estimate(
     prior_violations: Sequence[str],
     settings: EstimationSettings,
 ) -> tuple[InitialState, InitialState]:
-    """One proposal from the external endpoint; speeds stay report-derived."""
-    if settings.llm_transport is not None:
-        transport = settings.llm_transport
-    elif settings.llm_endpoint:
-        transport = _http_transport(settings.llm_endpoint, settings.llm_model)
-    else:
-        raise EndpointError("no estimation endpoint configured")
-
+    """One proposal from ``settings.llm_transport``; speeds stay report-derived."""
     prompt = build_prompt(report, region, prior_violations, settings)
-    raw = COMPUTE_SLOT.waiting(transport, prompt)
+    raw = COMPUTE_SLOT.waiting(settings.llm_transport, prompt)
     payload = _extract_json(raw)
     entries = payload.get("vehicles")
     if not isinstance(entries, list) or len(entries) != len(report.vehicles):
@@ -534,7 +521,7 @@ def estimate_with_feedback(
     """
     attempts: list[tuple[tuple[InitialState, InitialState] | None, tuple[str, ...]]] = []
     violations: list[str] = []
-    heuristic = settings.mode == "heuristic"
+    heuristic = settings.llm_transport is None
     max_attempts = 2 if heuristic else settings.max_retries + 1
     states = None
 

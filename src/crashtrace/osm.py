@@ -18,7 +18,7 @@ from typing import Callable
 from urllib.parse import urlencode
 from xml.parsers import expat
 
-from .errors import InconsistentCrashLocation, NetworkError
+from .errors import InconsistentCrashLocation
 from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project_all
 from .source import ReadThroughSource, http_text
 
@@ -183,10 +183,7 @@ def overpass_query(center: GeoPoint, radius_m: float) -> str:
 
 
 def _http_post_overpass(url: str, query: str) -> str:
-    status, text = http_text(url, data=urlencode({"data": query}).encode("ascii"), timeout=120)
-    if status != 200:
-        raise NetworkError(f"HTTP {status} from {url}")
-    return text
+    return http_text(url, data=urlencode({"data": query}).encode("ascii"), timeout=120)
 
 
 class OsmClient(ReadThroughSource):
@@ -211,13 +208,10 @@ class OsmClient(ReadThroughSource):
         self._fixture_maps = _scan_fixtures(self.fixtures_dir) if offline else []
 
     def retrieve_osm(self, center: GeoPoint, radius_m: float) -> OsmGraph:
-        """Extract around ``center``; raises InconsistentCrashLocation when no roads exist."""
+        """Extract around ``center``, unpruned: ``prune_osm`` finds whether it has a road."""
         if radius_m <= 0:
             raise ValueError("radius must be positive")
-        graph = self._load((center, radius_m))
-        if not any(w.is_road for w in graph.ways.values()):
-            raise InconsistentCrashLocation(f"no road-bearing ways within {radius_m} m of {center}")
-        return graph
+        return self._load((center, radius_m))
 
     def _cache_name(self, request: tuple[GeoPoint, float]) -> str:
         center, radius_m = request

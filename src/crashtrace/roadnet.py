@@ -178,6 +178,7 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
     """Project a pruned OSM graph onto the local plane and assemble roads.
 
     A road runs in its direction of travel: ``oneway=-1`` ways are reversed.
+    A way whose nodes all coincide makes no road.
     Every node must lie within a degree of ``origin``, as after ``prune_osm``.
     """
     node_positions = project_all(graph.nodes, origin)
@@ -196,7 +197,7 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
             pts.append(p)
             ids.append(ref)
         if len(pts) < 2:
-            raise GeometryValidationFailed(f"way {wid} has no extent")
+            continue
         oneway = _oneway(way.tags)
         fwd, bwd = _parse_lanes(way.tags, oneway)
         road = Road(wid, tuple(pts), fwd, bwd, DEFAULT_LANE_WIDTH_M, _name_key(way.tags),

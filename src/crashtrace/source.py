@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import CacheMiss, NetworkError
+from .errors import CacheMiss, NetworkError, NotFound
 
 logger = logging.getLogger(__name__)
 
@@ -36,12 +36,12 @@ logger = logging.getLogger(__name__)
 def http_text(
     url: str, data: bytes | None = None, headers: dict[str, str] | None = None,
     timeout: float = 60,
-) -> tuple[int, str]:
-    """(status, body) of a GET, or of a POST when ``data`` is given.
+) -> str:
+    """The body of a GET, or of a POST when ``data`` is given.
 
-    An error status is returned like a success; the body is decoded with the
-    declared charset, or UTF-8 when none is declared. Transport failures,
-    timeouts, malformed URLs and unknown charsets raise NetworkError.
+    The body is decoded with the declared charset, or UTF-8 when none is
+    declared. A 404 raises NotFound; any other status but 200, and transport
+    failures, timeouts, malformed URLs and unknown charsets raise NetworkError.
     """
     import http.client
     import urllib.error
@@ -54,9 +54,12 @@ def http_text(
         except urllib.error.HTTPError as exc:
             response = exc
         with response:
-            body = response.read()
+            if response.status == 404:
+                raise NotFound(url)
+            if response.status != 200:
+                raise NetworkError(f"HTTP {response.status} from {url}")
             charset = response.headers.get_content_charset() or "utf-8"
-            return response.status, body.decode(charset, errors="replace")
+            return response.read().decode(charset, errors="replace")
     except (http.client.HTTPException, OSError, ValueError, LookupError) as exc:
         raise NetworkError(f"{url}: {exc}") from exc
 

@@ -348,7 +348,7 @@ def test_acceptance_7_feedback_loop():
         {"id": 1, "road_id": 10, "lane_index": 1, "x": 0.0, "y": 400.0, "heading_deg": 0.0},
         {"id": 2, "road_id": 10, "lane_index": 1, "x": 50.0, "y": 1.75, "heading_deg": 180.0},
     ]})
-    settings = EstimationSettings(mode="llm", max_retries=3, llm_transport=lambda p: bad)
+    settings = EstimationSettings(max_retries=3, llm_transport=lambda p: bad)
     with pytest.raises(EstimationFailed) as excinfo:
         estimate_with_feedback(report, network, region, settings)
     trace = excinfo.value.trace
@@ -364,7 +364,7 @@ def test_acceptance_7_feedback_loop():
         for vid, s in zip((1, 2), good_states)
     ]})
     responses = iter([bad, good])
-    settings2 = EstimationSettings(mode="llm", max_retries=3,
+    settings2 = EstimationSettings(max_retries=3,
                                    llm_transport=lambda p: next(responses))
     scene, trace2 = estimate_with_feedback(report, network, region, settings2)
     assert trace2.attempt_count == 2

@@ -11,6 +11,7 @@ from crashtrace.estimator import (
     candidate_regions,
     estimate_with_feedback,
     heuristic_estimate,
+    http_transport,
     llm_estimate,
     validate_states,
 )
@@ -260,14 +261,14 @@ def _echo_transport(states, report):
 def test_llm_estimate_parses_valid_mock():
     network, report, crash, region = _setup("ftf")
     states = heuristic_estimate(region, report, network)
-    settings = EstimationSettings(mode="llm", llm_transport=_echo_transport(states, report))
+    settings = EstimationSettings(llm_transport=_echo_transport(states, report))
     parsed = llm_estimate(report, region, [], settings)
     assert parsed == states
 
 
 def test_llm_estimate_unparseable():
     network, report, crash, region = _setup("ftf")
-    settings = EstimationSettings(mode="llm", llm_transport=lambda prompt: "no json here")
+    settings = EstimationSettings(llm_transport=lambda prompt: "no json here")
     with pytest.raises(UnparseableResponse):
         llm_estimate(report, region, [], settings)
 
@@ -277,30 +278,29 @@ def test_llm_default_transport_posts_prompt():
     states = heuristic_estimate(region, report, network)
     reply = _echo_transport(states, report)("").encode("utf-8")
     with http_endpoint(lambda path: (200, reply, "text/plain")) as (base, received):
-        settings = EstimationSettings(mode="llm", llm_endpoint=base + "/v1", llm_model="m-7")
+        settings = EstimationSettings(llm_transport=http_transport(base + "/v1"))
         assert llm_estimate(report, region, [], settings) == states
     method, path, headers, body = received[0]
     assert (method, path) == ("POST", "/v1")
     assert headers["Content-Type"] == "text/plain"
-    assert headers["X-Model-Name"] == "m-7"
     assert body.decode("utf-8") == build_prompt(report, region, [], settings)
 
 
 def test_llm_default_transport_failures_are_endpoint_errors():
     network, report, crash, region = _setup("ftf")
-    with http_endpoint(lambda path: (503, b"busy", "text/plain")) as (base, received):
-        settings = EstimationSettings(mode="llm", llm_endpoint=base)
-        with pytest.raises(EndpointError):
-            llm_estimate(report, region, [], settings)
-    assert "X-Model-Name" not in received[0][2]
-    settings = EstimationSettings(mode="llm", llm_endpoint=closed_port_url())
+    for status in (404, 503):
+        with http_endpoint(lambda path: (status, b"busy", "text/plain")) as (base, _):
+            settings = EstimationSettings(llm_transport=http_transport(base))
+            with pytest.raises(EndpointError):
+                llm_estimate(report, region, [], settings)
+    settings = EstimationSettings(llm_transport=http_transport(closed_port_url()))
     with pytest.raises(EndpointError):
         llm_estimate(report, region, [], settings)
 
 
 def test_prompt_contains_directives_and_violations():
     network, report, crash, region = _setup("ftf")
-    settings = EstimationSettings(mode="llm")
+    settings = EstimationSettings()
     prompt = build_prompt(report, region, [], settings)
     assert "backward trajectory" in prompt
     assert "right-hand traffic" in prompt
@@ -362,7 +362,7 @@ def test_feedback_second_attempt_valid():
         calls.append(prompt)
         return responses[len(calls) - 1]
 
-    settings = EstimationSettings(mode="llm", llm_transport=transport, max_retries=3)
+    settings = EstimationSettings(llm_transport=transport, max_retries=3)
     scene, trace = estimate_with_feedback(report, network, region, settings)
     assert trace.attempt_count == 2
     assert len(trace.attempts[0][1]) > 0  # first attempt carries violations
@@ -379,7 +379,7 @@ def test_feedback_exhausts_retries():
              "heading_deg": 180.0},
         ]
     })
-    settings = EstimationSettings(mode="llm", llm_transport=lambda p: bad_payload,
+    settings = EstimationSettings(llm_transport=lambda p: bad_payload,
                                   max_retries=3)
     with pytest.raises(EstimationFailed) as excinfo:
         estimate_with_feedback(report, network, region, settings)
@@ -398,7 +398,7 @@ def test_feedback_unparseable_counts_as_attempt():
         calls.append(prompt)
         return responses[len(calls) - 1]
 
-    settings = EstimationSettings(mode="llm", llm_transport=transport)
+    settings = EstimationSettings(llm_transport=transport)
     scene, trace = estimate_with_feedback(report, network, region, settings)
     assert trace.attempt_count == 2
     assert trace.attempts[0][0] is None
@@ -412,7 +412,7 @@ def test_feedback_rejects_non_finite_proposal(field, value):
     reply = _echo_transport(heuristic_estimate(region, report, network), report)("")
     payload = json.loads(reply[reply.index("{"):])
     payload["vehicles"][0][field] = value  # json.dumps writes NaN / Infinity
-    settings = EstimationSettings(mode="llm", max_retries=0,
+    settings = EstimationSettings(max_retries=0,
                                   llm_transport=lambda prompt: json.dumps(payload))
     with pytest.raises(EstimationFailed) as excinfo:
         estimate_with_feedback(report, network, region, settings)

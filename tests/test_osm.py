@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crashtrace import osm
-from crashtrace.errors import CacheMiss, InconsistentCrashLocation, NetworkError
+from crashtrace.errors import CacheMiss, InconsistentCrashLocation, NetworkError, NotFound
 from crashtrace.geometry import EARTH_RADIUS_M, GeoPoint
 from crashtrace.osm import (
     OsmClient,
@@ -200,14 +200,15 @@ def test_retrieve_offline_fixture_unmodified(tmp_path):
 
 
 def test_retrieve_empty_extract(tmp_path):
-    # ocean fixture: nodes but no road-bearing way
+    # ocean fixture: nodes but no road-bearing way; retrieval serves it, pruning rejects it
     (tmp_path / "ocean.osm").write_text(
         osm_xml(ORIGIN, {1: (0, 0), 2: (10, 10)}, [(5, [1, 2], {"natural": "coastline"})]),
         encoding="utf-8",
     )
-    client = OsmClient(offline=True, fixtures_dir=tmp_path)
-    with pytest.raises(InconsistentCrashLocation, match="no road-bearing ways"):
-        client.retrieve_osm(ORIGIN, 500.0)
+    graph = OsmClient(offline=True, fixtures_dir=tmp_path).retrieve_osm(ORIGIN, 500.0)
+    assert set(graph.ways) == {5}
+    with pytest.raises(InconsistentCrashLocation, match="no road within"):
+        prune_osm(graph, ORIGIN, 500.0)
 
 
 def test_retrieve_offline_no_fixture(tmp_path):
@@ -516,10 +517,10 @@ def test_default_transport_posts_overpass_form(tmp_path):
 
 
 def test_default_transport_overpass_errors():
-    served = lambda path: (429, b"rate limited", "text/plain")
-    with http_endpoint(served) as (base, _):
-        with pytest.raises(NetworkError):
-            OsmClient(url=base).retrieve_osm(ORIGIN, 500.0)
+    for status, error in ((429, NetworkError), (404, NotFound)):
+        with http_endpoint(lambda path: (status, b"rate limited", "text/plain")) as (base, _):
+            with pytest.raises(error):
+                OsmClient(url=base).retrieve_osm(ORIGIN, 500.0)
     with pytest.raises(NetworkError):
         OsmClient(url=closed_port_url()).retrieve_osm(ORIGIN, 500.0)
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -150,8 +149,8 @@ def test_every_ledger_reason_is_reached(tmp_path):
         ExclusionReason.INCONSISTENT_CRASH_LOCATION:
             served(*corpus.case_fixture("offroad", origin)),
         ExclusionReason.GEOMETRY_VALIDATION_FAILED: served(*_l_shaped_way_at_60_north()),
-        ExclusionReason.ESTIMATION_FAILED: served(straight_report, straight_map, mode="llm",
-                                                  max_retries=0, llm_transport=lambda p: "no json"),
+        ExclusionReason.ESTIMATION_FAILED: served(straight_report, straight_map, max_retries=0,
+                                                  llm_transport=lambda p: "no json"),
         ExclusionReason.FAILED_TO_COLLIDE: served(*corpus.case_fixture("no_collision", origin)),
         ExclusionReason.VALIDATION_FAILED: served(
             straight_report.replace("<ImpactClock>12<", "<ImpactClock>6<"), straight_map),
@@ -472,7 +471,7 @@ def test_cli_run_and_replay_and_stats_and_plot(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = cli.main([
         "run", "--state", "51", "--case", "501", "--year", "2023",
-        "--offline", "--fixtures", str(fixtures), "--out", str(out_dir),
+        "--fixtures", str(fixtures), "--out", str(out_dir),
     ])
     assert rc == 0
     assert "package" in capsys.readouterr().out
@@ -504,7 +503,7 @@ def test_cli_batch(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = cli.main([
         "batch", "--cases", str(case_file),
-        "--offline", "--fixtures", str(fixtures), "--out", str(out_dir),
+        "--fixtures", str(fixtures), "--out", str(out_dir),
         "--parallelism", "2",
     ])
     assert rc == 0
@@ -523,7 +522,7 @@ def test_cli_replay_reproduces_every_batch_package(tmp_path, capsys):
     case_file = tmp_path / "cases.txt"
     case_file.write_text("".join(k.slug + "\n" for k in keys), encoding="utf-8")
     out_dir = tmp_path / "out"
-    rc = cli.main(["batch", "--cases", str(case_file), "--offline", "--fixtures", str(fixtures),
+    rc = cli.main(["batch", "--cases", str(case_file), "--fixtures", str(fixtures),
                    "--out", str(out_dir)])
     assert rc == 0
     capsys.readouterr()
@@ -549,7 +548,7 @@ def test_unreadable_map_fixture_does_not_abort_batch(good_batch, tmp_path, caplo
         bad_paths.append(osm_path)
     case_file = tmp_path / "cases.txt"
     case_file.write_text("".join(k.slug + "\n" for k in [*keys, *bad_keys]), encoding="utf-8")
-    rc = cli.main(["batch", "--cases", str(case_file), "--offline", "--fixtures", str(fixtures),
+    rc = cli.main(["batch", "--cases", str(case_file), "--fixtures", str(fixtures),
                    "--out", str(tmp_path / "out"), "--parallelism", "2"])
     assert rc == 0
     ledger = (tmp_path / "out" / "ledger.txt").read_text("utf-8").splitlines()
@@ -722,6 +721,19 @@ def test_tag_without_key_is_skipped(tmp_path):
     assert maps["odd"] == maps["clean"]
 
 
+def test_zero_length_way_is_skipped(tmp_path):
+    # a way whose nodes coincide makes no road, so the case keeps its own roads' verdict
+    origin = corpus.case_origin(0)
+    report, _ = corpus.case_fixture("ftf_straight", origin)
+    nodes, ways = corpus.straight_road_layout()
+    nodes = {**nodes, 39: (100.0, 150.0), 40: (100.0, 150.0)}
+    osm_text = corpus.osm_xml(origin, nodes, [*ways, (40, [39, 40], {"highway": "service"})])
+    config = PipelineConfig(out_dir=tmp_path / "out", report_transport=lambda url: report,
+                            osm_transport=lambda url, query: osm_text)
+    outcome = run_case(CaseKey(51, 323, 2023), config)
+    assert outcome.ledger_line() == "51_323_2023\tpackage\t-"
+
+
 # --- batches: network waits overlap, one case computes at a time ---
 
 
@@ -742,8 +754,9 @@ def test_network_waits_overlap_across_cases(tmp_path, mode, verdict):
     config = PipelineConfig(
         out_dir=tmp_path / "out", parallelism=2,
         estimation=EstimationSettings(
-            mode=mode, max_retries=0,
-            llm_transport=lambda prompt: after_both(barriers[2], "no json")),
+            max_retries=0,
+            llm_transport=(lambda prompt: after_both(barriers[2], "no json"))
+            if mode == "llm" else None),
         report_transport=lambda url: after_both(barriers[0], report),
         osm_transport=lambda url, query: after_both(barriers[1], osm_text))
     keys = [CaseKey(51, 320, 2023), CaseKey(51, 321, 2023)]
@@ -810,7 +823,7 @@ from crashtrace import cli
 root = Path(sys.argv[1])
 keys = corpus.write_ledger_corpus(root / "fixtures")
 (root / "cases.txt").write_text("".join(k.slug + "\\n" for k in keys), encoding="utf-8")
-rc = cli.main(["batch", "--cases", str(root / "cases.txt"), "--offline",
+rc = cli.main(["batch", "--cases", str(root / "cases.txt"),
                "--fixtures", str(root / "fixtures"), "--out", str(root / "out")])
 assert rc == 0, rc
 assert "urllib.request" not in sys.modules, "offline run loaded the HTTP client"
@@ -849,7 +862,7 @@ def one_case_run(tmp_path):
     fixtures = tmp_path / "fixtures"
     key = corpus.write_case(fixtures, "ftf_straight", 702, 47)
     return ["run", "--state", str(key.state), "--case", str(key.state_case),
-            "--year", str(key.case_year), "--offline", "--fixtures", str(fixtures),
+            "--year", str(key.case_year), "--fixtures", str(fixtures),
             "--out", str(tmp_path / "out")]
 
 
@@ -870,8 +883,7 @@ def test_cli_rejects_bad_horizon(one_case_run, value, capsys, tmp_path):
 
 
 def test_cli_rejects_negative_max_retries(one_case_run, capsys, tmp_path):
-    argv = [*one_case_run, "--estimator", "llm", "--llm-endpoint", closed_port_url(),
-            "--max-retries", "-1"]
+    argv = [*one_case_run, "--llm-endpoint", closed_port_url(), "--max-retries", "-1"]
     assert _rejected(argv, capsys, tmp_path)
 
 
@@ -879,33 +891,23 @@ def test_cli_rejects_parallelism_below_one(one_case_run, capsys, tmp_path):
     assert _rejected([*one_case_run, "--parallelism", "0"], capsys, tmp_path)
 
 
-def test_cli_rejects_fixtures_without_offline(one_case_run, capsys, tmp_path, monkeypatch):
-    # such a run would go online and never read the fixtures; keep it off the network
-    def no_network(*args, **kwargs):
-        raise OSError("no network in tests")
-
-    monkeypatch.setattr(urllib.request, "urlopen", no_network)
-    assert _rejected([arg for arg in one_case_run if arg != "--offline"], capsys, tmp_path)
-
-
-def test_cli_rejects_llm_endpoint_without_llm_estimator(one_case_run, capsys, tmp_path):
-    # the heuristic estimator never reads the endpoint
-    assert _rejected([*one_case_run, "--llm-endpoint", closed_port_url()], capsys, tmp_path)
+def test_cli_llm_endpoint_selects_the_llm_estimator(one_case_run, capsys):
+    # the heuristic packages this case, so only the unreachable endpoint can exclude it
+    assert cli.main([*one_case_run, "--llm-endpoint", closed_port_url()]) == 0
+    assert capsys.readouterr().out.endswith("\texcluded\tEstimationFailed\n")
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    # offline without fixtures is a configuration error
-    rc = cli.main(["run", "--state", "51", "--case", "1", "--year", "2023", "--offline"])
-    assert rc == 1
-    # unknown flags are configuration errors too
-    rc = cli.main(["run", "--bogus"])
-    assert rc == 1
-    # the replay timestep is fixed, so a verdict cannot depend on it
     fixtures = tmp_path / "fixtures"
     key = corpus.write_case(fixtures, "ftf_straight", 701, 46)
     (tmp_path / "cases.txt").write_text(key.slug + "\n", encoding="utf-8")
-    common = ["--offline", "--fixtures", str(fixtures), "--out", str(tmp_path / "out")]
+    common = ["--fixtures", str(fixtures), "--out", str(tmp_path / "out")]
     run = ["run", "--state", "51", "--case", "701", "--year", "2023", *common]
+    # unknown flags are configuration errors, the flags that once chose a mode included
+    for flags in (["--bogus"], ["--offline"], ["--estimator", "heuristic"]):
+        assert cli.main([*run, *flags]) == 1
+    assert not (tmp_path / "out").exists()
+    # the replay timestep is fixed, so a verdict cannot depend on it
     assert cli.main(run) == 0
     assert cli.main([*run, "--dt", "0.2"]) == 1
     assert cli.main(["batch", "--cases", str(tmp_path / "cases.txt"), *common, "--dt", "0.2"]) == 1
@@ -914,7 +916,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     corpus.write_case(fixtures, "incomplete_coords", 700, 45)
     rc = cli.main([
         "run", "--state", "51", "--case", "700", "--year", "2023",
-        "--offline", "--fixtures", str(fixtures), "--out", str(tmp_path / "out"),
+        "--fixtures", str(fixtures), "--out", str(tmp_path / "out"),
     ])
     assert rc == 0
     capsys.readouterr()

@@ -253,8 +253,11 @@ def test_build_cross_junction():
 
 
 def test_build_degenerate_way():
-    with pytest.raises(GeometryValidationFailed, match="no extent"):
-        _network({1: (5.0, 5.0), 2: (5.0, 5.0)}, [(10, [1, 2], {"highway": "service"})])
+    # a way whose nodes all coincide makes no road; the others are built as usual
+    network, _ = _network({1: (5.0, 5.0), 2: (5.0, 5.0), 3: (0.0, 0.0), 4: (100.0, 0.0)},
+                          [(10, [1, 2], {"highway": "service"}),
+                           (11, [3, 4], {"highway": "residential"})])
+    assert [road.road_id for road in network.roads] == [11]
 
 
 # --- lane geometry ---
