@@ -63,4 +63,4 @@ class CrashApiClient(ReadThroughSource):
         return path.read_text(encoding="utf-8") if path is not None and path.is_file() else None
 
     def _remote(self, key: CaseKey) -> str:
-        return self._transport(build_case_url(self.base_url, key))
+        return self.transport(build_case_url(self.base_url, key))

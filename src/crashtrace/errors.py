@@ -101,11 +101,7 @@ class MalformedDocument(FetchFailed):
     """Report body is not well-formed markup."""
 
 
-# --- estimation failures callers tell apart ---
-
-class NoValidPlacement(EstimationFailed):
-    """The deterministic estimator could not place a vehicle; it is retried."""
-
+# --- the estimation failure callers tell apart ---
 
 class EndpointError(EstimationFailed):
     """The external estimation endpoint failed at the transport level."""

@@ -19,13 +19,7 @@ from importlib import resources
 from string import Template
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (
-    EndpointError,
-    EstimationFailed,
-    FetchFailed,
-    NoValidPlacement,
-    UnparseableResponse,
-)
+from .errors import EndpointError, EstimationFailed, FetchFailed, UnparseableResponse
 from .geometry import (
     PlanarPoint,
     bearing,
@@ -44,9 +38,10 @@ from .roadnet import (
     RoadLocation,
     RoadNetwork,
     lane_offset,
+    own_lane,
     travel_direction,
 )
-from .source import COMPUTE_SLOT, http_text
+from .source import http_text
 
 DEFAULT_HORIZON_S = 6.0
 DEFAULT_SPEED_MPS = 13.41  # assigned when the report gives no travel speed
@@ -269,12 +264,8 @@ def _lane_state(road: Road, s: float, direction: int, lane_index: int,
                 speed: float) -> InitialState:
     """The state at arc length ``s`` in a lane: lane-center position,
     heading along the lane tangent for the travel direction."""
-    try:
-        off = lane_offset(road, direction, lane_index)
-    except ValueError as exc:
-        raise NoValidPlacement(str(exc)) from exc
     cum = cumulative_lengths(road.centerline)
-    position = offset_point(road.centerline, s, off, cum)
+    position = offset_point(road.centerline, s, lane_offset(road, direction, lane_index), cum)
     tangent = tangent_at(road.centerline, s, cum)
     heading = tangent if direction > 0 else wrap_angle(tangent + math.pi)
     return InitialState(position, canonical_heading(heading), speed, road.road_id, lane_index)
@@ -290,9 +281,9 @@ def heuristic_estimate(
     for record, approach in zip(report.vehicles, _pick_approaches(region, report, network)):
         road = network.road(approach.road_id)
         spawn_s = approach.s_contact - approach.direction * approach.run
-        lanes_own = road.lanes_forward if approach.direction > 0 else road.lanes_backward
-        # the rightmost through lane, or wrong-way in the adjacent opposing lane
-        lane_index = lanes_own if lanes_own > 0 else -1
+        # the rightmost own lane (no side has more lanes than the road), or
+        # wrong-way in the adjacent opposing lane
+        lane_index = own_lane(road, approach.direction, road.lane_count)
         states.append(_lane_state(road, spawn_s, approach.direction, lane_index, _speed(record)))
     return tuple(states)
 
@@ -468,7 +459,7 @@ def llm_estimate(
 ) -> tuple[InitialState, InitialState]:
     """One proposal from ``settings.llm_transport``; speeds stay report-derived."""
     prompt = build_prompt(report, region, prior_violations, settings)
-    raw = COMPUTE_SLOT.waiting(settings.llm_transport, prompt)
+    raw = settings.llm_transport(prompt)
     payload = _extract_json(raw)
     entries = payload.get("vehicles")
     if not isinstance(entries, list) or len(entries) != len(report.vehicles):
@@ -500,9 +491,8 @@ def _snap_state(state: InitialState, network: RoadNetwork) -> InitialState:
     road = network.road(state.road_id)
     fix = locate_on_polyline(road.centerline, state.position)
     direction = travel_direction(road, fix.s, state.heading)
-    lanes_own = road.lanes_forward if direction > 0 else road.lanes_backward
-    lane_index = min(max(state.lane_index, 1), lanes_own) if lanes_own else -1
-    return _lane_state(road, fix.s, direction, lane_index, state.speed)
+    return _lane_state(road, fix.s, direction, own_lane(road, direction, state.lane_index),
+                       state.speed)
 
 
 def estimate_with_feedback(
@@ -523,7 +513,6 @@ def estimate_with_feedback(
     violations: list[str] = []
     heuristic = settings.llm_transport is None
     max_attempts = 2 if heuristic else settings.max_retries + 1
-    states = None
 
     for attempt in range(max_attempts):
         try:
@@ -531,11 +520,9 @@ def estimate_with_feedback(
                 states = llm_estimate(report, region, violations, settings)
             elif attempt == 0:
                 states = heuristic_estimate(region, report, network)
-            elif states is not None:
-                states = tuple(_snap_state(s, network) for s in states)
             else:
-                break  # no estimate to clip
-        except (UnparseableResponse, NoValidPlacement) as exc:
+                states = tuple(_snap_state(s, network) for s in states)
+        except UnparseableResponse as exc:
             attempts.append((None, (str(exc),)))
             violations = [str(exc)]
             continue

@@ -238,7 +238,7 @@ class OsmClient(ReadThroughSource):
         return min(hits, key=lambda hit: hit[:2])[2] if hits else None
 
     def _remote(self, request: tuple[GeoPoint, float]) -> str:
-        return self._transport(self.url, overpass_query(*request))
+        return self.transport(self.url, overpass_query(*request))
 
 
 def _scan_fixtures(

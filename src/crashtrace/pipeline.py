@@ -18,9 +18,10 @@ import json
 import logging
 import math
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,7 +38,6 @@ from .simulator import (
     validate_reconstruction,
     validation_to_json,
 )
-from .source import COMPUTE_SLOT
 from .trajectory import Trajectory, Waypoint, generate_trajectory
 
 logger = logging.getLogger(__name__)
@@ -86,29 +86,58 @@ class PipelineConfig:
     osm_transport: Callable[[str, str], str] | None = None
 
 
+# One case computes at a time, and gives the lock up while a transport waits
+# on a remote answer, so waits overlap across cases. Under the interpreter
+# lock, threads that compute at once only interleave, and each keeps its
+# working set alive while the others run, so memory would grow with the pool
+# width; one lock per process, as the interpreter lock is.
+_COMPUTE = threading.Lock()
+
+
+def _releasing(wait: Callable[..., str]) -> Callable[..., str]:
+    """``wait`` with ``_COMPUTE``, which the calling case holds, given up meanwhile."""
+
+    def call(*args):
+        _COMPUTE.release()
+        try:
+            return wait(*args)
+        finally:
+            _COMPUTE.acquire()
+
+    return call
+
+
 @dataclass(frozen=True)
 class Clients:
+    """A run's document sources and estimation settings, for ``run_case`` alone:
+    their transports expect the calling thread to hold ``_COMPUTE``."""
+
     report_client: crash_api.CrashApiClient
     osm_client: osm.OsmClient
+    estimation: EstimationSettings
 
 
 def build_clients(config: PipelineConfig) -> Clients:
-    return Clients(
-        crash_api.CrashApiClient(
-            base_url=config.api_base_url,
-            cache_dir=config.cache_dir,
-            offline=config.offline,
-            fixtures_dir=config.fixtures_dir,
-            transport=config.report_transport,
-        ),
-        osm.OsmClient(
-            url=config.overpass_url,
-            cache_dir=config.cache_dir,
-            offline=config.offline,
-            fixtures_dir=config.fixtures_dir,
-            transport=config.osm_transport,
-        ),
+    report_client = crash_api.CrashApiClient(
+        base_url=config.api_base_url,
+        cache_dir=config.cache_dir,
+        offline=config.offline,
+        fixtures_dir=config.fixtures_dir,
+        transport=config.report_transport,
     )
+    osm_client = osm.OsmClient(
+        url=config.overpass_url,
+        cache_dir=config.cache_dir,
+        offline=config.offline,
+        fixtures_dir=config.fixtures_dir,
+        transport=config.osm_transport,
+    )
+    for client in (report_client, osm_client):
+        client.transport = _releasing(client.transport)
+    estimation = config.estimation
+    if estimation.llm_transport is not None:
+        estimation = replace(estimation, llm_transport=_releasing(estimation.llm_transport))
+    return Clients(report_client, osm_client, estimation)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +249,12 @@ def score_scenario(
 def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = None) -> CaseOutcome:
     """Run one case through every stage; failures become exclusion reasons.
 
-    The case computes inside the process's compute slot, which it gives up
-    only while it waits on a remote answer; the package is written outside it.
+    The case computes holding ``_COMPUTE``, which its transports give up only
+    while they wait on a remote answer; the package is written without it.
     """
     clients = clients or build_clients(config)
     try:
-        with COMPUTE_SLOT.held():
+        with _COMPUTE:
             artifacts = _reconstruct(key, config, clients)
     except Exception as exc:
         reason = exc.reason if isinstance(exc, errors.CrashTraceError) else None
@@ -268,7 +297,7 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
     if crash_fix is None:
         raise errors.InconsistentCrashLocation(f"no road's lanes reach the crash site {origin}")
 
-    settings = config.estimation
+    settings = clients.estimation
     region = estimator.candidate_regions(network, report, crash_fix, settings)
     scene, _trace = estimator.estimate_with_feedback(report, network, region, settings)
 

@@ -125,6 +125,14 @@ def lane_offset(road: Road, direction: int, lane_index: int) -> float:
     return (slot - (n - 1) / 2.0) * road.lane_width
 
 
+def own_lane(road: Road, direction: int, lane_index: int) -> int:
+    """The lane a vehicle travelling ``direction`` keeps: lane ``|lane_index|``
+    of its own side, clamped to that side's lanes, or the adjacent opposing
+    lane (-1) when its side has none."""
+    count = road.lanes_forward if direction > 0 else road.lanes_backward
+    return min(max(abs(lane_index), 1), count) if count else -1
+
+
 def travel_direction(road: Road, s: float, heading: float) -> int:
     """+1 when the heading runs with increasing arc length, else -1."""
     t = tangent_at(road.centerline, s)

@@ -11,10 +11,6 @@ cache file that does not parse anyway is logged and treated as a miss.
 
 ``http_text`` is the only code that speaks HTTP. It imports ``urllib.request``
 on first use, so offline runs never load it.
-
-``COMPUTE_SLOT`` is the process's one compute slot: a case holds it while it
-computes and gives it up while it waits on a remote answer (``_load``'s
-transport call here, and the estimator's LLM call).
 """
 
 from __future__ import annotations
@@ -22,9 +18,7 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-import threading
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable
 
@@ -64,46 +58,6 @@ def http_text(
         raise NetworkError(f"{url}: {exc}") from exc
 
 
-class ComputeSlot:
-    """Lets one case compute at a time while the others wait on remote answers.
-
-    Under the interpreter lock, threads that compute at once only interleave,
-    and each keeps its working set alive while the others run, so memory
-    grows with the pool width. A case takes the slot with ``held`` and gives
-    it up only inside ``waiting``; a thread that does not hold the slot calls
-    through ``waiting`` untouched.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holder = threading.local()
-
-    @contextmanager
-    def held(self):
-        with self._lock:
-            self._holder.held = True
-            try:
-                yield
-            finally:
-                self._holder.held = False
-
-    def waiting(self, wait: Callable[..., Any], *args) -> Any:
-        """``wait(*args)``, with the slot given up meanwhile if this thread holds it."""
-        if not getattr(self._holder, "held", False):
-            return wait(*args)
-        self._holder.held = False
-        self._lock.release()
-        try:
-            return wait(*args)
-        finally:
-            self._lock.acquire()
-            self._holder.held = True
-
-
-# one slot per process, as the interpreter lock it stands for is per process
-COMPUTE_SLOT = ComputeSlot()
-
-
 def _write_atomically(path: Path, text: str) -> None:
     """Write ``text`` to a temporary sibling of ``path``, then rename it into
     place; a failed write removes the temporary file and re-raises."""
@@ -123,7 +77,7 @@ class ReadThroughSource:
 
     Subclasses supply ``_cache_name(request)``, the disk-cache file name;
     ``_fixture(request)``, the offline fixture's parsed document or None; and
-    ``_remote(request)``, the fetch through ``self._transport``. They may
+    ``_remote(request)``, the fetch through ``self.transport``. They may
     override ``_parse(text)``, which turns fetched or cached text into the
     document, raising SyntaxError or ValueError on text it cannot read, and
     defaults to the text itself once it parses as XML.
@@ -139,7 +93,7 @@ class ReadThroughSource:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.offline = offline
         self.fixtures_dir = Path(fixtures_dir) if fixtures_dir else None
-        self._transport = transport
+        self.transport = transport
 
     def _parse(self, text: str) -> Any:
         ET.fromstring(text)  # ET.ParseError is a SyntaxError
@@ -157,7 +111,7 @@ class ReadThroughSource:
             if document is None:
                 raise CacheMiss(f"no fixture or cached document for {request}")
             return document
-        text = COMPUTE_SLOT.waiting(self._remote, request)
+        text = self._remote(request)
         try:
             document = self._parse(text)
         except (SyntaxError, ValueError) as exc:

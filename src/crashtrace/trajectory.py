@@ -28,7 +28,7 @@ from .geometry import (
     wrap_angle,
 )
 from .reports import Maneuver
-from .roadnet import RoadLocation, RoadNetwork, lane_offset
+from .roadnet import RoadLocation, RoadNetwork, lane_offset, own_lane
 
 WAYPOINT_SPACING_M = 2.0
 TERMINAL_BLEND_M = 10.0
@@ -139,9 +139,7 @@ def _leg_points(network: RoadNetwork, road_id: int, s_from: float, s_to: float,
     road = network.road(road_id)
     direction = 1 if s_to >= s_from else -1
     if base_offset is None:
-        lanes_own = road.lanes_forward if direction > 0 else road.lanes_backward
-        idx = min(max(abs(lane_index), 1), lanes_own) if lanes_own else -1
-        base_offset = lane_offset(road, direction, idx)
+        base_offset = lane_offset(road, direction, own_lane(road, direction, lane_index))
     sub = _sub_polyline(road.centerline, s_from, s_to)
     if len(sub) < 2:
         return sub

@@ -268,9 +268,21 @@ def test_llm_estimate_parses_valid_mock():
 
 def test_llm_estimate_unparseable():
     network, report, crash, region = _setup("ftf")
-    settings = EstimationSettings(llm_transport=lambda prompt: "no json here")
-    with pytest.raises(UnparseableResponse):
-        llm_estimate(report, region, [], settings)
+    states = heuristic_estimate(region, report, network)
+    entries = json.loads(_echo_transport(states, report)("").partition("\n")[2])["vehicles"]
+    without_road = [{k: v for k, v in entries[0].items() if k != "road_id"}, entries[1]]
+    replies = [
+        "no json here",
+        json.dumps({"vehicles": {"1": entries[0], "2": entries[1]}}),
+        json.dumps({"vehicles": entries[:1]}),
+        json.dumps({"vehicles": without_road}),
+        json.dumps({"vehicles": [{**entries[0], "x": "west"}, entries[1]]}),
+        json.dumps({"vehicles": ["vehicle 1", entries[1]]}),
+    ]
+    for reply in replies:
+        settings = EstimationSettings(llm_transport=lambda prompt, reply=reply: reply)
+        with pytest.raises(UnparseableResponse):
+            llm_estimate(report, region, [], settings)
 
 
 def test_llm_default_transport_posts_prompt():

@@ -32,7 +32,6 @@ from crashtrace.pipeline import (
 )
 from crashtrace.plotting import render_plot
 from crashtrace.reports import CaseKey, Maneuver
-from crashtrace.source import ComputeSlot
 from crashtrace.trajectory import Trajectory, Waypoint
 
 import corpus
@@ -792,26 +791,6 @@ def test_one_case_computes_at_a_time(good_batch, tmp_path, monkeypatch):
     assert most == 1
 
 
-def test_a_thread_without_the_slot_never_gives_it_up():
-    slot = ComputeSlot()
-    entered = threading.Event()
-
-    def enter():
-        with slot.held():
-            entered.set()
-
-    with slot.held():
-        direct = threading.Thread(target=slot.waiting, args=(time.sleep, 0))
-        direct.start()
-        direct.join(5)
-        assert not direct.is_alive()
-        contender = threading.Thread(target=enter)
-        contender.start()
-        assert not entered.wait(0.1)
-    contender.join(5)
-    assert entered.is_set() and not contender.is_alive()
-
-
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """
 import sys
 from pathlib import Path
@@ -889,6 +868,29 @@ def test_cli_rejects_negative_max_retries(one_case_run, capsys, tmp_path):
 
 def test_cli_rejects_parallelism_below_one(one_case_run, capsys, tmp_path):
     assert _rejected([*one_case_run, "--parallelism", "0"], capsys, tmp_path)
+
+
+@pytest.mark.parametrize("cases_text", [None, "", "\n  \n", "51_702_2023\n51 702\n",
+                                        "51 702 twenty\n"],
+                         ids=["missing", "empty", "blank", "two_fields", "not_a_number"])
+def test_cli_rejects_bad_case_list(cases_text, capsys, tmp_path):
+    fixtures = tmp_path / "fixtures"
+    corpus.write_case(fixtures, "ftf_straight", 702, 47)
+    cases = tmp_path / "cases.txt"
+    if cases_text is not None:
+        cases.write_text(cases_text, encoding="utf-8")
+    argv = ["batch", "--cases", str(cases), "--fixtures", str(fixtures),
+            "--out", str(tmp_path / "out")]
+    assert _rejected(argv, capsys, tmp_path)
+
+
+def test_cli_rejects_missing_fixture_directory(one_case_run, capsys, tmp_path):
+    argv = [*one_case_run, "--fixtures", str(tmp_path / "absent")]
+    assert _rejected(argv, capsys, tmp_path)
+    (tmp_path / "cases.txt").write_text("51_702_2023\n", encoding="utf-8")
+    argv = ["batch", "--cases", str(tmp_path / "cases.txt"), "--fixtures",
+            str(tmp_path / "absent"), "--out", str(tmp_path / "out")]
+    assert _rejected(argv, capsys, tmp_path)
 
 
 def test_cli_llm_endpoint_selects_the_llm_estimator(one_case_run, capsys):
