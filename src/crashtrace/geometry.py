@@ -203,15 +203,20 @@ def resample_polyline(points: Polyline, spacing: float) -> list[PlanarPoint]:
     if total == 0.0:
         raise ValueError("zero-length polyline")
     out = [points[0]]
-    idx = 0
     s = spacing
-    while s < total:  # 0 < s < total: point_at without its clamps, one forward walk
-        while cum[idx + 1] <= s:
-            idx += 1
+    # 0 < s < total: point_at without its clamps, one forward walk over the segments
+    for idx in range(len(points) - 1):
+        end = cum[idx + 1]
+        if s >= end:
+            continue
+        start = cum[idx]
+        seg_len = end - start
         a, b = points[idx], points[idx + 1]
-        t = (s - cum[idx]) / (cum[idx + 1] - cum[idx])
-        out.append(PlanarPoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-        s += spacing
+        ax, ay, dx, dy = a.x, a.y, b.x - a.x, b.y - a.y
+        while s < end:
+            t = (s - start) / seg_len
+            out.append(PlanarPoint(ax + t * dx, ay + t * dy))
+            s += spacing
     out.append(points[-1])
     return out
 

@@ -6,10 +6,14 @@ one exclusion reason; a batch never aborts on a bad case, so the ledger is
 a total accounting of its inputs. Deterministic: the same fixtures produce
 byte-identical packages at any parallelism.
 
-``run`` and ``replay`` score through one function, ``score_scenario``, on
-the serialized scenario document and with the simulator's fixed timestep,
-grace period and body size, so ``replay_package`` on a package reproduces
-its ``validation.json`` byte for byte.
+``run`` and ``replay`` score through one function, ``score_scenario``,
+with the simulator's fixed timestep, grace period and body size. ``run``
+scores the scene and trajectories it holds in memory and serializes the
+package only once the case has passed; ``replay_package`` scores what it
+parses back from ``scenario.json``. The two agree byte for byte because
+scoring reads only spawn positions and speeds, waypoint positions and the
+crash point, and the document writes each as its ``repr``, which parses
+back to the same float.
 """
 
 from __future__ import annotations
@@ -226,17 +230,18 @@ def _point(doc: dict) -> PlanarPoint:
 
 
 def score_scenario(
-    scenario_json: str, load_report: Callable[[CaseKey], CrashReport]
+    scene: SceneSpec, trajectories: Sequence[Trajectory], report: CrashReport
 ) -> tuple[ReplayOutcome, ValidationReport]:
-    """Replay a scenario document and score it against its case's report.
+    """Replay a scene and score it against its case's report.
 
-    ``run`` and ``replay`` both score here, from the serialized document and
-    at the simulator's fixed timestep, grace period and body size, so a
-    replay reproduces the ``validation.json`` that ``run`` wrote.
-    ``load_report`` gets the case key the document names.
+    ``run`` scores the scene it estimated, ``replay`` the one it parses from
+    ``scenario.json``; both at the simulator's fixed timestep, grace period
+    and body size. Scoring reads each spawn's position and speed, each
+    waypoint's position and the crash point, and no other field. The
+    document writes each of those as its ``repr``, which parses back to the
+    same float, so a replay reproduces the ``validation.json`` that ``run``
+    wrote. Waypoint headings do not round-trip, and are not read.
     """
-    scene, trajectories = parse_scenario(scenario_json)
-    report = load_report(scene.case_key)
     outcome = simulate(scene, trajectories)
     return outcome, validate_reconstruction(outcome, report, scene.crash_point)
 
@@ -306,11 +311,7 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
         for state, vid in zip(scene.states, scene.vehicle_ids)
     ]
 
-    map_osm = osm.write_osm(pruned)
-    map_xodr = opendrive.emit_opendrive(network)
-    scenario_json = scenario_document(scene, trajectories)
-
-    outcome, validation = score_scenario(scenario_json, lambda _key: report)
+    outcome, validation = score_scenario(scene, trajectories, report)
     if not outcome.collided:
         raise errors.FailedToCollide("the vehicles never touch in the replay")
     if not validation.passed:
@@ -318,12 +319,13 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
             f"location error {validation.location_error:.3f} m, clock deviations "
             f"{validation.clock_deviation}, direction matches {validation.direction_match}")
 
+    # only a case that passed is serialized
     return {
         "report.xml": raw.body,
         "summary.md": emit_summary(report, validation),
-        "map.osm": map_osm,
-        "map.xodr": map_xodr,
-        "scenario.json": scenario_json,
+        "map.osm": osm.write_osm(pruned),
+        "map.xodr": opendrive.emit_opendrive(network),
+        "scenario.json": scenario_document(scene, trajectories),
         "validation.json": validation_to_json(validation),
     }
 
@@ -481,10 +483,9 @@ def replay_package(package_dir: Path) -> ValidationReport:
         if not path.is_file():
             raise errors.ParseError(f"missing {path}")
     opendrive.parse_opendrive(map_path.read_text("utf-8"))
-
-    def load_report(key: CaseKey) -> CrashReport:
-        if not report_path.is_file():
-            raise errors.ParseError(f"missing report document {report_path}")
-        return reports.parse_report(reports.RawCaseDocument(key, report_path.read_text("utf-8")))
-
-    return score_scenario(scenario_path.read_text("utf-8"), load_report)[1]
+    scene, trajectories = parse_scenario(scenario_path.read_text("utf-8"))
+    if not report_path.is_file():
+        raise errors.ParseError(f"missing report document {report_path}")
+    report = reports.parse_report(
+        reports.RawCaseDocument(scene.case_key, report_path.read_text("utf-8")))
+    return score_scenario(scene, trajectories, report)[1]

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ContactTooFar
-from .geometry import PlanarPoint, _segment_after, bearing, cumulative_lengths, distance
+from .geometry import PlanarPoint, bearing, cumulative_lengths, distance
 from .reports import CrashReport, Maneuver
 from .trajectory import Trajectory, classify_headings
 
@@ -98,6 +98,12 @@ def _inside(p: PlanarPoint, pose: Pose, body: VehicleBody, inflate: float = 0.0)
     return abs(lx) <= body.length / 2 + inflate and abs(ly) <= body.width / 2 + inflate
 
 
+def _reach(bodies: tuple[VehicleBody, VehicleBody]) -> float:
+    """Broad phase: rectangles whose centres lie farther apart than this sit
+    inside disjoint circumcircles and cannot overlap."""
+    return (math.hypot(*bodies[0]) + math.hypot(*bodies[1])) / 2 + 1e-6
+
+
 def detect_collision(pose_a: Pose, pose_b: Pose,
                      bodies: tuple[VehicleBody, VehicleBody]) -> PlanarPoint | None:
     """Contact point when the two body rectangles overlap, else None.
@@ -106,9 +112,7 @@ def detect_collision(pose_a: Pose, pose_b: Pose,
     other (falling back to the midpoint of the centers); the result is
     symmetric in the arguments.
     """
-    # broad phase: rectangles inside disjoint circumcircles cannot overlap
-    reach = (math.hypot(*bodies[0]) + math.hypot(*bodies[1])) / 2
-    if (distance(pose_a.position, pose_b.position) > reach + 1e-6
+    if (distance(pose_a.position, pose_b.position) > _reach(bodies)
             or overlap_margin(pose_a, pose_b, bodies) < 0):
         return None
     hits = [p for p in _corners(pose_a, bodies[0]) if _inside(p, pose_b, bodies[1])]
@@ -155,8 +159,8 @@ def circular_clock_distance(a: int, b: int) -> int:
 
 
 class _PathFollower:
-    """Pose along a waypoint polyline at constant speed; continues straight
-    on the final heading once the waypoints are exhausted."""
+    """A waypoint polyline driven at constant speed; past the last waypoint
+    it continues straight on the final heading."""
 
     def __init__(self, spawn_position: PlanarPoint, trajectory: Trajectory, speed: float):
         points = [spawn_position]
@@ -171,28 +175,48 @@ class _PathFollower:
         self.total = self.cum[-1]
         self.speed = speed
         self.end_heading = self.headings[-1]
-        self._segment = 0  # where the last pose was; simulate asks for rising t
 
     @property
     def exhaust_time(self) -> float:
         return self.total / self.speed if self.speed > 1e-9 else 0.0
 
-    def pose(self, t: float) -> Pose:
-        s = self.speed * t
-        if s <= self.total:
-            start = self._segment if s >= self.cum[self._segment] else 0
-            idx, u = _segment_after(self.cum, start, s)
-            self._segment = idx
-            a, b = self.points[idx], self.points[idx + 1]
-            return Pose(PlanarPoint(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)),
-                        self.headings[idx])
-        over = s - self.total
-        end = self.points[-1]
-        return Pose(
-            PlanarPoint(end.x + over * math.cos(self.end_heading),
-                        end.y + over * math.sin(self.end_heading)),
-            self.end_heading,
-        )
+    def walk(self, dt: float) -> Iterator[Pose]:
+        """Poses at t = 0, dt, 2·dt, ... without end, in one forward pass.
+
+        The pose at ``t`` lies at arc length ``speed·t`` (clamped at 0) on the
+        segment holding it, as ``point_at`` and ``tangent_at`` place it, or
+        past the end on the final heading. Arc length never falls as ``t``
+        rises, so each segment's endpoints are bound once.
+        """
+        points, cum, headings, speed, total = (
+            self.points, self.cum, self.headings, self.speed, self.total)
+        last = len(cum) - 2
+        idx, start, end = 0, cum[0], cum[1]
+        seg_len = end - start
+        ax, ay = points[0]
+        dx, dy = points[1].x - ax, points[1].y - ay
+        end_x, end_y = points[-1]
+        end_cos, end_sin = math.cos(self.end_heading), math.sin(self.end_heading)
+        k = 0
+        while True:
+            s = speed * (k * dt)
+            if s <= total:
+                if s < 0.0:
+                    s = 0.0
+                if end <= s and idx < last:
+                    while idx < last and cum[idx + 1] <= s:
+                        idx += 1
+                    start, end = cum[idx], cum[idx + 1]
+                    seg_len = end - start
+                    a, b = points[idx], points[idx + 1]
+                    ax, ay, dx, dy = a.x, a.y, b.x - a.x, b.y - a.y
+                u = 0.0 if seg_len == 0.0 else (s - start) / seg_len
+                yield Pose(PlanarPoint(ax + u * dx, ay + u * dy), headings[idx])
+            else:
+                over = s - total
+                yield Pose(PlanarPoint(end_x + over * end_cos, end_y + over * end_sin),
+                           self.end_heading)
+            k += 1
 
 
 def _clock_for(pose: Pose, body: VehicleBody, contact: PlanarPoint, other: Pose) -> int:
@@ -222,19 +246,20 @@ def simulate(
     ]
     t_end = max(f.exhaust_time for f in followers) + GRACE_PERIOD_S
     steps = int(math.floor(t_end / dt + 1e-9))
+    reach = _reach(bodies)
 
     paths: tuple[list[Pose], list[Pose]] = ([], [])
     record = None
-    for k in range(steps + 1):
-        t = k * dt
-        pose_a = followers[0].pose(t)
-        pose_b = followers[1].pose(t)
+    for k, pose_a, pose_b in zip(range(steps + 1), followers[0].walk(dt), followers[1].walk(dt)):
         paths[0].append(pose_a)
         paths[1].append(pose_b)
+        a, b = pose_a.position, pose_b.position
+        if math.hypot(b.x - a.x, b.y - a.y) > reach:  # detect_collision's broad phase
+            continue
         contact = detect_collision(pose_a, pose_b, bodies)
         if contact is not None:
             record = CollisionRecord(
-                time=t,
+                time=k * dt,
                 location=contact,
                 clocks=(
                     _clock_for(pose_a, bodies[0], contact, pose_b),

@@ -188,6 +188,12 @@ def _merge(base: tuple[dict, list], extra_nodes: dict, extra_ways: list) -> tupl
 
 def case_fixture(kind: str, origin: GeoPoint) -> tuple[str, str | None]:
     """(report_xml, osm_xml or None) for one authored case kind."""
+    report, layout = case_layout(kind, origin)
+    return report, None if layout is None else osm_xml(origin, *layout)
+
+
+def case_layout(kind: str, origin: GeoPoint) -> tuple[str, tuple[dict, list] | None]:
+    """(report_xml, (nodes, ways) or None) for one authored case kind."""
     if kind == "ftf_straight":
         nodes, ways = straight_road_layout()
         report = report_xml(coords=origin, collision="Front-to-Front")
@@ -271,7 +277,7 @@ def case_fixture(kind: str, origin: GeoPoint) -> tuple[str, str | None]:
         )
     else:
         raise ValueError(f"unknown case kind {kind}")
-    return report, osm_xml(origin, nodes, ways)
+    return report, (nodes, ways)
 
 
 GOOD_KINDS = ["angle_fourway", "ftf_straight", "ftf_curve", "ftr_straight", "sideswipe_opposite"]

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crashtrace import cli, errors
 from crashtrace.errors import EmptyDirectory, ParseError
@@ -300,6 +300,62 @@ def test_replay_reproduces_validation_bitwise(good_batch):
         assert validation_to_json(result) == stored
 
 
+def test_in_memory_score_equals_replay(good_batch, tmp_path, monkeypatch):
+    # run scores the scene it holds; replay scores the one parsed from scenario.json
+    from crashtrace import pipeline
+    from crashtrace.simulator import validation_to_json
+
+    keys, config, _, _ = good_batch
+    scored = []
+    score = pipeline.score_scenario
+
+    def recorded(*args):
+        outcome, validation = score(*args)
+        scored.append(validation)
+        return outcome, validation
+
+    monkeypatch.setattr(pipeline, "score_scenario", recorded)
+    config = PipelineConfig(offline=True, fixtures_dir=config.fixtures_dir,
+                            out_dir=tmp_path / "out")
+    for key in keys:
+        package = run_case(key, config).package
+        assert package is not None, key.slug
+        (in_memory,) = scored
+        replayed = replay_package(package.directory)
+        assert replayed == in_memory, key.slug
+        stored = (package.directory / "validation.json").read_text("utf-8")
+        assert validation_to_json(replayed) == validation_to_json(in_memory) == stored
+        scored.clear()
+
+
+def test_run_never_parses_its_own_scenario(good_batch, tmp_path, monkeypatch):
+    from crashtrace import pipeline
+
+    def unreachable(text):
+        raise AssertionError("run parsed a scenario document")
+
+    monkeypatch.setattr(pipeline, "parse_scenario", unreachable)
+    keys, config, _, _ = good_batch
+    config = PipelineConfig(offline=True, fixtures_dir=config.fixtures_dir,
+                            out_dir=tmp_path / "out")
+    assert all(run_case(key, config).package is not None for key in keys)
+
+
+def test_failed_case_serializes_nothing(tmp_path, monkeypatch):
+    from crashtrace import opendrive, osm, pipeline
+
+    def unreachable(*args):
+        raise AssertionError("a failed case was serialized")
+
+    monkeypatch.setattr(pipeline, "scenario_document", unreachable)
+    monkeypatch.setattr(opendrive, "emit_opendrive", unreachable)
+    monkeypatch.setattr(osm, "write_osm", unreachable)
+    key = corpus.write_case(tmp_path / "fixtures", "no_collision", 1, 0)
+    config = PipelineConfig(offline=True, fixtures_dir=tmp_path / "fixtures",
+                            out_dir=tmp_path / "out")
+    assert run_case(key, config).reason is ExclusionReason.FAILED_TO_COLLIDE
+
+
 def test_replay_detects_tampered_spawn(good_batch, tmp_path):
     keys, config, packages, outcomes = good_batch
     package = packages[1]
@@ -447,6 +503,40 @@ _waypoints = st.lists(
 )
 _states = st.builds(InitialState, st.builds(PlanarPoint, _odd_floats, _odd_floats),
                     _odd_floats, _speeds, st.integers(-3, 10**9), st.integers(-3, 3))
+
+
+_scored_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+)
+_scored_points = st.builds(PlanarPoint, _scored_floats, _scored_floats)
+_scored_states = st.builds(InitialState, _scored_points, st.floats(-math.pi, math.pi),
+                           _scored_floats, st.integers(-3, 99), st.integers(-3, 3))
+_scored_waypoints = st.lists(st.builds(Waypoint, _scored_points, st.just(0.0), _scored_floats),
+                             max_size=5)
+
+
+def _bits(point):
+    return point.x.hex(), point.y.hex()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_scored_points, _scored_states, _scored_states, _scored_waypoints, _scored_waypoints)
+def test_scenario_document_roundtrips_every_scored_field(crash, state_a, state_b,
+                                                         waypoints_a, waypoints_b):
+    # scoring reads these fields alone, so run and replay score the same floats
+    scene = SceneSpec(CaseKey(51, 1, 2023), crash, (state_a, state_b), (1, 2),
+                      (Maneuver.GOING_STRAIGHT, Maneuver.OTHER))
+    trajectories = (Trajectory(1, tuple(waypoints_a)), Trajectory(2, tuple(waypoints_b)))
+    parsed_scene, parsed_trajectories = parse_scenario(scenario_document(scene, trajectories))
+    assert _bits(parsed_scene.crash_point) == _bits(crash)
+    for state, parsed in zip(scene.states, parsed_scene.states):
+        assert _bits(parsed.position) == _bits(state.position)
+        assert parsed.speed.hex() == state.speed.hex()
+    for trajectory, parsed in zip(trajectories, parsed_trajectories):
+        assert [_bits(w.position) for w in parsed.waypoints] \
+            == [_bits(w.position) for w in trajectory.waypoints]
 
 
 @given(st.builds(CaseKey, st.integers(0, 99), st.integers(0, 10**6), st.integers(1900, 2100)),

@@ -344,23 +344,25 @@ def corpus_trajectories(tmp_path_factory):
 
 
 def test_follower_pose_equals_point_and_tangent(corpus_trajectories):
+    """The walk ``simulate`` uses places each pose up to the path's end as
+    ``point_at`` and ``tangent_at`` do, at every k·dt."""
     from crashtrace.geometry import point_at, tangent_at
-    from crashtrace.simulator import _PathFollower
+    from crashtrace.simulator import DEFAULT_DT_S, _PathFollower
 
     checked = 0
     for scene, trajectories in corpus_trajectories:
         for state, traj in zip(scene.states, trajectories):
             follower = _PathFollower(state.position, traj, state.speed)
-            end = follower.exhaust_time
-            for k in range(1001):
-                t = end * k / 1000
-                s = follower.speed * t
-                if s > follower.total:
-                    continue
-                expected = Pose(point_at(follower.points, s, follower.cum),
-                                tangent_at(follower.points, s, follower.cum))
-                assert follower.pose(t) == expected, (scene.case_key, t)
-                checked += 1
+            assert follower.exhaust_time > 0
+            for dt in (DEFAULT_DT_S, follower.exhaust_time / 1000):
+                for k, pose in enumerate(follower.walk(dt)):
+                    s = follower.speed * (k * dt)
+                    if s > follower.total:
+                        break
+                    expected = Pose(point_at(follower.points, s, follower.cum),
+                                    tangent_at(follower.points, s, follower.cum))
+                    assert _pose_bits(pose) == _pose_bits(expected), (scene.case_key, dt, k)
+                    checked += 1
     assert checked > 9000
 
 
@@ -395,21 +397,37 @@ def _followers(draw):
     pool = draw(st.lists(st.builds(PlanarPoint, coord, coord), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
     waypoints = tuple(Waypoint(pool[i], 0.0, 0.0) for i in picks)
-    speed = draw(st.one_of(st.just(0.0), st.floats(0.5, 40.0)))
+    speed = draw(st.one_of(st.just(0.0), st.floats(0.5, 40.0), st.integers(1, 8).map(float),
+                           st.sampled_from([-3.0, math.inf, math.nan])))
     return _PathFollower(pool[picks[0]], Trajectory(1, waypoints), speed)
 
 
-_times = st.lists(st.one_of(st.floats(-1.0, 60.0), st.integers(0, 60).map(float)),
-                  max_size=60)
+_dts = st.one_of(st.sampled_from([0.05, 0.5, 1.0]), st.floats(1e-3, 5.0))
 
 
-@given(_followers(), _times)
-def test_cursor_pose_matches_bisect_pose_for_rising_t(follower, times):
-    for t in sorted(times):
-        assert _pose_bits(follower.pose(t)) == _pose_bits(_bisect_pose(follower, t)), t
+@given(_followers(), _dts, st.integers(0, 80))
+def test_cursor_pose_matches_bisect_pose_for_rising_t(follower, dt, steps):
+    for k, pose in zip(range(steps + 1), follower.walk(dt)):
+        assert _pose_bits(pose) == _pose_bits(_bisect_pose(follower, k * dt)), k
 
 
-@given(_followers(), _times)
-def test_cursor_pose_matches_bisect_pose_in_any_order(follower, times):
-    for t in times:
-        assert _pose_bits(follower.pose(t)) == _pose_bits(_bisect_pose(follower, t)), t
+@given(_followers(), st.lists(_dts, min_size=1, max_size=4), st.data())
+def test_cursor_pose_matches_bisect_pose_in_any_order(follower, dts, data):
+    # walks of one follower share no state, however they interleave
+    walks = [(dt, enumerate(follower.walk(dt))) for dt in dts]
+    for i in data.draw(st.lists(st.integers(0, len(walks) - 1), max_size=120)):
+        dt, walk = walks[i]
+        k, pose = next(walk)
+        assert _pose_bits(pose) == _pose_bits(_bisect_pose(follower, k * dt)), (dt, k)
+
+
+def test_walk_onto_a_vertex_takes_the_next_segment():
+    from crashtrace.simulator import _PathFollower
+
+    # speed·k·dt is k metres, so the walk lands on every vertex exactly
+    corners = (PlanarPoint(0.0, 0.0), PlanarPoint(3.0, 0.0), PlanarPoint(3.0, 4.0),
+               PlanarPoint(-1.0, 4.0))
+    follower = _PathFollower(corners[0], Trajectory(1, tuple(
+        Waypoint(p, 0.0, 0.0) for p in corners)), 2.0)
+    for k, pose in zip(range(14), follower.walk(0.5)):
+        assert _pose_bits(pose) == _pose_bits(_bisect_pose(follower, k * 0.5)), k
