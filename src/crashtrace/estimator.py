@@ -19,10 +19,10 @@ from importlib import resources
 from string import Template
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import EndpointError, EstimationFailed, FetchFailed, UnparseableResponse
+from .errors import (
+    EndpointError, EstimationFailed, FailedToCollide, FetchFailed, UnparseableResponse)
 from .geometry import (
     PlanarPoint,
-    bearing,
     cumulative_lengths,
     distance,
     locate_on_polyline,
@@ -42,13 +42,12 @@ from .roadnet import (
     travel_direction,
 )
 from .source import http_text
+from .trajectory import Trajectory, classify_track, generate_trajectory
 
 DEFAULT_HORIZON_S = 6.0
 DEFAULT_SPEED_MPS = 13.41  # assigned when the report gives no travel speed
 DEFAULT_MAX_RETRIES = 3
 ORIENTATION_TOLERANCE_DEG = 30.0
-MANEUVER_TOLERANCE_DEG = 45.0
-TURN_THRESHOLD_DEG = 30.0
 
 
 def canonical_heading(rad: float) -> float:
@@ -210,12 +209,14 @@ def _pick_approaches(
         options = sorted(region.vehicle_approaches[i], key=order)
         pick = None
         if record.maneuver in (Maneuver.TURNING_LEFT, Maneuver.TURNING_RIGHT):
-            want_left = record.maneuver is Maneuver.TURNING_LEFT
+            # the first approach whose heuristic trajectory turns the reported way
             for a in options:
-                h_in = _approach_heading(network, a)
-                h_out = _exit_heading(network, region, a)
-                turn = math.degrees(wrap_angle(h_out - h_in))
-                if (turn >= TURN_THRESHOLD_DEG) == want_left and abs(turn) >= TURN_THRESHOLD_DEG:
+                try:
+                    track = generate_trajectory(_heuristic_state(network, a, record),
+                                                region.crash, region.crash_point, network)
+                except FailedToCollide:  # no road path from this approach
+                    continue
+                if classify_track(track.waypoints, network.junctions) is record.maneuver:
                     pick = a
                     break
         elif chosen and relation is TrajectoryRelation.INTERSECTING_PATHS:
@@ -249,17 +250,6 @@ def _pick_approaches(
     return chosen
 
 
-def _exit_heading(network: RoadNetwork, region: CandidateRegion, approach: Approach) -> float:
-    """Heading out of the junction toward the crash fix."""
-    crash_road = network.road(region.crash.road_id)
-    t = tangent_at(crash_road.centerline, region.crash.s)
-    contact = network.road(approach.road_id)
-    start = offset_point(contact.centerline, approach.s_contact, 0.0)
-    if distance(start, region.crash_point) > 1.0:
-        return bearing(start, region.crash_point)
-    return t
-
-
 def _lane_state(road: Road, s: float, direction: int, lane_index: int,
                 speed: float) -> InitialState:
     """The state at arc length ``s`` in a lane: lane-center position,
@@ -271,21 +261,22 @@ def _lane_state(road: Road, s: float, direction: int, lane_index: int,
     return InitialState(position, canonical_heading(heading), speed, road.road_id, lane_index)
 
 
+def _heuristic_state(network: RoadNetwork, approach: Approach,
+                     record: VehicleRecord) -> InitialState:
+    """The approach's full run (clipped to speed times the horizon) behind the
+    contact point, in the rightmost own lane or wrong-way in the opposing one."""
+    road = network.road(approach.road_id)
+    spawn_s = approach.s_contact - approach.direction * approach.run
+    lane_index = own_lane(road, approach.direction, road.lane_count)
+    return _lane_state(road, spawn_s, approach.direction, lane_index, _speed(record))
+
+
 def heuristic_estimate(
     region: CandidateRegion, report: CrashReport, network: RoadNetwork
 ) -> tuple[InitialState, InitialState]:
-    """Backward-trajectory placement with right-hand lane assignment: each
-    vehicle spawns its approach's full run (already clipped to speed times
-    the horizon) behind the contact point."""
-    states = []
-    for record, approach in zip(report.vehicles, _pick_approaches(region, report, network)):
-        road = network.road(approach.road_id)
-        spawn_s = approach.s_contact - approach.direction * approach.run
-        # the rightmost own lane (no side has more lanes than the road), or
-        # wrong-way in the adjacent opposing lane
-        lane_index = own_lane(road, approach.direction, road.lane_count)
-        states.append(_lane_state(road, spawn_s, approach.direction, lane_index, _speed(record)))
-    return tuple(states)
+    """Backward-trajectory placement with right-hand lane assignment."""
+    approaches = _pick_approaches(region, report, network)
+    return tuple(_heuristic_state(network, a, r) for r, a in zip(report.vehicles, approaches))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +289,16 @@ def validate_states(
     network: RoadNetwork,
     report: CrashReport,
     region: CandidateRegion,
-) -> list[str]:
-    """Named violations for every check a proposal fails; empty means valid."""
-    violations = []
+) -> tuple[list[str], tuple[Trajectory, ...]]:
+    """Named violations for every check a proposal fails, empty when valid,
+    and the trajectories planned for the vehicles placed in a lane, which
+    must go the way the report says (``classify_track``). Raises
+    FailedToCollide when no road chain joins a spawn road to the crash road.
+    """
+    violations, trajectories = [], []
     for state, record in zip(states, report.vehicles):
         tag = f"vehicle {record.vehicle_id}"
+        placed = len(violations)
         try:
             road = network.road(state.road_id)
         except KeyError:
@@ -340,30 +336,16 @@ def validate_states(
                 f"{tag}: orientation misaligned "
                 f"({math.degrees(misalign):.1f} deg off the lane tangent)"
             )
+        if len(violations) > placed:
+            continue
 
-        to_crash = distance(state.position, region.crash_point)
-        if record.maneuver is Maneuver.GOING_STRAIGHT and to_crash > 1.0:
-            aim = bearing(state.position, region.crash_point)
-            err = abs(wrap_angle(state.heading - aim))
-            if err > math.radians(MANEUVER_TOLERANCE_DEG):
-                violations.append(
-                    f"{tag}: maneuver inconsistent: heading points "
-                    f"{math.degrees(err):.1f} deg away from the crash point"
-                )
-        elif record.maneuver in (Maneuver.TURNING_LEFT, Maneuver.TURNING_RIGHT) \
-                and to_crash > 1.0:
-            crash_road = network.road(region.crash.road_id)
-            t = tangent_at(crash_road.centerline, region.crash.s)
-            aim = bearing(state.position, region.crash_point)
-            h_out = t if abs(wrap_angle(t - aim)) <= math.pi / 2 else wrap_angle(t + math.pi)
-            turn = math.degrees(wrap_angle(h_out - state.heading))
-            want_left = record.maneuver is Maneuver.TURNING_LEFT
-            if abs(turn) < TURN_THRESHOLD_DEG or (turn > 0) != want_left:
-                violations.append(
-                    f"{tag}: maneuver inconsistent: approach does not turn "
-                    f"{'left' if want_left else 'right'} onto the crash road"
-                )
-    return violations
+        trajectories.append(generate_trajectory(
+            state, region.crash, region.crash_point, network, record.vehicle_id))
+        planned = classify_track(trajectories[-1].waypoints, network.junctions)
+        if record.maneuver not in (planned, Maneuver.OTHER):
+            violations.append(f"{tag}: maneuver inconsistent: the planned path is "
+                              f"{planned.value}, not {record.maneuver.value}")
+    return violations, tuple(trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +482,15 @@ def estimate_with_feedback(
     network: RoadNetwork,
     region: CandidateRegion,
     settings: EstimationSettings = EstimationSettings(),
-) -> tuple[SceneSpec, EstimatorTrace]:
+) -> tuple[SceneSpec, EstimatorTrace, tuple[Trajectory, Trajectory]]:
     """Propose, check, and re-prompt until a valid scene or the retry budget.
 
     The external estimator gets ``max_retries`` re-prompts, each fed the
     previous violations; the heuristic makes one estimate and, if that is
     rejected, one clip of it onto its lanes. The returned scene always
-    passes :func:`validate_states`. On exhaustion raises EstimationFailed
-    carrying the full attempt trace.
+    passes :func:`validate_states`, and comes with the trajectories that
+    function planned for it. On exhaustion raises EstimationFailed carrying
+    the full attempt trace.
     """
     attempts: list[tuple[tuple[InitialState, InitialState] | None, tuple[str, ...]]] = []
     violations: list[str] = []
@@ -527,7 +510,7 @@ def estimate_with_feedback(
             violations = [str(exc)]
             continue
 
-        violations = validate_states(states, network, report, region)
+        violations, trajectories = validate_states(states, network, report, region)
         attempts.append((states, tuple(violations)))
         if not violations:
             scene = SceneSpec(
@@ -537,7 +520,7 @@ def estimate_with_feedback(
                 vehicle_ids=tuple(v.vehicle_id for v in report.vehicles),
                 maneuvers=tuple(v.maneuver for v in report.vehicles),
             )
-            return scene, EstimatorTrace(tuple(attempts))
+            return scene, EstimatorTrace(tuple(attempts)), trajectories
 
     raise EstimationFailed(
         f"no valid estimate after {len(attempts)} attempts",

@@ -117,31 +117,45 @@ _LAT_RE = re.compile(r"\+lat_0=([-+0-9.eE]+)")
 _LON_RE = re.compile(r"\+lon_0=([-+0-9.eE]+)")
 
 
+def _number(element: ET.Element, text: str | None, kind: type = float):
+    """``text`` as a finite float (or an int); ParseError naming ``element`` otherwise."""
+    try:
+        if math.isfinite(value := kind(text)):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ParseError(f"unreadable <{element.tag}> {element.attrib}: {text!r} "
+                     f"is not a finite {kind.__name__}")
+
+
 def parse_opendrive(text: str) -> RoadNetwork:
     """Read a document produced by :func:`emit_opendrive` back into a network.
 
     Source node bookkeeping does not survive the format; the returned
-    network carries geometry, lanes, and junctions only.
+    network carries geometry, lanes, and junctions only. A number that is
+    missing, unreadable or not finite raises ParseError naming its element.
     """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise ParseError(f"bad OpenDRIVE document: {exc}") from exc
 
+    geo_el = root.find("header/geoReference")
     geo_ref = root.findtext("header/geoReference") or ""
     lat_m, lon_m = _LAT_RE.search(geo_ref), _LON_RE.search(geo_ref)
     if not lat_m or not lon_m:
         raise ParseError("geoReference missing projection origin")
-    origin = GeoPoint(float(lat_m.group(1)), float(lon_m.group(1)))
+    origin = GeoPoint(_number(geo_el, lat_m.group(1)), _number(geo_el, lon_m.group(1)))
 
     roads = []
     for road_el in root.iterfind("road"):
+        road_id = _number(road_el, road_el.get("id"), int)
         geoms = list(road_el.iterfind("planView/geometry"))
         if not geoms:
-            raise ParseError(f"road {road_el.get('id')} has no plan view")
-        pts = [PlanarPoint(float(g.get("x")), float(g.get("y"))) for g in geoms]
+            raise ParseError(f"road {road_id} has no plan view")
+        pts = [PlanarPoint(_number(g, g.get("x")), _number(g, g.get("y"))) for g in geoms]
         last = geoms[-1]
-        hdg, length = float(last.get("hdg")), float(last.get("length"))
+        hdg, length = _number(last, last.get("hdg")), _number(last, last.get("length"))
         pts.append(
             PlanarPoint(
                 pts[-1].x + length * math.cos(hdg), pts[-1].y + length * math.sin(hdg)
@@ -152,10 +166,10 @@ def parse_opendrive(text: str) -> RoadNetwork:
         width_el = road_el.find("lanes/laneSection/right/lane/width")
         if width_el is None:
             width_el = road_el.find("lanes/laneSection/left/lane/width")
-        lane_width = float(width_el.get("a")) if width_el is not None else 3.5
+        lane_width = _number(width_el, width_el.get("a")) if width_el is not None else 3.5
         roads.append(
             Road(
-                road_id=int(road_el.get("id")),
+                road_id=road_id,
                 centerline=tuple(pts),
                 lanes_forward=forward,
                 lanes_backward=backward,
@@ -166,22 +180,23 @@ def parse_opendrive(text: str) -> RoadNetwork:
 
     junctions = []
     for j_el in root.iterfind("junction"):
-        members = tuple(
-            sorted({int(c.get("incomingRoad")) for c in j_el.iterfind("connection")})
-        )
+        junction_id = _number(j_el, j_el.get("id"), int)
+        members = tuple(sorted(
+            {_number(c, c.get("incomingRoad"), int) for c in j_el.iterfind("connection")}))
         center_el = j_el.find("userData/center")
         if center_el is None:
-            raise ParseError(f"junction {j_el.get('id')} missing center")
-        center = PlanarPoint(float(center_el.get("x")), float(center_el.get("y")))
-        boundary_text = j_el.findtext("userData/boundary") or ""
+            raise ParseError(f"junction {junction_id} missing center")
+        center = PlanarPoint(_number(center_el, center_el.get("x")),
+                             _number(center_el, center_el.get("y")))
+        boundary_el = j_el.find("userData/boundary")
+        # "x,y" pairs; a third number stays in y and fails to read
         boundary = tuple(
-            PlanarPoint(*(float(v) for v in pair.split(",")))
-            for pair in boundary_text.split()
-        )
+            PlanarPoint(*(_number(boundary_el, v) for v in pair.partition(",")[::2]))
+            for pair in (j_el.findtext("userData/boundary") or "").split())
         junctions.append(
             Junction(
-                junction_id=int(j_el.get("id")),
-                node_id=int(center_el.get("node", "0")),
+                junction_id=junction_id,
+                node_id=_number(center_el, center_el.get("node", "0"), int),
                 center=center,
                 members=members,
                 boundary=boundary,

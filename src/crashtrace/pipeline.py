@@ -8,12 +8,13 @@ byte-identical packages at any parallelism.
 
 ``run`` and ``replay`` score through one function, ``score_scenario``,
 with the simulator's fixed timestep, grace period and body size. ``run``
-scores the scene and trajectories it holds in memory and serializes the
-package only once the case has passed; ``replay_package`` scores what it
-parses back from ``scenario.json``. The two agree byte for byte because
-scoring reads only spawn positions and speeds, waypoint positions and the
-crash point, and the document writes each as its ``repr``, which parses
-back to the same float.
+scores the scene and trajectories it holds in memory, on its network's
+junctions, and serializes the package only once the case has passed;
+``replay_package`` scores what it parses back from ``scenario.json``, on the
+junctions of the ``map.xodr`` it ships. The two agree byte for byte because
+scoring reads only spawn positions and speeds, waypoint positions, the
+crash point and junction centres, and the documents write each as its
+``repr``, which parses back to the same float.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .estimator import EstimationSettings, InitialState, SceneSpec
 from .errors import ExclusionReason
 from .geometry import PlanarPoint
 from .reports import CaseKey, CrashReport, Maneuver
-from .roadnet import build_road_network, locate_crash_point, unify_lanes, validate_geometry
+from .roadnet import (
+    Junction, build_road_network, locate_crash_point, unify_lanes, validate_geometry)
 from .simulator import (
     ReplayOutcome,
     ValidationReport,
@@ -42,7 +44,8 @@ from .simulator import (
     validate_reconstruction,
     validation_to_json,
 )
-from .trajectory import Trajectory, Waypoint, generate_trajectory
+# the estimator plans each case's trajectories; bench/tracer.py patches this name
+from .trajectory import Trajectory, Waypoint, generate_trajectory  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -230,19 +233,21 @@ def _point(doc: dict) -> PlanarPoint:
 
 
 def score_scenario(
-    scene: SceneSpec, trajectories: Sequence[Trajectory], report: CrashReport
+    scene: SceneSpec, trajectories: Sequence[Trajectory], report: CrashReport,
+    junctions: Sequence[Junction],
 ) -> tuple[ReplayOutcome, ValidationReport]:
     """Replay a scene and score it against its case's report.
 
     ``run`` scores the scene it estimated, ``replay`` the one it parses from
     ``scenario.json``; both at the simulator's fixed timestep, grace period
-    and body size. Scoring reads each spawn's position and speed, each
-    waypoint's position and the crash point, and no other field. The
-    document writes each of those as its ``repr``, which parses back to the
-    same float, so a replay reproduces the ``validation.json`` that ``run``
-    wrote. Waypoint headings do not round-trip, and are not read.
+    and body size, on the junctions of the case's map. Scoring reads each
+    spawn's position and speed, each waypoint's position, the crash point
+    and the junction centres, and no other field. The documents write each
+    as its ``repr``, which parses back to the same float, so a replay
+    reproduces the ``validation.json`` that ``run`` wrote. Waypoint headings
+    do not round-trip, and are not read.
     """
-    outcome = simulate(scene, trajectories)
+    outcome = simulate(scene, trajectories, junctions)
     return outcome, validate_reconstruction(outcome, report, scene.crash_point)
 
 
@@ -304,14 +309,10 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
 
     settings = clients.estimation
     region = estimator.candidate_regions(network, report, crash_fix, settings)
-    scene, _trace = estimator.estimate_with_feedback(report, network, region, settings)
+    scene, _trace, trajectories = estimator.estimate_with_feedback(
+        report, network, region, settings)
 
-    trajectories = [
-        generate_trajectory(state, region.crash, region.crash_point, network, vid)
-        for state, vid in zip(scene.states, scene.vehicle_ids)
-    ]
-
-    outcome, validation = score_scenario(scene, trajectories, report)
+    outcome, validation = score_scenario(scene, trajectories, report, network.junctions)
     if not outcome.collided:
         raise errors.FailedToCollide("the vehicles never touch in the replay")
     if not validation.passed:
@@ -482,10 +483,10 @@ def replay_package(package_dir: Path) -> ValidationReport:
     for path in (scenario_path, map_path):
         if not path.is_file():
             raise errors.ParseError(f"missing {path}")
-    opendrive.parse_opendrive(map_path.read_text("utf-8"))
+    network = opendrive.parse_opendrive(map_path.read_text("utf-8"))
     scene, trajectories = parse_scenario(scenario_path.read_text("utf-8"))
     if not report_path.is_file():
         raise errors.ParseError(f"missing report document {report_path}")
     report = reports.parse_report(
         reports.RawCaseDocument(scene.case_key, report_path.read_text("utf-8")))
-    return score_scenario(scene, trajectories, report)[1]
+    return score_scenario(scene, trajectories, report, network.junctions)[1]

@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ContactTooFar
 from .geometry import PlanarPoint, bearing, cumulative_lengths, distance
 from .reports import CrashReport, Maneuver
-from .trajectory import Trajectory, classify_headings
+from .roadnet import Junction
+from .trajectory import Trajectory, classify_track
 
 DEFAULT_DT_S = 0.05
 GRACE_PERIOD_S = 2.0
@@ -229,14 +230,16 @@ def _clock_for(pose: Pose, body: VehicleBody, contact: PlanarPoint, other: Pose)
 def simulate(
     scene,
     trajectories: tuple[Trajectory, Trajectory],
+    junctions: Sequence[Junction],
     bodies: tuple[VehicleBody, VehicleBody] = (VehicleBody(), VehicleBody()),
     dt: float = DEFAULT_DT_S,
 ) -> ReplayOutcome:
     """Replay both trajectories until first contact or exhaustion plus grace.
 
     The scene's spawn states are authoritative: each path starts at the
-    spawn position and runs at the spawn speed. A run with no contact is a
-    valid outcome, not an error.
+    spawn position and runs at the spawn speed; its direction is how its
+    poses up to contact turn at ``junctions`` (``classify_track``). A run
+    with no contact is a valid outcome, not an error.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -268,9 +271,7 @@ def simulate(
             )
             break
 
-    directions = tuple(
-        classify_headings([p.heading for p in path]) for path in paths
-    )
+    directions = tuple(classify_track(path, junctions) for path in paths)
     return ReplayOutcome(
         collided=record is not None,
         record=record,
@@ -296,12 +297,8 @@ def validate_reconstruction(
     (an OTHER maneuver matches anything). A replay without a collision
     fails with an infinite location error.
     """
-    direction_match = []
-    for record, executed in zip(report.vehicles, outcome.directions):
-        if record.maneuver is Maneuver.OTHER:
-            direction_match.append(True)
-        else:
-            direction_match.append(executed is record.maneuver)
+    direction_match = [record.maneuver in (executed, Maneuver.OTHER)
+                       for record, executed in zip(report.vehicles, outcome.directions)]
 
     if not outcome.collided:
         return ValidationReport(

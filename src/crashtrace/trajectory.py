@@ -28,13 +28,15 @@ from .geometry import (
     wrap_angle,
 )
 from .reports import Maneuver
-from .roadnet import RoadLocation, RoadNetwork, lane_offset, own_lane
+from .roadnet import Junction, RoadLocation, RoadNetwork, lane_offset, own_lane
 
 WAYPOINT_SPACING_M = 2.0
 TERMINAL_BLEND_M = 10.0
-MIN_TURN_RADIUS_M = 5.0
 PREFERRED_TURN_RADIUS_M = 8.0
 STRAIGHT_THRESHOLD_DEG = 30.0
+# a turn is judged this near a junction centre: it covers the fillet, trimmed up to
+# PREFERRED_TURN_RADIUS_M·tan(θ/2) from the corner (8 m at 90°), and the lane offset
+JUNCTION_REACH_M = 15.0
 FILLET_MIN_ANGLE_DEG = 15.0
 
 
@@ -50,13 +52,30 @@ class Trajectory:
     waypoints: tuple[Waypoint, ...]
 
 
-def classify_headings(headings: Sequence[float]) -> Maneuver:
-    """Straight/left/right from the net unwrapped heading change."""
-    if len(headings) < 2:
+def classify_track(track: Sequence, junctions: Sequence[Junction]) -> Maneuver:
+    """Which way a track of waypoints or poses goes: it turns only at junctions.
+
+    Sums the wrapped heading change between consecutive points that both lie
+    within ``JUNCTION_REACH_M`` of a junction centre; within
+    ``STRAIGHT_THRESHOLD_DEG`` the track goes straight, however much its road
+    bends, otherwise the sign says left or right.
+    """
+    reach = JUNCTION_REACH_M
+    xs, ys = zip(*[p.position for p in track])
+    lo_x, hi_x, lo_y, hi_y = min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach
+    centres = [c for c in (j.center for j in junctions)
+               if lo_x <= c.x <= hi_x and lo_y <= c.y <= hi_y]
+    if not centres:
         return Maneuver.GOING_STRAIGHT
-    total = 0.0
-    for a, b in zip(headings, headings[1:]):
-        total += wrap_angle(b - a)
+    near = [False] * len(track)
+    for cx, cy in centres:
+        near = [n or (x - cx) ** 2 + (y - cy) ** 2 <= reach * reach
+                for n, x, y in zip(near, xs, ys)]
+    total, previous = 0.0, None  # previous: the last point's heading, if it lay near
+    for p, p_near in zip(track, near):
+        if p_near and previous is not None:
+            total += wrap_angle(p.heading - previous)
+        previous = p.heading if p_near else None
     if abs(total) <= math.radians(STRAIGHT_THRESHOLD_DEG):
         return Maneuver.GOING_STRAIGHT
     return Maneuver.TURNING_LEFT if total > 0 else Maneuver.TURNING_RIGHT
@@ -171,21 +190,19 @@ def _fillet(leg_a: list[PlanarPoint], leg_b: list[PlanarPoint]
     hit = _intersect_lines(leg_a[-1], h_a, leg_b[0], h_b)
     if hit is None:
         return leg_a, [], leg_b
-    t1, t2 = hit
-    if t1 < 0 or t2 > 0:
-        # corner behind the approach or ahead of the exit: join directly
-        return leg_a, [], leg_b
-    t2 = -t2  # distance from the corner forward to leg_b's start
+    # forward distances from leg_a's end to the corner and from the corner to leg_b's
+    # start; both are negative where lane lines run past the corner inside a turn
+    t1, t2 = hit[0], -hit[1]
 
     len_a = cumulative_lengths(leg_a)[-1]
     len_b = cumulative_lengths(leg_b)[-1]
-    tan_half = math.tan(abs(theta) / 2)
-    if tan_half < 1e-9:
-        return leg_a, [], leg_b
+    tan_half = math.tan(abs(theta) / 2)  # at least tan(FILLET_MIN_ANGLE_DEG / 2)
     t_max = min(t1 + 0.8 * len_a, t2 + 0.8 * len_b)
+    if t_max <= 0:
+        # the corner lies too far behind a leg's end: join directly
+        return leg_a, [], leg_b
     r_max = t_max / tan_half
     radius = min(PREFERRED_TURN_RADIUS_M, r_max)
-    radius = max(radius, min(MIN_TURN_RADIUS_M, r_max))
     trim = radius * tan_half
 
     corner = PlanarPoint(leg_a[-1].x + t1 * math.cos(h_a), leg_a[-1].y + t1 * math.sin(h_a))

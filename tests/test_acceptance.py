@@ -366,9 +366,9 @@ def test_acceptance_7_feedback_loop():
     responses = iter([bad, good])
     settings2 = EstimationSettings(max_retries=3,
                                    llm_transport=lambda p: next(responses))
-    scene, trace2 = estimate_with_feedback(report, network, region, settings2)
+    scene, trace2, _ = estimate_with_feedback(report, network, region, settings2)
     assert trace2.attempt_count == 2
-    assert validate_states(scene.states, network, report, region) == []
+    assert validate_states(scene.states, network, report, region)[0] == []
     _verdict(7, True, "always-invalid: 4 attempts with 4 violation lists; "
              "second-try-valid: 2 attempts, scene validates")
 

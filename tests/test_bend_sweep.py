@@ -73,7 +73,7 @@ def test_heuristic_verdicts_on_single_bend_roads():
         for report in reports:
             region = candidate_regions(network, report, crash)
             try:
-                _, trace = estimate_with_feedback(report, network, region)
+                _, trace, _ = estimate_with_feedback(report, network, region)
             except EstimationFailed as exc:
                 verdict, trace = "failed", exc.trace
             else:
@@ -81,6 +81,6 @@ def test_heuristic_verdicts_on_single_bend_roads():
             counts[verdict] += 1
             proposals = tuple(attempt[0] for attempt in trace.attempts)
             digest.update(f"{verdict} {trace.attempt_count} {proposals!r}\n".encode())
-    assert counts == {"first": 2899, "snap": 170, "failed": 1215}
+    assert counts == {"first": 3835, "snap": 435, "failed": 14}
     assert digest.hexdigest() == (
-        "1c8a4b691bc9055a499088546f8f7d9e79e0e77702733881a65aff7997b67bf1")
+        "6a32824d77554f1191fcdd866956ea4c013a79821c12246c7c707b1af57808c2")

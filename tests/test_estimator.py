@@ -20,7 +20,7 @@ from crashtrace.osm import parse_osm
 from crashtrace.pipeline import parse_scenario, scenario_document
 from crashtrace.reports import CaseKey, RawCaseDocument, parse_report
 from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
-from crashtrace.trajectory import Trajectory
+from crashtrace.trajectory import Trajectory, classify_track
 
 from corpus import case_origin, cross_layout, osm_xml, report_xml, straight_road_layout
 from local_http import closed_port_url, http_endpoint
@@ -174,7 +174,7 @@ def test_heuristic_same_direction_same_lane():
 def test_validate_accepts_heuristic_output():
     network, report, crash, region = _setup("ftf")
     states = heuristic_estimate(region, report, network)
-    assert validate_states(states, network, report, region) == []
+    assert validate_states(states, network, report, region)[0] == []
 
 
 def test_validate_flags_offroad_position():
@@ -182,7 +182,7 @@ def test_validate_flags_offroad_position():
     s1, s2 = heuristic_estimate(region, report, network)
     bad = InitialState(PlanarPoint(s1.position.x, s1.position.y - 10.0),
                        s1.heading, s1.speed, s1.road_id, s1.lane_index)
-    violations = validate_states((bad, s2), network, report, region)
+    violations, _ = validate_states((bad, s2), network, report, region)
     assert any("position outside road boundary" in v for v in violations)
 
 
@@ -191,7 +191,7 @@ def test_validate_flags_reversed_heading():
     s1, s2 = heuristic_estimate(region, report, network)
     bad = InitialState(s1.position, s1.heading + math.pi, s1.speed,
                        s1.road_id, s1.lane_index)
-    violations = validate_states((bad, s2), network, report, region)
+    violations, _ = validate_states((bad, s2), network, report, region)
     assert any("orientation misaligned" in v for v in violations)
 
 
@@ -201,7 +201,7 @@ def test_validate_wrong_way_lane_is_legal():
     road = network.road(crash.road_id)
     state = InitialState(PlanarPoint(-50.0, -1.75), math.pi, 10.0, road.road_id, -1)
     s1, s2 = heuristic_estimate(region, report, network)
-    violations = validate_states((state, s2), network, report, region)
+    violations, _ = validate_states((state, s2), network, report, region)
     assert not any("orientation" in v for v in violations)
 
 
@@ -220,7 +220,7 @@ def test_validate_turning_consistency():
     region = candidate_regions(network, report, crash)
     v1 = InitialState(PlanarPoint(-60.0, -1.75), 0.0, 8.9408, 12, 1)
     v2 = InitialState(PlanarPoint(-1.75, 120.0), -math.pi / 2, 8.9408, 11, 1)
-    assert validate_states((v1, v2), network, report, region) == []
+    assert validate_states((v1, v2), network, report, region)[0] == []
 
     right_report = _report(
         topology="Four-Way Intersection",
@@ -230,8 +230,27 @@ def test_validate_turning_consistency():
             {"speed_mph": 20, "clock": 12, "maneuver": "Going Straight"},
         ],
     )
-    violations = validate_states((v1, v2), network, right_report, region)
+    violations, _ = validate_states((v1, v2), network, right_report, region)
     assert any("maneuver inconsistent" in v for v in violations)
+
+
+@pytest.mark.parametrize("maneuver", ["Turning Left", "Turning Right"])
+def test_heuristic_picks_an_approach_that_turns_the_reported_way(maneuver):
+    # the crash lies on the north arm, 20 m from the junction centre: the west
+    # arm turns left into it, the east arm right
+    network = _setup("cross")[0]
+    report = _report(
+        topology="Four-Way Intersection",
+        relation="Changing Trafficway, Vehicle Turning",
+        vehicles=[{"speed_mph": 20, "clock": 12, "maneuver": maneuver},
+                  {"speed_mph": 20, "clock": 12, "maneuver": "Going Straight"}],
+    )
+    region = candidate_regions(network, report, locate_crash_point(network, PlanarPoint(0.0, 20.0)))
+    states = heuristic_estimate(region, report, network)
+    violations, (planned, _) = validate_states(states, network, report, region)
+    assert not any(v.startswith("vehicle 1") for v in violations)
+    assert classify_track(planned.waypoints, network.junctions).value == \
+        maneuver.lower().replace(" ", "_")
 
 
 # --- external estimator ---
@@ -330,9 +349,9 @@ def test_prompt_contains_directives_and_violations():
 
 def test_feedback_valid_first_attempt():
     network, report, crash, region = _setup("ftf")
-    scene, trace = estimate_with_feedback(report, network, region)
+    scene, trace, _ = estimate_with_feedback(report, network, region)
     assert trace.attempt_count == 1
-    assert validate_states(scene.states, network, report, region) == []
+    assert validate_states(scene.states, network, report, region)[0] == []
     assert scene.case_key == KEY
 
 
@@ -348,12 +367,12 @@ def test_feedback_heuristic_snap_rescues_placement_at_bend():
                                {"speed_mph": 7.5, "clock": 6, "maneuver": "Going Straight"}])
     crash = locate_crash_point(network, CRASH)
     region = candidate_regions(network, report, crash)
-    scene, trace = estimate_with_feedback(report, network, region)
+    scene, trace, _ = estimate_with_feedback(report, network, region)
     assert trace.attempt_count == 2
     assert trace.attempts[0][1] == ("vehicle 2: orientation misaligned "
                                     "(45.0 deg off the lane tangent)",)
     assert scene.states[1].heading == 0.0
-    assert validate_states(scene.states, network, report, region) == []
+    assert validate_states(scene.states, network, report, region)[0] == []
 
 
 def test_feedback_second_attempt_valid():
@@ -375,7 +394,7 @@ def test_feedback_second_attempt_valid():
         return responses[len(calls) - 1]
 
     settings = EstimationSettings(llm_transport=transport, max_retries=3)
-    scene, trace = estimate_with_feedback(report, network, region, settings)
+    scene, trace, _ = estimate_with_feedback(report, network, region, settings)
     assert trace.attempt_count == 2
     assert len(trace.attempts[0][1]) > 0  # first attempt carries violations
     assert trace.attempts[0][1][0] in calls[1]  # fed back verbatim
@@ -411,7 +430,7 @@ def test_feedback_unparseable_counts_as_attempt():
         return responses[len(calls) - 1]
 
     settings = EstimationSettings(llm_transport=transport)
-    scene, trace = estimate_with_feedback(report, network, region, settings)
+    scene, trace, _ = estimate_with_feedback(report, network, region, settings)
     assert trace.attempt_count == 2
     assert trace.attempts[0][0] is None
 
@@ -443,7 +462,7 @@ def _document(scene):
 
 def test_scene_roundtrip_identity():
     network, report, crash, region = _setup("ftf")
-    scene, _ = estimate_with_feedback(report, network, region)
+    scene, _, _ = estimate_with_feedback(report, network, region)
     text = _document(scene)
     assert parse_scenario(text)[0] == scene
     assert _document(parse_scenario(text)[0]) == text
@@ -451,7 +470,7 @@ def test_scene_roundtrip_identity():
 
 def test_scene_serialization_deterministic_and_precise():
     network, report, crash, region = _setup("ftf")
-    scene, _ = estimate_with_feedback(report, network, region)
+    scene, _, _ = estimate_with_feedback(report, network, region)
     a, b = _document(scene), _document(scene)
     assert a == b
     doc = json.loads(a)
@@ -463,7 +482,7 @@ def test_scene_zero_crash_point():
     import dataclasses
 
     network, report, crash, region = _setup("ftf")
-    scene, _ = estimate_with_feedback(report, network, region)
+    scene, _, _ = estimate_with_feedback(report, network, region)
     at_zero = dataclasses.replace(scene, crash_point=PlanarPoint(0.0, 0.0))
     text = _document(at_zero)
     doc = json.loads(text)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -491,6 +493,61 @@ def _json_dumps_scenario(scene, trajectories):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _turning_package(directory: Path) -> Path:
+    """A package whose vehicle 1 turns left at the four-way junction of its map."""
+    from crashtrace.opendrive import emit_opendrive
+    from crashtrace.osm import parse_osm
+    from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
+    from crashtrace.trajectory import generate_trajectory
+
+    origin = corpus.case_origin(7)
+    network = unify_lanes(build_road_network(
+        parse_osm(corpus.osm_xml(origin, *corpus.cross_layout())), origin))
+    crash = PlanarPoint(1.75, 40.0)  # on the north arm's northbound lane line
+    states = (InitialState(PlanarPoint(-80.0, -1.75), 0.0, 8.9408, 12, 1),
+              InitialState(PlanarPoint(-1.75, 120.0), -math.pi / 2, 8.9408, 11, 1))
+    fix = locate_crash_point(network, crash)
+    trajectories = tuple(generate_trajectory(state, fix, crash, network, vid)
+                         for vid, state in zip((1, 2), states))
+    key = CaseKey(51, 901, 2023)
+    scene = SceneSpec(key, crash, states, (1, 2),
+                      (Maneuver.TURNING_LEFT, Maneuver.GOING_STRAIGHT))
+    report = corpus.report_xml(
+        coords=origin, collision="Angle", topology="Four-Way Intersection",
+        relation="Changing Trafficway, Vehicle Turning",
+        vehicles=[{"speed_mph": 20, "clock": 12, "maneuver": "Turning Left"},
+                  {"speed_mph": 20, "clock": 12, "maneuver": "Going Straight"}])
+    directory.mkdir(parents=True)
+    (directory / "scenario.json").write_text(scenario_document(scene, trajectories), "utf-8")
+    (directory / "map.xodr").write_text(emit_opendrive(network), "utf-8")
+    (directory / "report.xml").write_text(report, "utf-8")
+    return directory
+
+
+def test_replay_judges_turns_at_the_junctions_of_its_map(tmp_path):
+    package = _turning_package(tmp_path / "case_51_901_2023")
+    assert replay_package(package).direction_match == (True, True)
+    map_path = package / "map.xodr"
+    without_junction = re.sub(r"  <junction .*?</junction>\n", "",
+                              map_path.read_text("utf-8"), flags=re.S)
+    assert "<junction" not in without_junction
+    map_path.write_text(without_junction, "utf-8")
+    # the same track, on a map where it passes no junction, goes straight
+    assert replay_package(package).direction_match == (False, True)
+
+
+@pytest.mark.parametrize("horizon_s", [12.0, 20.0, 30.0])
+def test_curve_packages_at_long_horizons(tmp_path, horizon_s):
+    # following a 400 m-radius arc for a long run is no turn
+    fixtures = tmp_path / "fixtures"
+    key = corpus.write_case(fixtures, "ftf_curve", 103, 2)
+    config = PipelineConfig(offline=True, fixtures_dir=fixtures, out_dir=tmp_path / "out",
+                            estimation=EstimationSettings(horizon_s=horizon_s))
+    outcome = run_case(key, config)
+    assert outcome.package is not None, outcome.reason
+    assert replay_package(outcome.package.directory).passed
+
+
 _odd_floats = st.one_of(
     st.floats(),  # nan, +-inf, -0.0 and subnormals included
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, 1e16, 0.1, 123456789.0,
@@ -579,6 +636,18 @@ def test_cli_run_and_replay_and_stats_and_plot(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert (package_dir / "plot.svg").is_file()
+
+
+@pytest.mark.parametrize("command", ["replay", "plot"])
+def test_cli_reports_malformed_map(good_batch, tmp_path, capsys, command):
+    package = tmp_path / "case"
+    shutil.copytree(good_batch[2][0].directory, package)
+    map_path = package / "map.xodr"
+    map_path.write_text(re.sub(r' x="[^"]*"', "", map_path.read_text("utf-8"), count=1),
+                        "utf-8")
+    assert cli.main([command, str(package)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable <geometry>"), err
 
 
 def test_cli_batch(tmp_path, capsys):

@@ -62,7 +62,7 @@ def _head_on(speed=10.0, gap=100.0):
 
 def test_head_on_collision_time_and_location():
     scene, trajectories = _head_on()
-    outcome = simulate(scene, trajectories, BODIES, dt=0.05)
+    outcome = simulate(scene, trajectories, (), BODIES, dt=0.05)
     assert outcome.collided
     expected_t = (100.0 - 4.5) / 20.0
     assert abs(outcome.record.time - expected_t) <= 0.05 + 1e-9
@@ -75,22 +75,22 @@ def test_parallel_lanes_no_collision():
     s2 = InitialState(PlanarPoint(50.0, 10.0), math.pi, 10.0, 10, 1)
     t1 = _line_trajectory(1, s1.position, PlanarPoint(50.0, 0.0), 10.0)
     t2 = _line_trajectory(2, s2.position, PlanarPoint(-50.0, 10.0), 10.0)
-    outcome = simulate(_scene([s1, s2]), (t1, t2), BODIES)
+    outcome = simulate(_scene([s1, s2]), (t1, t2), (), BODIES)
     assert not outcome.collided
     assert outcome.record is None
 
 
 def test_simulate_deterministic():
     scene, trajectories = _head_on()
-    a = simulate(scene, trajectories, BODIES)
-    b = simulate(scene, trajectories, BODIES)
+    a = simulate(scene, trajectories, (), BODIES)
+    b = simulate(scene, trajectories, (), BODIES)
     assert a == b
 
 
 def test_timestep_robustness():
     scene, trajectories = _head_on()
-    coarse = simulate(scene, trajectories, BODIES, dt=0.05)
-    fine = simulate(scene, trajectories, BODIES, dt=0.025)
+    coarse = simulate(scene, trajectories, (), BODIES, dt=0.05)
+    fine = simulate(scene, trajectories, (), BODIES, dt=0.025)
     assert abs(coarse.record.time - fine.record.time) <= 0.05 + 1e-9
     assert distance(coarse.record.location, fine.record.location) <= 10.0 * 0.05 + 1e-9
 
@@ -101,7 +101,7 @@ def test_vehicle_continues_past_final_waypoint():
     s2 = InitialState(PlanarPoint(-80.0, 0.0), 0.0, 13.41, 11, 1)
     t1 = _line_trajectory(1, s1.position, PlanarPoint(0.0, 0.0), 13.41)
     t2 = _line_trajectory(2, s2.position, PlanarPoint(0.0, 0.0), 13.41)
-    outcome = simulate(_scene([s1, s2]), (t1, t2), BODIES)
+    outcome = simulate(_scene([s1, s2]), (t1, t2), (), BODIES)
     assert not outcome.collided
     # vehicle 1 kept moving north after its waypoints ran out
     final_y = outcome.paths[0][-1].position.y
@@ -112,8 +112,8 @@ def test_spawn_state_overrides_first_waypoint():
     scene, trajectories = _head_on()
     shifted = InitialState(PlanarPoint(-52.0, 0.0), 0.0, 10.0, 10, 1)
     scene2 = _scene([shifted, scene.states[1]])
-    a = simulate(scene, trajectories, BODIES)
-    b = simulate(scene2, trajectories, BODIES)
+    a = simulate(scene, trajectories, (), BODIES)
+    b = simulate(scene2, trajectories, (), BODIES)
     assert a.record.time != b.record.time or a.record.location != b.record.location
 
 

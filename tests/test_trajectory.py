@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crashtrace.errors import FailedToCollide
 from crashtrace.estimator import InitialState, canonical_heading
@@ -8,20 +9,18 @@ from crashtrace.geometry import PlanarPoint, distance, wrap_angle
 from crashtrace.osm import parse_osm
 from crashtrace.reports import Maneuver
 from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
+from crashtrace.roadnet import Junction
 from crashtrace.trajectory import (
+    JUNCTION_REACH_M,
     Trajectory,
     Waypoint,
-    classify_headings,
+    classify_track,
     generate_trajectory,
 )
 
 from corpus import case_origin, cross_layout, curve_road_layout, osm_xml
 
 ORIGIN = case_origin(0)
-
-
-def classify_direction(trajectory: Trajectory) -> Maneuver:
-    return classify_headings([w.heading for w in trajectory.waypoints])
 
 
 def _network(nodes, ways):
@@ -86,7 +85,7 @@ def test_left_turn_arc_monotonic_heading():
     assert all(d >= -1e-6 for d in deltas)  # monotonically increasing
     total = math.degrees(sum(deltas))
     assert total == pytest.approx(90.0, abs=2.0)
-    assert classify_direction(traj) is Maneuver.TURNING_LEFT
+    assert classify_track(traj.waypoints, network.junctions) is Maneuver.TURNING_LEFT
 
 
 def test_wrong_way_accepted():
@@ -97,7 +96,7 @@ def test_wrong_way_accepted():
     crash = PlanarPoint(0.0, -1.75)
     traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     _assert_contract(traj, state, crash)
-    assert classify_direction(traj) is Maneuver.GOING_STRAIGHT
+    assert classify_track(traj.waypoints, network.junctions) is Maneuver.GOING_STRAIGHT
 
 
 def test_unreachable_crash_point():
@@ -137,31 +136,118 @@ def test_curve_stays_within_spacing():
 # --- direction classification ---
 
 
-def _traj_from_headings(headings):
+def _track_from_headings(headings, step=0.5):
+    """Waypoints ``step`` apart, each heading toward the next."""
     pts = [PlanarPoint(0.0, 0.0)]
     for h in headings[:-1]:
         last = pts[-1]
-        pts.append(PlanarPoint(last.x + 2 * math.cos(h), last.y + 2 * math.sin(h)))
-    wps = tuple(Waypoint(p, h, 10.0) for p, h in zip(pts, headings))
-    return Trajectory(0, wps)
+        pts.append(PlanarPoint(last.x + step * math.cos(h), last.y + step * math.sin(h)))
+    return tuple(Waypoint(p, h, 10.0) for p, h in zip(pts, headings))
+
+
+def _junction_at(center):
+    return Junction(1, 1, center, (10, 11), ())
+
+
+def _mid_junction(track):
+    """A junction whose reach covers every point of a short track."""
+    return (_junction_at(track[len(track) // 2].position),)
 
 
 def test_classify_straight():
-    traj = _traj_from_headings([0.3] * 20)
-    assert classify_direction(traj) is Maneuver.GOING_STRAIGHT
+    track = _track_from_headings([0.3] * 20)
+    assert classify_track(track, _mid_junction(track)) is Maneuver.GOING_STRAIGHT
 
 
 def test_classify_plus_90_is_left():
-    headings = [math.radians(90.0 * i / 19) for i in range(20)]
-    assert classify_direction(_traj_from_headings(headings)) is Maneuver.TURNING_LEFT
+    track = _track_from_headings([math.radians(90.0 * i / 19) for i in range(20)])
+    assert classify_track(track, _mid_junction(track)) is Maneuver.TURNING_LEFT
+    assert classify_track(track, ()) is Maneuver.GOING_STRAIGHT  # a bend, not a turn
 
 
 def test_classify_small_drift_is_straight():
-    headings = [math.radians(-20.0 * i / 19) for i in range(20)]
-    assert classify_direction(_traj_from_headings(headings)) is Maneuver.GOING_STRAIGHT
+    track = _track_from_headings([math.radians(-20.0 * i / 19) for i in range(20)])
+    assert classify_track(track, _mid_junction(track)) is Maneuver.GOING_STRAIGHT
 
 
 def test_classify_handles_wraparound():
     # drift across the +/-pi seam must not look like a full turn
-    headings = [wrap_angle(math.radians(175 + 0.5 * i)) for i in range(20)]
-    assert classify_headings(headings) is Maneuver.GOING_STRAIGHT
+    track = _track_from_headings([wrap_angle(math.radians(175 + 0.5 * i)) for i in range(20)])
+    assert classify_track(track, _mid_junction(track)) is Maneuver.GOING_STRAIGHT
+
+
+def test_classify_counts_only_points_within_reach():
+    # a right turn 2 m past the reach of the only junction is a bend
+    track = _track_from_headings([-math.pi / 2 * i / 19 for i in range(20)])
+    start = track[0].position
+    far = _junction_at(PlanarPoint(start.x - JUNCTION_REACH_M - 2.0, start.y))
+    assert classify_track(track, (far,)) is Maneuver.GOING_STRAIGHT
+    assert classify_track(track, _mid_junction(track)) is Maneuver.TURNING_RIGHT
+
+
+def _lane_point(center, heading, along, right=1.75):
+    """``along`` metres on from ``center`` at ``heading``, ``right`` metres to its right."""
+    return PlanarPoint(center.x + along * math.cos(heading) + right * math.sin(heading),
+                       center.y + along * math.sin(heading) - right * math.cos(heading))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.floats(0.0, 170.0), st.sampled_from([1, -1]), st.floats(0.05, 60.0),
+       st.floats(10.0, 200.0))
+def test_bend_without_junction_is_straight(theta_deg, side, bend_distance, behind):
+    # one way bends once; a side road meets it 200 m past the crash, so the
+    # network has a junction, but not on the track
+    theta = math.radians(theta_deg) * side
+    vertex = PlanarPoint(-20.0 - bend_distance, 0.0)
+    network = _network(
+        {1: (vertex.x - 300.0 * math.cos(theta), -300.0 * math.sin(theta)),
+         2: tuple(vertex), 3: (0.0, 0.0), 4: (200.0, 0.0), 5: (300.0, 0.0), 6: (200.0, -100.0)},
+        [(10, [1, 2, 3, 4, 5], {"highway": "secondary", "name": "Mill Road"}),
+         (11, [4, 6], {"highway": "secondary", "name": "Short Lane"})],
+    )
+    assert network.junctions
+    spawn = _lane_point(vertex, theta, -behind)
+    state = InitialState(spawn, canonical_heading(theta), 10.0,
+                         locate_crash_point(network, spawn).road_id, 1)
+    crash = PlanarPoint(0.0, 0.0)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
+    assert classify_track(traj.waypoints, network.junctions) is Maneuver.GOING_STRAIGHT
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.sampled_from([1, -1]), st.floats(20.0, 150.0),
+       st.floats(25.0, 150.0))
+def test_turn_at_junction_classifies_by_its_sign(quarter, sign, behind, ahead):
+    # in the right-hand lane into the four-way junction, out on the arm a
+    # quarter turn to the left (+1) or right (-1)
+    network = _network(*cross_layout())
+    center = PlanarPoint(0.0, 0.0)
+    h_in = quarter * math.pi / 2
+    h_out = h_in + sign * math.pi / 2
+    spawn = _lane_point(center, h_in, -behind)
+    crash = _lane_point(center, h_out, ahead)
+    state = InitialState(spawn, canonical_heading(h_in), 8.9408,
+                         locate_crash_point(network, spawn).road_id, 1)
+    traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
+    expected = Maneuver.TURNING_LEFT if sign > 0 else Maneuver.TURNING_RIGHT
+    assert classify_track(traj.waypoints, network.junctions) is expected
+
+
+_coordinate = st.floats(-40.0, 40.0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=40),
+       st.lists(st.tuples(_coordinate, _coordinate), max_size=3))
+def test_quarter_turn_leaves_direction_unchanged(h0, turns, centers):
+    headings = [h0]
+    for d in turns:
+        headings.append(wrap_angle(headings[-1] + d))
+    track = _track_from_headings(headings, step=2.0)
+    junctions = tuple(_junction_at(PlanarPoint(x, y)) for x, y in centers)
+    turned_track = tuple(w._replace(position=PlanarPoint(-w.position.y, w.position.x),
+                                    heading=wrap_angle(w.heading + math.pi / 2))
+                         for w in track)
+    turned_junctions = tuple(j._replace(center=PlanarPoint(-j.center.y, j.center.x))
+                             for j in junctions)
+    assert classify_track(turned_track, turned_junctions) is classify_track(track, junctions)
