@@ -212,11 +212,11 @@ def _pick_approaches(
             # the first approach whose heuristic trajectory turns the reported way
             for a in options:
                 try:
-                    track = generate_trajectory(_heuristic_state(network, a, record),
-                                                region.crash, region.crash_point, network)
+                    planned = generate_trajectory(_heuristic_state(network, a, record),
+                                                  region.crash, region.crash_point, network)
                 except FailedToCollide:  # no road path from this approach
                     continue
-                if classify_track(track.waypoints, network.junctions) is record.maneuver:
+                if classify_track(planned.track, network.junctions) is record.maneuver:
                     pick = a
                     break
         elif chosen and relation is TrajectoryRelation.INTERSECTING_PATHS:
@@ -341,7 +341,7 @@ def validate_states(
 
         trajectories.append(generate_trajectory(
             state, region.crash, region.crash_point, network, record.vehicle_id))
-        planned = classify_track(trajectories[-1].waypoints, network.junctions)
+        planned = classify_track(trajectories[-1].track, network.junctions)
         if record.maneuver not in (planned, Maneuver.OTHER):
             violations.append(f"{tag}: maneuver inconsistent: the planned path is "
                               f"{planned.value}, not {record.maneuver.value}")
@@ -486,11 +486,11 @@ def estimate_with_feedback(
     """Propose, check, and re-prompt until a valid scene or the retry budget.
 
     The external estimator gets ``max_retries`` re-prompts, each fed the
-    previous violations; the heuristic makes one estimate and, if that is
-    rejected, one clip of it onto its lanes. The returned scene always
-    passes :func:`validate_states`, and comes with the trajectories that
-    function planned for it. On exhaustion raises EstimationFailed carrying
-    the full attempt trace.
+    previous violations; the heuristic makes one estimate and, if a state of
+    it fails a placement check, one clip of it onto its lanes. The returned
+    scene always passes :func:`validate_states`, and comes with the
+    trajectories that function planned for it. On exhaustion raises
+    EstimationFailed carrying the full attempt trace.
     """
     attempts: list[tuple[tuple[InitialState, InitialState] | None, tuple[str, ...]]] = []
     violations: list[str] = []
@@ -521,6 +521,10 @@ def estimate_with_feedback(
                 maneuvers=tuple(v.maneuver for v in report.vehicles),
             )
             return scene, EstimatorTrace(tuple(attempts)), trajectories
+        if heuristic and len(trajectories) == len(states):
+            # every state was placed and planned, so each violation is a planned
+            # direction, which clipping the states onto their lanes cannot change
+            break
 
     raise EstimationFailed(
         f"no valid estimate after {len(attempts)} attempts",

@@ -196,8 +196,10 @@ def offset_polyline(points: Polyline, offset: float) -> list[PlanarPoint]:
     return out
 
 
-def resample_polyline(points: Polyline, spacing: float) -> list[PlanarPoint]:
-    """Points every ``spacing`` meters of arc, always keeping both endpoints."""
+def resample_polyline(points: Sequence[tuple[float, float]], spacing: float
+                      ) -> list[tuple[float, float]]:
+    """Points every ``spacing`` meters of arc, always keeping both endpoints;
+    ``(x, y)`` pairs in and out."""
     cum = cumulative_lengths(points)
     total = cum[-1]
     if total == 0.0:
@@ -211,11 +213,12 @@ def resample_polyline(points: Polyline, spacing: float) -> list[PlanarPoint]:
             continue
         start = cum[idx]
         seg_len = end - start
-        a, b = points[idx], points[idx + 1]
-        ax, ay, dx, dy = a.x, a.y, b.x - a.x, b.y - a.y
+        ax, ay = points[idx]
+        bx, by = points[idx + 1]
+        dx, dy = bx - ax, by - ay
         while s < end:
             t = (s - start) / seg_len
-            out.append(PlanarPoint(ax + t * dx, ay + t * dy))
+            out.append((ax + t * dx, ay + t * dy))
             s += spacing
     out.append(points[-1])
     return out

@@ -3,9 +3,11 @@
 Vehicles advance along their waypoint polylines at their spawn speed with a
 fixed timestep; a vehicle that runs out of waypoints continues on its last
 heading, so near-miss timings stay physical instead of piling every run up
-at the crash point. Collision is a bounding-circle broad phase, then an
-oriented-rectangle overlap test (separating axes); the reconstruction is
-scored on crash location, impact clock positions, and trajectory direction.
+at the crash point. Each step of the replay is a plain ``(x, y, heading)``
+triple of floats. Collision is a bounding-circle broad phase on those floats,
+then, for the steps inside its reach only, an oriented-rectangle overlap test
+(separating axes) on ``Pose`` records; the reconstruction is scored on crash
+location, impact clock positions, and trajectory direction.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class Pose(NamedTuple):
     heading: float
 
 
+Step = tuple[float, float, float]  # x, y, heading of one replay step
+
+
 @dataclass(frozen=True)
 class CollisionRecord:
     time: float
@@ -48,7 +53,9 @@ class CollisionRecord:
 class ReplayOutcome:
     collided: bool
     record: CollisionRecord | None
-    paths: tuple[tuple[Pose, ...], tuple[Pose, ...]]
+    # each vehicle's steps, one (x, y, heading) triple per step up to and
+    # including contact: len(paths[0]) is the number of steps replayed
+    paths: tuple[tuple[Step, ...], tuple[Step, ...]]
     directions: tuple[Maneuver, Maneuver]
 
 
@@ -181,10 +188,11 @@ class _PathFollower:
     def exhaust_time(self) -> float:
         return self.total / self.speed if self.speed > 1e-9 else 0.0
 
-    def walk(self, dt: float) -> Iterator[Pose]:
-        """Poses at t = 0, dt, 2·dt, ... without end, in one forward pass.
+    def walk(self, dt: float) -> Iterator[Step]:
+        """Steps ``(x, y, heading)`` at t = 0, dt, 2·dt, ... without end, in one
+        forward pass.
 
-        The pose at ``t`` lies at arc length ``speed·t`` (clamped at 0) on the
+        The step at ``t`` lies at arc length ``speed·t`` (clamped at 0) on the
         segment holding it, as ``point_at`` and ``tangent_at`` place it, or
         past the end on the final heading. Arc length never falls as ``t``
         rises, so each segment's endpoints are bound once.
@@ -197,7 +205,8 @@ class _PathFollower:
         ax, ay = points[0]
         dx, dy = points[1].x - ax, points[1].y - ay
         end_x, end_y = points[-1]
-        end_cos, end_sin = math.cos(self.end_heading), math.sin(self.end_heading)
+        end_heading = self.end_heading
+        end_cos, end_sin = math.cos(end_heading), math.sin(end_heading)
         k = 0
         while True:
             s = speed * (k * dt)
@@ -212,12 +221,16 @@ class _PathFollower:
                     a, b = points[idx], points[idx + 1]
                     ax, ay, dx, dy = a.x, a.y, b.x - a.x, b.y - a.y
                 u = 0.0 if seg_len == 0.0 else (s - start) / seg_len
-                yield Pose(PlanarPoint(ax + u * dx, ay + u * dy), headings[idx])
+                yield ax + u * dx, ay + u * dy, headings[idx]
             else:
                 over = s - total
-                yield Pose(PlanarPoint(end_x + over * end_cos, end_y + over * end_sin),
-                           self.end_heading)
+                yield end_x + over * end_cos, end_y + over * end_sin, end_heading
             k += 1
+
+
+def _pose(step: Step) -> Pose:
+    x, y, heading = step
+    return Pose(PlanarPoint(x, y), heading)
 
 
 def _clock_for(pose: Pose, body: VehicleBody, contact: PlanarPoint, other: Pose) -> int:
@@ -238,7 +251,7 @@ def simulate(
 
     The scene's spawn states are authoritative: each path starts at the
     spawn position and runs at the spawn speed; its direction is how its
-    poses up to contact turn at ``junctions`` (``classify_track``). A run
+    steps up to contact turn at ``junctions`` (``classify_track``). A run
     with no contact is a valid outcome, not an error.
     """
     if dt <= 0:
@@ -251,14 +264,14 @@ def simulate(
     steps = int(math.floor(t_end / dt + 1e-9))
     reach = _reach(bodies)
 
-    paths: tuple[list[Pose], list[Pose]] = ([], [])
+    paths: tuple[list[Step], list[Step]] = ([], [])
     record = None
-    for k, pose_a, pose_b in zip(range(steps + 1), followers[0].walk(dt), followers[1].walk(dt)):
-        paths[0].append(pose_a)
-        paths[1].append(pose_b)
-        a, b = pose_a.position, pose_b.position
-        if math.hypot(b.x - a.x, b.y - a.y) > reach:  # detect_collision's broad phase
+    for k, a, b in zip(range(steps + 1), followers[0].walk(dt), followers[1].walk(dt)):
+        paths[0].append(a)
+        paths[1].append(b)
+        if math.hypot(b[0] - a[0], b[1] - a[1]) > reach:  # detect_collision's broad phase
             continue
+        pose_a, pose_b = _pose(a), _pose(b)
         contact = detect_collision(pose_a, pose_b, bodies)
         if contact is not None:
             record = CollisionRecord(

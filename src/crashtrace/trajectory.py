@@ -51,17 +51,26 @@ class Trajectory:
     vehicle_id: int
     waypoints: tuple[Waypoint, ...]
 
+    @property
+    def track(self) -> list[tuple[float, float, float]]:
+        """The waypoints as ``(x, y, heading)`` triples, for ``classify_track``."""
+        return [(w.position.x, w.position.y, w.heading) for w in self.waypoints]
 
-def classify_track(track: Sequence, junctions: Sequence[Junction]) -> Maneuver:
-    """Which way a track of waypoints or poses goes: it turns only at junctions.
 
-    Sums the wrapped heading change between consecutive points that both lie
-    within ``JUNCTION_REACH_M`` of a junction centre; within
-    ``STRAIGHT_THRESHOLD_DEG`` the track goes straight, however much its road
-    bends, otherwise the sign says left or right.
+def classify_track(track: Sequence[tuple[float, float, float]],
+                   junctions: Sequence[Junction]) -> Maneuver:
+    """Which way a track goes: it turns only at junctions.
+
+    ``track`` holds ``(x, y, heading)`` triples: a trajectory's waypoints
+    (``Trajectory.track``) or the replay's executed steps
+    (``ReplayOutcome.paths``). Sums the wrapped heading change between
+    consecutive points that both lie within ``JUNCTION_REACH_M`` of a
+    junction centre; within ``STRAIGHT_THRESHOLD_DEG`` the track goes
+    straight, however much its road bends, otherwise the sign says left or
+    right.
     """
     reach = JUNCTION_REACH_M
-    xs, ys = zip(*[p.position for p in track])
+    xs, ys, headings = zip(*track)
     lo_x, hi_x, lo_y, hi_y = min(xs) - reach, max(xs) + reach, min(ys) - reach, max(ys) + reach
     centres = [c for c in (j.center for j in junctions)
                if lo_x <= c.x <= hi_x and lo_y <= c.y <= hi_y]
@@ -72,10 +81,10 @@ def classify_track(track: Sequence, junctions: Sequence[Junction]) -> Maneuver:
         near = [n or (x - cx) ** 2 + (y - cy) ** 2 <= reach * reach
                 for n, x, y in zip(near, xs, ys)]
     total, previous = 0.0, None  # previous: the last point's heading, if it lay near
-    for p, p_near in zip(track, near):
+    for heading, p_near in zip(headings, near):
         if p_near and previous is not None:
-            total += wrap_angle(p.heading - previous)
-        previous = p.heading if p_near else None
+            total += wrap_angle(heading - previous)
+        previous = heading if p_near else None
     if abs(total) <= math.radians(STRAIGHT_THRESHOLD_DEG):
         return Maneuver.GOING_STRAIGHT
     return Maneuver.TURNING_LEFT if total > 0 else Maneuver.TURNING_RIGHT
@@ -239,24 +248,40 @@ def _concat(legs: list[list[PlanarPoint]]) -> list[PlanarPoint]:
     return out
 
 
-def _terminal_blend(points: list[PlanarPoint], crash: PlanarPoint) -> list[PlanarPoint]:
+def _terminal_blend(points: Sequence[tuple[float, float]], crash: PlanarPoint
+                    ) -> list[tuple[float, float]]:
     """Shift the last stretch of the path linearly onto the crash point."""
     fine = resample_polyline(points, 0.5) if len(points) >= 2 else list(points)
     cum = cumulative_lengths(fine)
     total = cum[-1]
     window = min(TERMINAL_BLEND_M, total)
-    end = fine[-1]
-    dx, dy = crash.x - end.x, crash.y - end.y
+    before = total - window
+    end_x, end_y = fine[-1]
+    dx, dy = crash.x - end_x, crash.y - end_y
     out = []
     for p, s in zip(fine, cum):
-        into = s - (total - window)
+        into = s - before
         if into <= 0:
             out.append(p)
             continue
         alpha = into / window
-        out.append(PlanarPoint(p.x + alpha * dx, p.y + alpha * dy))
+        x, y = p
+        out.append((x + alpha * dx, y + alpha * dy))
     out[-1] = crash
     return out
+
+
+def _tail_waypoints(path: Sequence[tuple[float, float]], crash: PlanarPoint,
+                    heading: float, speed: float) -> tuple[Waypoint, ...]:
+    """Waypoints every 2 m along ``path`` blended onto ``crash``: the first
+    keeps ``heading``, each other one faces the next sample, and the last
+    keeps the bearing of the segment into it."""
+    samples = resample_polyline(_terminal_blend(path, crash), WAYPOINT_SPACING_M)
+    bearings = [math.atan2(by - ay, bx - ax)
+                for (ax, ay), (bx, by) in zip(samples, samples[1:])]
+    headings = [heading, *bearings[1:], bearings[-1]]
+    return tuple(Waypoint(PlanarPoint(x, y), h, speed)
+                 for (x, y), h in zip(samples, headings))
 
 
 def generate_trajectory(
@@ -313,17 +338,4 @@ def generate_trajectory(
         joined.extend([a_cut, arc, b_cut])
     path = _concat([leg for leg in joined if leg])
     path[0] = state.position
-
-    blended = _terminal_blend(path, crash_point)
-    samples = resample_polyline(blended, WAYPOINT_SPACING_M)
-
-    waypoints = []
-    for i, p in enumerate(samples):
-        if i == 0:
-            heading = state.heading
-        elif i < len(samples) - 1:
-            heading = bearing(p, samples[i + 1])
-        else:
-            heading = bearing(samples[i - 1], p)
-        waypoints.append(Waypoint(p, heading, state.speed))
-    return Trajectory(vehicle_id, tuple(waypoints))
+    return Trajectory(vehicle_id, _tail_waypoints(path, crash_point, state.heading, state.speed))

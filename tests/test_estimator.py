@@ -249,7 +249,7 @@ def test_heuristic_picks_an_approach_that_turns_the_reported_way(maneuver):
     states = heuristic_estimate(region, report, network)
     violations, (planned, _) = validate_states(states, network, report, region)
     assert not any(v.startswith("vehicle 1") for v in violations)
-    assert classify_track(planned.waypoints, network.junctions).value == \
+    assert classify_track(planned.track, network.junctions).value == \
         maneuver.lower().replace(" ", "_")
 
 
@@ -373,6 +373,24 @@ def test_feedback_heuristic_snap_rescues_placement_at_bend():
                                     "(45.0 deg off the lane tangent)",)
     assert scene.states[1].heading == 0.0
     assert validate_states(scene.states, network, report, region)[0] == []
+
+
+def test_feedback_heuristic_makes_no_second_attempt_for_a_direction():
+    # a left turn with the crash at the junction centre: the plan ends there
+    # before it turns, and clipping the placed states onto their lanes cannot
+    # change which way it goes
+    network = _setup("cross")[0]
+    report = _report(collision="Angle", topology="Four-Way Intersection",
+                     relation="Changing Trafficway, Vehicle Turning",
+                     vehicles=[{"speed_mph": 20, "clock": 12, "maneuver": "Turning Left"},
+                               {"speed_mph": 20, "clock": 3, "maneuver": "Going Straight"}])
+    region = candidate_regions(network, report, locate_crash_point(network, CRASH))
+    with pytest.raises(EstimationFailed) as failed:
+        estimate_with_feedback(report, network, region)
+    assert failed.value.trace.attempt_count == 1
+    assert failed.value.trace.attempts[0][1] == (
+        "vehicle 1: maneuver inconsistent: the planned path is going_straight, "
+        "not turning_left",)
 
 
 def test_feedback_second_attempt_valid():

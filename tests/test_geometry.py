@@ -131,7 +131,7 @@ def _point_at_resample_count(points, n):
 
 
 def _bits(points):
-    return [(p.x.hex(), p.y.hex()) for p in points]
+    return [(x.hex(), y.hex()) for x, y in points]
 
 
 # whole-metre coordinates land samples exactly on vertices

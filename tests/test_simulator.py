@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -104,8 +105,40 @@ def test_vehicle_continues_past_final_waypoint():
     outcome = simulate(_scene([s1, s2]), (t1, t2), (), BODIES)
     assert not outcome.collided
     # vehicle 1 kept moving north after its waypoints ran out
-    final_y = outcome.paths[0][-1].position.y
+    final_y = outcome.paths[0][-1][1]
     assert final_y > 50.0
+
+
+def _crossing(gap_s):
+    """Two vehicles crossing at the origin, vehicle 2 ``gap_s`` seconds late."""
+    s1 = InitialState(PlanarPoint(0.0, -25.0), math.pi / 2, 10.0, 10, 1)
+    s2 = InitialState(PlanarPoint(-25.0 - 10.0 * gap_s, 0.0), 0.0, 10.0, 11, 1)
+    t1 = _line_trajectory(1, s1.position, PlanarPoint(0.0, 0.0), 10.0)
+    t2 = _line_trajectory(2, s2.position, PlanarPoint(0.0, 0.0), 10.0)
+    return _scene([s1, s2]), (t1, t2)
+
+
+@pytest.mark.parametrize("gap_s", [0.0, 6.0])
+def test_paths_hold_every_walk_step_up_to_contact(gap_s):
+    # simulator.steps in the benchmark is len(paths[0]): the steps replayed,
+    # the contact step included
+    from crashtrace.simulator import DEFAULT_DT_S, GRACE_PERIOD_S, _PathFollower
+
+    scene, trajectories = _crossing(gap_s)
+    outcome = simulate(scene, trajectories, (), BODIES)
+    followers = [_PathFollower(state.position, traj, state.speed)
+                 for state, traj in zip(scene.states, trajectories)]
+    if outcome.collided:
+        replayed = round(outcome.record.time / DEFAULT_DT_S) + 1
+        assert outcome.record.time == (replayed - 1) * DEFAULT_DT_S
+    else:
+        t_end = max(f.exhaust_time for f in followers) + GRACE_PERIOD_S
+        replayed = math.floor(t_end / DEFAULT_DT_S + 1e-9) + 1
+    assert outcome.collided is (gap_s == 0.0)
+    for path, follower in zip(outcome.paths, followers):
+        assert len(path) == replayed
+        walked = islice(follower.walk(DEFAULT_DT_S), len(path))
+        assert [_step_bits(step) for step in path] == [_step_bits(step) for step in walked]
 
 
 def test_spawn_state_overrides_first_waypoint():
@@ -197,8 +230,8 @@ def _outcome_with(clocks, location=PlanarPoint(3.0, 0.0)):
     from crashtrace.simulator import CollisionRecord, ReplayOutcome
 
     record = CollisionRecord(1.0, location, clocks)
-    poses = (Pose(PlanarPoint(0.0, 0.0), 0.0),) * 2
-    return ReplayOutcome(True, record, (poses, poses),
+    steps = ((0.0, 0.0, 0.0),) * 2
+    return ReplayOutcome(True, record, (steps, steps),
                          (Maneuver.GOING_STRAIGHT, Maneuver.GOING_STRAIGHT))
 
 
@@ -252,8 +285,8 @@ def test_validation_skips_unknown_clock():
 def test_validation_no_collision():
     from crashtrace.simulator import ReplayOutcome
 
-    poses = (Pose(PlanarPoint(0.0, 0.0), 0.0),) * 2
-    outcome = ReplayOutcome(False, None, (poses, poses),
+    steps = ((0.0, 0.0, 0.0),) * 2
+    outcome = ReplayOutcome(False, None, (steps, steps),
                             (Maneuver.GOING_STRAIGHT, Maneuver.GOING_STRAIGHT))
     report = _report_with((12, 6))
     result = validate_reconstruction(outcome, report, PlanarPoint(0.0, 0.0))
@@ -344,7 +377,7 @@ def corpus_trajectories(tmp_path_factory):
 
 
 def test_follower_pose_equals_point_and_tangent(corpus_trajectories):
-    """The walk ``simulate`` uses places each pose up to the path's end as
+    """The walk ``simulate`` uses places each step up to the path's end as
     ``point_at`` and ``tangent_at`` do, at every k·dt."""
     from crashtrace.geometry import point_at, tangent_at
     from crashtrace.simulator import DEFAULT_DT_S, _PathFollower
@@ -355,38 +388,35 @@ def test_follower_pose_equals_point_and_tangent(corpus_trajectories):
             follower = _PathFollower(state.position, traj, state.speed)
             assert follower.exhaust_time > 0
             for dt in (DEFAULT_DT_S, follower.exhaust_time / 1000):
-                for k, pose in enumerate(follower.walk(dt)):
+                for k, step in enumerate(follower.walk(dt)):
                     s = follower.speed * (k * dt)
                     if s > follower.total:
                         break
-                    expected = Pose(point_at(follower.points, s, follower.cum),
-                                    tangent_at(follower.points, s, follower.cum))
-                    assert _pose_bits(pose) == _pose_bits(expected), (scene.case_key, dt, k)
+                    expected = (*point_at(follower.points, s, follower.cum),
+                                tangent_at(follower.points, s, follower.cum))
+                    assert _step_bits(step) == _step_bits(expected), (scene.case_key, dt, k)
                     checked += 1
     assert checked > 9000
 
 
-def _bisect_pose(follower, t):
-    """Reference: the pose with one ``_segment_index`` binary search per call."""
+def _bisect_step(follower, t):
+    """Reference: the step with one ``_segment_index`` binary search per call."""
     from crashtrace.geometry import _segment_index
 
     s = follower.speed * t
     if s <= follower.total:
         idx, u = _segment_index(follower.cum, s)
         a, b = follower.points[idx], follower.points[idx + 1]
-        return Pose(PlanarPoint(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)),
-                    follower.headings[idx])
+        return a.x + u * (b.x - a.x), a.y + u * (b.y - a.y), follower.headings[idx]
     over = s - follower.total
     end = follower.points[-1]
-    return Pose(
-        PlanarPoint(end.x + over * math.cos(follower.end_heading),
-                    end.y + over * math.sin(follower.end_heading)),
-        follower.end_heading,
-    )
+    return (end.x + over * math.cos(follower.end_heading),
+            end.y + over * math.sin(follower.end_heading),
+            follower.end_heading)
 
 
-def _pose_bits(pose):
-    return pose.position.x.hex(), pose.position.y.hex(), pose.heading.hex()
+def _step_bits(step):
+    return tuple(v.hex() for v in step)
 
 
 @st.composite
@@ -407,8 +437,8 @@ _dts = st.one_of(st.sampled_from([0.05, 0.5, 1.0]), st.floats(1e-3, 5.0))
 
 @given(_followers(), _dts, st.integers(0, 80))
 def test_cursor_pose_matches_bisect_pose_for_rising_t(follower, dt, steps):
-    for k, pose in zip(range(steps + 1), follower.walk(dt)):
-        assert _pose_bits(pose) == _pose_bits(_bisect_pose(follower, k * dt)), k
+    for k, step in zip(range(steps + 1), follower.walk(dt)):
+        assert _step_bits(step) == _step_bits(_bisect_step(follower, k * dt)), k
 
 
 @given(_followers(), st.lists(_dts, min_size=1, max_size=4), st.data())
@@ -417,8 +447,8 @@ def test_cursor_pose_matches_bisect_pose_in_any_order(follower, dts, data):
     walks = [(dt, enumerate(follower.walk(dt))) for dt in dts]
     for i in data.draw(st.lists(st.integers(0, len(walks) - 1), max_size=120)):
         dt, walk = walks[i]
-        k, pose = next(walk)
-        assert _pose_bits(pose) == _pose_bits(_bisect_pose(follower, k * dt)), (dt, k)
+        k, step = next(walk)
+        assert _step_bits(step) == _step_bits(_bisect_step(follower, k * dt)), (dt, k)
 
 
 def test_walk_onto_a_vertex_takes_the_next_segment():
@@ -429,5 +459,5 @@ def test_walk_onto_a_vertex_takes_the_next_segment():
                PlanarPoint(-1.0, 4.0))
     follower = _PathFollower(corners[0], Trajectory(1, tuple(
         Waypoint(p, 0.0, 0.0) for p in corners)), 2.0)
-    for k, pose in zip(range(14), follower.walk(0.5)):
-        assert _pose_bits(pose) == _pose_bits(_bisect_pose(follower, k * 0.5)), k
+    for k, step in zip(range(14), follower.walk(0.5)):
+        assert _step_bits(step) == _step_bits(_bisect_step(follower, k * 0.5)), k

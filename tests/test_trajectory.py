@@ -1,23 +1,27 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crashtrace.errors import FailedToCollide
 from crashtrace.estimator import InitialState, canonical_heading
-from crashtrace.geometry import PlanarPoint, distance, wrap_angle
+from crashtrace.geometry import PlanarPoint, bearing, cumulative_lengths, distance, wrap_angle
 from crashtrace.osm import parse_osm
 from crashtrace.reports import Maneuver
 from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
 from crashtrace.roadnet import Junction
+from crashtrace import trajectory
 from crashtrace.trajectory import (
     JUNCTION_REACH_M,
+    TERMINAL_BLEND_M,
+    WAYPOINT_SPACING_M,
     Trajectory,
     Waypoint,
     classify_track,
     generate_trajectory,
 )
 
+import corpus
 from corpus import case_origin, cross_layout, curve_road_layout, osm_xml
 
 ORIGIN = case_origin(0)
@@ -85,7 +89,7 @@ def test_left_turn_arc_monotonic_heading():
     assert all(d >= -1e-6 for d in deltas)  # monotonically increasing
     total = math.degrees(sum(deltas))
     assert total == pytest.approx(90.0, abs=2.0)
-    assert classify_track(traj.waypoints, network.junctions) is Maneuver.TURNING_LEFT
+    assert classify_track(traj.track, network.junctions) is Maneuver.TURNING_LEFT
 
 
 def test_wrong_way_accepted():
@@ -96,7 +100,7 @@ def test_wrong_way_accepted():
     crash = PlanarPoint(0.0, -1.75)
     traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     _assert_contract(traj, state, crash)
-    assert classify_track(traj.waypoints, network.junctions) is Maneuver.GOING_STRAIGHT
+    assert classify_track(traj.track, network.junctions) is Maneuver.GOING_STRAIGHT
 
 
 def test_unreachable_crash_point():
@@ -133,16 +137,138 @@ def test_curve_stays_within_spacing():
         assert distance(a.position, b.position) <= 2.0 + 1e-9
 
 
+# --- the trajectory tail: blend onto the crash point, 2 m samples, headings ---
+
+
+def _planar_resample(points, spacing):
+    """Reference: the 0.5 m and 2 m resample, a PlanarPoint per sample."""
+    cum = cumulative_lengths(points)
+    total = cum[-1]
+    if total == 0.0:
+        raise ValueError("zero-length polyline")
+    out = [points[0]]
+    s = spacing
+    for idx in range(len(points) - 1):
+        end = cum[idx + 1]
+        if s >= end:
+            continue
+        start = cum[idx]
+        seg_len = end - start
+        a, b = points[idx], points[idx + 1]
+        ax, ay, dx, dy = a.x, a.y, b.x - a.x, b.y - a.y
+        while s < end:
+            t = (s - start) / seg_len
+            out.append(PlanarPoint(ax + t * dx, ay + t * dy))
+            s += spacing
+    out.append(points[-1])
+    return out
+
+
+def _planar_tail(path, crash, heading, speed):
+    """Reference: the tail of ``generate_trajectory`` composed of PlanarPoints."""
+    fine = _planar_resample(path, 0.5) if len(path) >= 2 else list(path)
+    cum = cumulative_lengths(fine)
+    total = cum[-1]
+    window = min(TERMINAL_BLEND_M, total)
+    end = fine[-1]
+    dx, dy = crash.x - end.x, crash.y - end.y
+    blended = []
+    for p, s in zip(fine, cum):
+        into = s - (total - window)
+        if into <= 0:
+            blended.append(p)
+            continue
+        alpha = into / window
+        blended.append(PlanarPoint(p.x + alpha * dx, p.y + alpha * dy))
+    blended[-1] = crash
+    samples = _planar_resample(blended, WAYPOINT_SPACING_M)
+    waypoints = []
+    for i, p in enumerate(samples):
+        if i == 0:
+            h = heading
+        elif i < len(samples) - 1:
+            h = bearing(p, samples[i + 1])
+        else:
+            h = bearing(samples[i - 1], p)
+        waypoints.append(Waypoint(p, h, speed))
+    return tuple(waypoints)
+
+
+def _waypoint_bits(waypoints):
+    assert all(type(w) is Waypoint and type(w.position) is PlanarPoint for w in waypoints)
+    return [(w.position.x.hex(), w.position.y.hex(), w.heading.hex(), w.target_speed.hex())
+            for w in waypoints]
+
+
+def _assert_tail_matches_reference(path, crash, heading, speed):
+    try:
+        expected = _planar_tail(path, crash, heading, speed)
+    except ValueError:  # the blend left no length to resample
+        with pytest.raises(ValueError):
+            trajectory._tail_waypoints(path, crash, heading, speed)
+        return
+    assert _waypoint_bits(trajectory._tail_waypoints(path, crash, heading, speed)) \
+        == _waypoint_bits(expected)
+
+
+# whole metres put samples exactly on vertices; small ones make paths under the
+# 10 m blend window
+_tail_coord = st.one_of(st.integers(-20, 20).map(float), st.floats(-3.0, 3.0),
+                        st.floats(-100.0, 100.0))
+_tail_point = st.builds(PlanarPoint, _tail_coord, _tail_coord)
+
+
+@st.composite
+def _tail_paths(draw):
+    """Paths from a small pool of points, so zero-length segments occur."""
+    pool = draw(st.lists(_tail_point, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=12))
+    return [pool[i] for i in picks]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_tail_paths(), st.lists(_tail_point, min_size=2, max_size=2)), _tail_point,
+       st.floats(-math.pi, math.pi), st.floats(0.0, 40.0))
+@example([PlanarPoint(0.0, 0.0), PlanarPoint(4.0, 0.0)], PlanarPoint(4.0, 1.0), 0.0, 10.0)
+@example([PlanarPoint(0.0, 0.0), PlanarPoint(10.0, 0.0), PlanarPoint(10.0, 0.0),
+          PlanarPoint(10.0, 6.0)], PlanarPoint(12.0, 6.0), 0.0, 10.0)
+@example([PlanarPoint(0.0, 0.0), PlanarPoint(4.0, 0.0)], PlanarPoint(0.0, 0.0), 0.5, 8.0)
+def test_tail_matches_planar_reference(path, crash, heading, speed):
+    _assert_tail_matches_reference(path, crash, heading, speed)
+
+
+def test_tail_matches_planar_reference_on_good_corpus(tmp_path):
+    from crashtrace.pipeline import PipelineConfig, run_case
+
+    calls = []
+    tail = trajectory._tail_waypoints
+
+    def recording(*args):
+        calls.append(args)
+        return tail(*args)
+
+    keys = corpus.write_good_corpus(tmp_path / "fixtures")
+    config = PipelineConfig(offline=True, fixtures_dir=tmp_path / "fixtures",
+                            out_dir=tmp_path / "out", parallelism=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_tail_waypoints", recording)
+        for key in keys:
+            assert run_case(key, config).package is not None
+    assert len(calls) >= 2 * len(keys)
+    for args in calls:
+        _assert_tail_matches_reference(*args)
+
+
 # --- direction classification ---
 
 
 def _track_from_headings(headings, step=0.5):
-    """Waypoints ``step`` apart, each heading toward the next."""
+    """(x, y, heading) triples ``step`` apart, each heading toward the next."""
     pts = [PlanarPoint(0.0, 0.0)]
     for h in headings[:-1]:
         last = pts[-1]
         pts.append(PlanarPoint(last.x + step * math.cos(h), last.y + step * math.sin(h)))
-    return tuple(Waypoint(p, h, 10.0) for p, h in zip(pts, headings))
+    return tuple((p.x, p.y, h) for p, h in zip(pts, headings))
 
 
 def _junction_at(center):
@@ -151,7 +277,7 @@ def _junction_at(center):
 
 def _mid_junction(track):
     """A junction whose reach covers every point of a short track."""
-    return (_junction_at(track[len(track) // 2].position),)
+    return (_junction_at(PlanarPoint(*track[len(track) // 2][:2])),)
 
 
 def test_classify_straight():
@@ -179,8 +305,8 @@ def test_classify_handles_wraparound():
 def test_classify_counts_only_points_within_reach():
     # a right turn 2 m past the reach of the only junction is a bend
     track = _track_from_headings([-math.pi / 2 * i / 19 for i in range(20)])
-    start = track[0].position
-    far = _junction_at(PlanarPoint(start.x - JUNCTION_REACH_M - 2.0, start.y))
+    x0, y0, _ = track[0]
+    far = _junction_at(PlanarPoint(x0 - JUNCTION_REACH_M - 2.0, y0))
     assert classify_track(track, (far,)) is Maneuver.GOING_STRAIGHT
     assert classify_track(track, _mid_junction(track)) is Maneuver.TURNING_RIGHT
 
@@ -211,7 +337,7 @@ def test_bend_without_junction_is_straight(theta_deg, side, bend_distance, behin
                          locate_crash_point(network, spawn).road_id, 1)
     crash = PlanarPoint(0.0, 0.0)
     traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
-    assert classify_track(traj.waypoints, network.junctions) is Maneuver.GOING_STRAIGHT
+    assert classify_track(traj.track, network.junctions) is Maneuver.GOING_STRAIGHT
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -230,7 +356,7 @@ def test_turn_at_junction_classifies_by_its_sign(quarter, sign, behind, ahead):
                          locate_crash_point(network, spawn).road_id, 1)
     traj = generate_trajectory(state, locate_crash_point(network, crash), crash, network)
     expected = Maneuver.TURNING_LEFT if sign > 0 else Maneuver.TURNING_RIGHT
-    assert classify_track(traj.waypoints, network.junctions) is expected
+    assert classify_track(traj.track, network.junctions) is expected
 
 
 _coordinate = st.floats(-40.0, 40.0)
@@ -245,9 +371,7 @@ def test_quarter_turn_leaves_direction_unchanged(h0, turns, centers):
         headings.append(wrap_angle(headings[-1] + d))
     track = _track_from_headings(headings, step=2.0)
     junctions = tuple(_junction_at(PlanarPoint(x, y)) for x, y in centers)
-    turned_track = tuple(w._replace(position=PlanarPoint(-w.position.y, w.position.x),
-                                    heading=wrap_angle(w.heading + math.pi / 2))
-                         for w in track)
+    turned_track = tuple((-y, x, wrap_angle(h + math.pi / 2)) for x, y, h in track)
     turned_junctions = tuple(j._replace(center=PlanarPoint(-j.center.y, j.center.x))
                              for j in junctions)
     assert classify_track(turned_track, turned_junctions) is classify_track(track, junctions)
