@@ -6,7 +6,10 @@ kept only where a caller tells it apart. A case that raises one of them ends
 with that ``reason``, and the message says what failed. Any other error, a
 ``CrashTraceError`` whose ``reason`` is None included, is a defect in
 crashtrace and ends the case as ``InternalError``, so nothing here escapes a
-batch run.
+batch run. The last four classes end no case by design: the estimator answers
+``UnparseableResponse`` with another attempt, and the other three are raised
+only where packages are read back, or by the OpenDRIVE writer for an empty
+road network, which a case never hands it.
 """
 
 from __future__ import annotations
@@ -111,10 +114,6 @@ class EndpointError(EstimationFailed):
 
 class UnparseableResponse(CrashTraceError):
     """The external estimator returned text that does not parse."""
-
-
-class ContactTooFar(CrashTraceError):
-    """Contact point lies outside the inflated vehicle body."""
 
 
 class SerializationError(CrashTraceError):

@@ -313,7 +313,7 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
         report, network, region, settings)
 
     outcome, validation = score_scenario(scene, trajectories, report, network.junctions)
-    if not outcome.collided:
+    if outcome.record is None:
         raise errors.FailedToCollide("the vehicles never touch in the replay")
     if not validation.passed:
         raise errors.ValidationFailed(

@@ -3,11 +3,13 @@
 Vehicles advance along their waypoint polylines at their spawn speed with a
 fixed timestep; a vehicle that runs out of waypoints continues on its last
 heading, so near-miss timings stay physical instead of piling every run up
-at the crash point. Each step of the replay is a plain ``(x, y, heading)``
-triple of floats. Collision is a bounding-circle broad phase on those floats,
-then, for the steps inside its reach only, an oriented-rectangle overlap test
-(separating axes) on ``Pose`` records; the reconstruction is scored on crash
-location, impact clock positions, and trajectory direction.
+at the crash point. A vehicle's state at a step is one record, a plain
+``(x, y, heading)`` triple of floats, and every vehicle has the same body,
+``BODY_LENGTH_M`` by ``BODY_WIDTH_M``. Collision is a bounding-circle broad
+phase (centres within ``REACH_M``), then, for the steps inside that reach
+only, an oriented-rectangle overlap test (separating axes) on the same
+triples; the reconstruction is scored on crash location, impact clock
+positions, and trajectory direction.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .errors import ContactTooFar
 from .geometry import PlanarPoint, bearing, cumulative_lengths, distance
 from .reports import CrashReport, Maneuver
 from .roadnet import Junction
@@ -27,17 +28,11 @@ DEFAULT_DT_S = 0.05
 GRACE_PERIOD_S = 2.0
 LOCATION_TOLERANCE_M = 5.0
 CLOCK_TOLERANCE = 2
-
-
-class VehicleBody(NamedTuple):
-    length: float = 4.5
-    width: float = 1.9
-
-
-class Pose(NamedTuple):
-    position: PlanarPoint
-    heading: float
-
+BODY_LENGTH_M = 4.5
+BODY_WIDTH_M = 1.9
+# broad phase: rectangles whose centres lie farther apart than two
+# half-diagonals sit inside disjoint circumcircles and cannot overlap
+REACH_M = math.hypot(BODY_LENGTH_M, BODY_WIDTH_M) + 1e-6
 
 Step = tuple[float, float, float]  # x, y, heading of one replay step
 
@@ -45,14 +40,15 @@ Step = tuple[float, float, float]  # x, y, heading of one replay step
 @dataclass(frozen=True)
 class CollisionRecord:
     time: float
-    location: PlanarPoint       # midpoint of the contact set
+    # centroid of the corners each body has inside the other, or the
+    # midpoint of the centres when neither body has one
+    location: PlanarPoint
     clocks: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class ReplayOutcome:
-    collided: bool
-    record: CollisionRecord | None
+    record: CollisionRecord | None  # None when the vehicles never touch
     # each vehicle's steps, one (x, y, heading) triple per step up to and
     # including contact: len(paths[0]) is the number of steps replayed
     paths: tuple[tuple[Step, ...], tuple[Step, ...]]
@@ -72,67 +68,59 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _corners(pose: Pose, body: VehicleBody) -> list[PlanarPoint]:
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    hl, hw = body.length / 2, body.width / 2
-    out = []
-    for ox, oy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
-        out.append(PlanarPoint(pose.position.x + c * ox - s * oy,
-                               pose.position.y + s * ox + c * oy))
-    return out
+def _corners(step: Step) -> list[tuple[float, float]]:
+    x, y, heading = step
+    c, s = math.cos(heading), math.sin(heading)
+    hl, hw = BODY_LENGTH_M / 2, BODY_WIDTH_M / 2
+    return [(x + c * ox - s * oy, y + s * ox + c * oy)
+            for ox, oy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))]
 
 
-def overlap_margin(pose_a: Pose, pose_b: Pose,
-                   bodies: tuple[VehicleBody, VehicleBody]) -> float:
+def overlap_margin(a: Step, b: Step) -> float:
     """Signed separating-axis margin: positive inside, negative separated."""
-    corners_a = _corners(pose_a, bodies[0])
-    corners_b = _corners(pose_b, bodies[1])
+    return _margin(a, b, _corners(a), _corners(b))
+
+
+def _margin(a: Step, b: Step, corners_a: list[tuple[float, float]],
+            corners_b: list[tuple[float, float]]) -> float:
     margin = math.inf
-    for heading in (pose_a.heading, pose_a.heading + math.pi / 2,
-                    pose_b.heading, pose_b.heading + math.pi / 2):
+    for heading in (a[2], a[2] + math.pi / 2, b[2], b[2] + math.pi / 2):
         ax, ay = math.cos(heading), math.sin(heading)
-        proj_a = [p.x * ax + p.y * ay for p in corners_a]
-        proj_b = [p.x * ax + p.y * ay for p in corners_b]
+        proj_a = [x * ax + y * ay for x, y in corners_a]
+        proj_b = [x * ax + y * ay for x, y in corners_b]
         overlap = min(max(proj_a), max(proj_b)) - max(min(proj_a), min(proj_b))
         margin = min(margin, overlap)
     return margin
 
 
-def _inside(p: PlanarPoint, pose: Pose, body: VehicleBody, inflate: float = 0.0) -> bool:
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    dx, dy = p.x - pose.position.x, p.y - pose.position.y
+def _inside(point: tuple[float, float], step: Step, inflate: float = 0.0) -> bool:
+    x, y, heading = step
+    c, s = math.cos(heading), math.sin(heading)
+    dx, dy = point[0] - x, point[1] - y
     lx = c * dx + s * dy
     ly = -s * dx + c * dy
-    return abs(lx) <= body.length / 2 + inflate and abs(ly) <= body.width / 2 + inflate
+    return abs(lx) <= BODY_LENGTH_M / 2 + inflate and abs(ly) <= BODY_WIDTH_M / 2 + inflate
 
 
-def _reach(bodies: tuple[VehicleBody, VehicleBody]) -> float:
-    """Broad phase: rectangles whose centres lie farther apart than this sit
-    inside disjoint circumcircles and cannot overlap."""
-    return (math.hypot(*bodies[0]) + math.hypot(*bodies[1])) / 2 + 1e-6
-
-
-def detect_collision(pose_a: Pose, pose_b: Pose,
-                     bodies: tuple[VehicleBody, VehicleBody]) -> PlanarPoint | None:
-    """Contact point when the two body rectangles overlap, else None.
+def detect_collision(a: Step, b: Step) -> PlanarPoint | None:
+    """Contact point when the two bodies overlap, else None.
 
     The contact is the centroid of the corners each body has inside the
-    other (falling back to the midpoint of the centers); the result is
-    symmetric in the arguments.
+    other (falling back to the midpoint of the centres); the result is
+    symmetric in the arguments. A pair beyond ``REACH_M`` always separates.
     """
-    if (distance(pose_a.position, pose_b.position) > _reach(bodies)
-            or overlap_margin(pose_a, pose_b, bodies) < 0):
+    corners_a, corners_b = _corners(a), _corners(b)
+    if _margin(a, b, corners_a, corners_b) < 0:
         return None
-    hits = [p for p in _corners(pose_a, bodies[0]) if _inside(p, pose_b, bodies[1])]
-    hits += [p for p in _corners(pose_b, bodies[1]) if _inside(p, pose_a, bodies[0])]
+    hits = [p for p in corners_a if _inside(p, b)]
+    hits += [p for p in corners_b if _inside(p, a)]
     if not hits:
-        return PlanarPoint((pose_a.position.x + pose_b.position.x) / 2,
-                           (pose_a.position.y + pose_b.position.y) / 2)
+        return PlanarPoint((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     hits = sorted(set(hits))
     x = y = 0.0
-    for p in hits:  # left to right: sum() rounds floats differently from Python 3.12 on
-        x += p.x
-        y += p.y
+    for px, py in hits:  # left to right: sum() rounds floats differently from Python 3.12 on
+        x += px
+        y += py
     return PlanarPoint(x / len(hits), y / len(hits))
 
 
@@ -141,17 +129,17 @@ def detect_collision(pose_a: Pose, pose_b: Pose,
 # ---------------------------------------------------------------------------
 
 
-def impact_clock(pose: Pose, body: VehicleBody, contact: PlanarPoint) -> int:
+def impact_clock(step: Step, contact: tuple[float, float], other: Step) -> int:
     """Clock position of the contact: 12 is the front, 6 the rear, 3 the
-    right side, measured clockwise around the body."""
-    if not _inside(contact, pose, body, inflate=0.5):
-        raise ContactTooFar(f"contact {contact} outside inflated body at {pose.position}")
-    return _clock_toward(pose, contact)
+    right side, measured clockwise around the body.
 
-
-def _clock_toward(pose: Pose, point: PlanarPoint) -> int:
-    """Clock position of the direction from ``pose`` toward ``point``."""
-    beta = (math.degrees(pose.heading - bearing(pose.position, point))) % 360.0
+    A contact outside the body inflated by 0.5 m (a thin crossing overlap,
+    or boundary ties at a flush touch) reads as the direction toward the
+    ``other`` vehicle's centre.
+    """
+    x, y, heading = step
+    tx, ty = contact if _inside(contact, step, inflate=0.5) else other[:2]
+    beta = (math.degrees(heading - math.atan2(ty - y, tx - x))) % 360.0
     clock = int(beta / 30.0 + 0.5) % 12
     return clock if clock else 12
 
@@ -228,23 +216,10 @@ class _PathFollower:
             k += 1
 
 
-def _pose(step: Step) -> Pose:
-    x, y, heading = step
-    return Pose(PlanarPoint(x, y), heading)
-
-
-def _clock_for(pose: Pose, body: VehicleBody, contact: PlanarPoint, other: Pose) -> int:
-    try:
-        return impact_clock(pose, body, contact)
-    except ContactTooFar:
-        return _clock_toward(pose, other.position)  # thin crossing overlap
-
-
 def simulate(
     scene,
     trajectories: tuple[Trajectory, Trajectory],
     junctions: Sequence[Junction],
-    bodies: tuple[VehicleBody, VehicleBody] = (VehicleBody(), VehicleBody()),
     dt: float = DEFAULT_DT_S,
 ) -> ReplayOutcome:
     """Replay both trajectories until first contact or exhaustion plus grace.
@@ -262,31 +237,25 @@ def simulate(
     ]
     t_end = max(f.exhaust_time for f in followers) + GRACE_PERIOD_S
     steps = int(math.floor(t_end / dt + 1e-9))
-    reach = _reach(bodies)
 
     paths: tuple[list[Step], list[Step]] = ([], [])
     record = None
     for k, a, b in zip(range(steps + 1), followers[0].walk(dt), followers[1].walk(dt)):
         paths[0].append(a)
         paths[1].append(b)
-        if math.hypot(b[0] - a[0], b[1] - a[1]) > reach:  # detect_collision's broad phase
+        if math.hypot(b[0] - a[0], b[1] - a[1]) > REACH_M:
             continue
-        pose_a, pose_b = _pose(a), _pose(b)
-        contact = detect_collision(pose_a, pose_b, bodies)
+        contact = detect_collision(a, b)
         if contact is not None:
             record = CollisionRecord(
                 time=k * dt,
                 location=contact,
-                clocks=(
-                    _clock_for(pose_a, bodies[0], contact, pose_b),
-                    _clock_for(pose_b, bodies[1], contact, pose_a),
-                ),
+                clocks=(impact_clock(a, contact, b), impact_clock(b, contact, a)),
             )
             break
 
     directions = tuple(classify_track(path, junctions) for path in paths)
     return ReplayOutcome(
-        collided=record is not None,
         record=record,
         paths=(tuple(paths[0]), tuple(paths[1])),
         directions=directions,
@@ -313,7 +282,7 @@ def validate_reconstruction(
     direction_match = [record.maneuver in (executed, Maneuver.OTHER)
                        for record, executed in zip(report.vehicles, outcome.directions)]
 
-    if not outcome.collided:
+    if outcome.record is None:
         return ValidationReport(
             location_error=math.inf,
             clock_deviation=tuple(None for _ in report.vehicles),

@@ -76,9 +76,9 @@ def classify_track(track: Sequence[tuple[float, float, float]],
                if lo_x <= c.x <= hi_x and lo_y <= c.y <= hi_y]
     if not centres:
         return Maneuver.GOING_STRAIGHT
-    near = [False] * len(track)
+    near, reach_sq = [False] * len(track), reach * reach
     for cx, cy in centres:
-        near = [n or (x - cx) ** 2 + (y - cy) ** 2 <= reach * reach
+        near = [n or (x - cx) ** 2 + (y - cy) ** 2 <= reach_sq
                 for n, x, y in zip(near, xs, ys)]
     total, previous = 0.0, None  # previous: the last point's heading, if it lay near
     for heading, p_near in zip(headings, near):

@@ -45,8 +45,9 @@ from crashtrace.roadnet import (
     validate_geometry,
 )
 from crashtrace.simulator import (
-    Pose,
-    VehicleBody,
+    BODY_LENGTH_M,
+    BODY_WIDTH_M,
+    Step,
     circular_clock_distance,
     impact_clock,
     overlap_margin,
@@ -171,20 +172,19 @@ def test_acceptance_3_geometric_fidelity():
 # 4. separating-axis detection vs the 1 mm point-sampling oracle
 
 
-def _sampling_oracle(pose_a: Pose, pose_b: Pose, body: VehicleBody,
-                     grid: float = 0.001) -> bool:
+def _sampling_oracle(pose_a: Step, pose_b: Step, grid: float = 0.001) -> bool:
     """Any 1 mm lattice point of body A's rectangle inside body B.
 
     Along one lattice row of A, B's local coordinates are linear in x, so
     the row's points inside B are those in one exact x-interval; the row
     hits when a lattice x lies in it.
     """
-    hl, hw = body.length / 2, body.width / 2
-    ca, sa = math.cos(pose_a.heading), math.sin(pose_a.heading)
-    cb, sb = math.cos(pose_b.heading), math.sin(pose_b.heading)
+    hl, hw = BODY_LENGTH_M / 2, BODY_WIDTH_M / 2
+    ca, sa = math.cos(pose_a[2]), math.sin(pose_a[2])
+    cb, sb = math.cos(pose_b[2]), math.sin(pose_b[2])
 
     # B's world AABB, pulled back into A's local frame
-    bx, by = pose_b.position
+    bx, by, _ = pose_b
     corners_b = []
     for ox, oy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)):
         corners_b.append((bx + cb * ox - sb * oy, by + sb * ox + cb * oy))
@@ -192,7 +192,7 @@ def _sampling_oracle(pose_a: Pose, pose_b: Pose, body: VehicleBody,
     wxmax = max(c[0] for c in corners_b)
     wymin = min(c[1] for c in corners_b)
     wymax = max(c[1] for c in corners_b)
-    ax, ay = pose_a.position
+    ax, ay, _ = pose_a
     local = []
     for wx, wy in ((wxmin, wymin), (wxmin, wymax), (wxmax, wymin), (wxmax, wymax)):
         dx, dy = wx - ax, wy - ay
@@ -230,21 +230,17 @@ def _sampling_oracle(pose_a: Pose, pose_b: Pose, body: VehicleBody,
 
 
 def test_acceptance_4_collision_oracle_equivalence():
-    body = VehicleBody()
-    bodies = (body, body)
     rng = random.Random(424242)
     checked = disagreements = 0
     for _ in range(1000):
-        pose_a = Pose(PlanarPoint(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-                      rng.uniform(-math.pi, math.pi))
-        pose_b = Pose(PlanarPoint(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-                      rng.uniform(-math.pi, math.pi))
-        margin = overlap_margin(pose_a, pose_b, bodies)
+        pose_a = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        pose_b = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        margin = overlap_margin(pose_a, pose_b)
         if abs(margin) <= 0.01:
             continue
         checked += 1
         sat_hit = margin >= 0
-        oracle_hit = _sampling_oracle(pose_a, pose_b, body)
+        oracle_hit = _sampling_oracle(pose_a, pose_b)
         if sat_hit != oracle_hit:
             disagreements += 1
     assert checked > 500  # the draw must actually exercise both sides
@@ -257,17 +253,17 @@ def test_acceptance_4_collision_oracle_equivalence():
 
 
 def test_acceptance_5_clock_convention():
-    body = VehicleBody()
-    pose = Pose(PlanarPoint(0.0, 0.0), 0.0)
+    other = (40.0, -30.0, 0.0)  # beyond the inflated body: a contact on it must not read this
+    pose = (0.0, 0.0, 0.0)
     cardinal = {0.0: 12, 90.0: 3, 180.0: 6, 270.0: 9}
     for beta, expected in cardinal.items():
         rad = math.radians(beta)
         contact = PlanarPoint(1.2 * math.cos(-rad), 1.2 * math.sin(-rad))
-        assert impact_clock(pose, body, contact) == expected, beta
+        assert impact_clock(pose, contact, other) == expected, beta
     for beta in range(360):
         rad = math.radians(beta)
         contact = PlanarPoint(1.2 * math.cos(-rad), 1.2 * math.sin(-rad))
-        assert 1 <= impact_clock(pose, body, contact) <= 12
+        assert 1 <= impact_clock(pose, contact, other) <= 12
     for a in range(1, 13):
         for b in range(1, 13):
             d = circular_clock_distance(a, b)

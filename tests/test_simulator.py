@@ -5,13 +5,13 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from crashtrace.errors import ContactTooFar
 from crashtrace.estimator import InitialState, SceneSpec
 from crashtrace.geometry import PlanarPoint, distance
 from crashtrace.reports import CaseKey, Maneuver
 from crashtrace.simulator import (
-    Pose,
-    VehicleBody,
+    BODY_LENGTH_M,
+    BODY_WIDTH_M,
+    REACH_M,
     circular_clock_distance,
     detect_collision,
     impact_clock,
@@ -25,8 +25,6 @@ from crashtrace.trajectory import Trajectory, Waypoint
 
 from readback import validation_from_json
 
-BODY = VehicleBody()
-BODIES = (BODY, BODY)
 KEY = CaseKey(51, 101, 2023)
 
 
@@ -63,8 +61,8 @@ def _head_on(speed=10.0, gap=100.0):
 
 def test_head_on_collision_time_and_location():
     scene, trajectories = _head_on()
-    outcome = simulate(scene, trajectories, (), BODIES, dt=0.05)
-    assert outcome.collided
+    outcome = simulate(scene, trajectories, (), dt=0.05)
+    assert outcome.record is not None
     expected_t = (100.0 - 4.5) / 20.0
     assert abs(outcome.record.time - expected_t) <= 0.05 + 1e-9
     assert distance(outcome.record.location, PlanarPoint(0.0, 0.0)) <= 0.5
@@ -76,22 +74,21 @@ def test_parallel_lanes_no_collision():
     s2 = InitialState(PlanarPoint(50.0, 10.0), math.pi, 10.0, 10, 1)
     t1 = _line_trajectory(1, s1.position, PlanarPoint(50.0, 0.0), 10.0)
     t2 = _line_trajectory(2, s2.position, PlanarPoint(-50.0, 10.0), 10.0)
-    outcome = simulate(_scene([s1, s2]), (t1, t2), (), BODIES)
-    assert not outcome.collided
+    outcome = simulate(_scene([s1, s2]), (t1, t2), ())
     assert outcome.record is None
 
 
 def test_simulate_deterministic():
     scene, trajectories = _head_on()
-    a = simulate(scene, trajectories, (), BODIES)
-    b = simulate(scene, trajectories, (), BODIES)
+    a = simulate(scene, trajectories, ())
+    b = simulate(scene, trajectories, ())
     assert a == b
 
 
 def test_timestep_robustness():
     scene, trajectories = _head_on()
-    coarse = simulate(scene, trajectories, (), BODIES, dt=0.05)
-    fine = simulate(scene, trajectories, (), BODIES, dt=0.025)
+    coarse = simulate(scene, trajectories, (), dt=0.05)
+    fine = simulate(scene, trajectories, (), dt=0.025)
     assert abs(coarse.record.time - fine.record.time) <= 0.05 + 1e-9
     assert distance(coarse.record.location, fine.record.location) <= 10.0 * 0.05 + 1e-9
 
@@ -102,8 +99,8 @@ def test_vehicle_continues_past_final_waypoint():
     s2 = InitialState(PlanarPoint(-80.0, 0.0), 0.0, 13.41, 11, 1)
     t1 = _line_trajectory(1, s1.position, PlanarPoint(0.0, 0.0), 13.41)
     t2 = _line_trajectory(2, s2.position, PlanarPoint(0.0, 0.0), 13.41)
-    outcome = simulate(_scene([s1, s2]), (t1, t2), (), BODIES)
-    assert not outcome.collided
+    outcome = simulate(_scene([s1, s2]), (t1, t2), ())
+    assert outcome.record is None
     # vehicle 1 kept moving north after its waypoints ran out
     final_y = outcome.paths[0][-1][1]
     assert final_y > 50.0
@@ -125,16 +122,16 @@ def test_paths_hold_every_walk_step_up_to_contact(gap_s):
     from crashtrace.simulator import DEFAULT_DT_S, GRACE_PERIOD_S, _PathFollower
 
     scene, trajectories = _crossing(gap_s)
-    outcome = simulate(scene, trajectories, (), BODIES)
+    outcome = simulate(scene, trajectories, ())
     followers = [_PathFollower(state.position, traj, state.speed)
                  for state, traj in zip(scene.states, trajectories)]
-    if outcome.collided:
+    if outcome.record is not None:
         replayed = round(outcome.record.time / DEFAULT_DT_S) + 1
         assert outcome.record.time == (replayed - 1) * DEFAULT_DT_S
     else:
         t_end = max(f.exhaust_time for f in followers) + GRACE_PERIOD_S
         replayed = math.floor(t_end / DEFAULT_DT_S + 1e-9) + 1
-    assert outcome.collided is (gap_s == 0.0)
+    assert (outcome.record is not None) is (gap_s == 0.0)
     for path, follower in zip(outcome.paths, followers):
         assert len(path) == replayed
         walked = islice(follower.walk(DEFAULT_DT_S), len(path))
@@ -145,8 +142,8 @@ def test_spawn_state_overrides_first_waypoint():
     scene, trajectories = _head_on()
     shifted = InitialState(PlanarPoint(-52.0, 0.0), 0.0, 10.0, 10, 1)
     scene2 = _scene([shifted, scene.states[1]])
-    a = simulate(scene, trajectories, (), BODIES)
-    b = simulate(scene2, trajectories, (), BODIES)
+    a = simulate(scene, trajectories, ())
+    b = simulate(scene2, trajectories, ())
     assert a.record.time != b.record.time or a.record.location != b.record.location
 
 
@@ -154,35 +151,31 @@ def test_spawn_state_overrides_first_waypoint():
 
 
 def test_identical_poses_contact_at_center():
-    pose = Pose(PlanarPoint(3.0, 4.0), 0.7)
-    contact = detect_collision(pose, pose, BODIES)
+    step = (3.0, 4.0, 0.7)
+    contact = detect_collision(step, step)
     assert contact is not None
-    assert distance(contact, pose.position) < 1e-9
+    assert distance(contact, PlanarPoint(3.0, 4.0)) < 1e-9
 
 
 def test_far_apart_no_contact():
-    a = Pose(PlanarPoint(0.0, 0.0), 0.0)
-    b = Pose(PlanarPoint(100.0, 0.0), 0.0)
-    assert detect_collision(a, b, BODIES) is None
+    assert detect_collision((0.0, 0.0, 0.0), (100.0, 0.0, 0.0)) is None
 
 
 def test_small_overlap_detected():
     # nose-to-nose with 5 cm of overlap
-    a = Pose(PlanarPoint(0.0, 0.0), 0.0)
-    b = Pose(PlanarPoint(4.45, 0.0), math.pi)
-    assert overlap_margin(a, b, BODIES) == pytest.approx(0.05, abs=1e-9)
-    assert detect_collision(a, b, BODIES) is not None
+    a = (0.0, 0.0, 0.0)
+    b = (4.45, 0.0, math.pi)
+    assert overlap_margin(a, b) == pytest.approx(0.05, abs=1e-9)
+    assert detect_collision(a, b) is not None
 
 
 def test_detect_collision_symmetric():
     rng = random.Random(99)
     for _ in range(200):
-        a = Pose(PlanarPoint(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-                 rng.uniform(-math.pi, math.pi))
-        b = Pose(PlanarPoint(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-                 rng.uniform(-math.pi, math.pi))
-        ab = detect_collision(a, b, BODIES)
-        ba = detect_collision(b, a, (BODY, BODY))
+        a = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        b = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        ab = detect_collision(a, b)
+        ba = detect_collision(b, a)
         if ab is None:
             assert ba is None
         else:
@@ -192,27 +185,35 @@ def test_detect_collision_symmetric():
 # --- impact clock ---
 
 
+# the other vehicle's centre, beyond any inflated body at the origin and in
+# no cardinal direction: a contact on the body must not read it
+ELSEWHERE = (40.0, -30.0, 0.0)
+
+
 def test_clock_cardinal_directions():
-    pose = Pose(PlanarPoint(0.0, 0.0), math.pi / 2)  # facing north
-    assert impact_clock(pose, BODY, PlanarPoint(0.0, 2.0)) == 12   # dead ahead
-    assert impact_clock(pose, BODY, PlanarPoint(1.2, 0.0)) == 3    # right door
-    assert impact_clock(pose, BODY, PlanarPoint(0.0, -2.0)) == 6   # dead astern
-    assert impact_clock(pose, BODY, PlanarPoint(-1.2, 0.0)) == 9   # left door
+    step = (0.0, 0.0, math.pi / 2)  # facing north
+    assert impact_clock(step, (0.0, 2.0), ELSEWHERE) == 12   # dead ahead
+    assert impact_clock(step, (1.2, 0.0), ELSEWHERE) == 3    # right door
+    assert impact_clock(step, (0.0, -2.0), ELSEWHERE) == 6   # dead astern
+    assert impact_clock(step, (-1.2, 0.0), ELSEWHERE) == 9   # left door
 
 
 def test_clock_total_over_degree_sweep():
-    pose = Pose(PlanarPoint(0.0, 0.0), 0.0)
+    step = (0.0, 0.0, 0.0)
     for beta in range(360):
         rad = math.radians(beta)
-        contact = PlanarPoint(1.2 * math.cos(-rad), 1.2 * math.sin(-rad))
-        clock = impact_clock(pose, BODY, contact)
+        contact = (1.2 * math.cos(-rad), 1.2 * math.sin(-rad))
+        clock = impact_clock(step, contact, ELSEWHERE)
         assert 1 <= clock <= 12
 
 
-def test_clock_contact_too_far():
-    pose = Pose(PlanarPoint(0.0, 0.0), 0.0)
-    with pytest.raises(ContactTooFar):
-        impact_clock(pose, BODY, PlanarPoint(10.0, 0.0))
+def test_clock_beyond_inflated_body_reads_toward_other_centre():
+    step = (0.0, 0.0, 0.0)  # facing east
+    # 2.75 m ahead is on the body inflated by 0.5 m; 2.76 m is beyond it
+    assert impact_clock(step, (2.75, 0.0), (0.0, -5.0, 0.0)) == 12
+    assert impact_clock(step, (2.76, 0.0), (0.0, -5.0, 0.0)) == 3    # other to the right
+    assert impact_clock(step, (10.0, 0.0), (0.0, 5.0, 1.0)) == 9     # other to the left
+    assert impact_clock(step, (0.0, -1.46), (-7.0, 0.0, 0.0)) == 6   # beside, past 0.95 + 0.5
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
@@ -231,7 +232,7 @@ def _outcome_with(clocks, location=PlanarPoint(3.0, 0.0)):
 
     record = CollisionRecord(1.0, location, clocks)
     steps = ((0.0, 0.0, 0.0),) * 2
-    return ReplayOutcome(True, record, (steps, steps),
+    return ReplayOutcome(record, (steps, steps),
                          (Maneuver.GOING_STRAIGHT, Maneuver.GOING_STRAIGHT))
 
 
@@ -286,7 +287,7 @@ def test_validation_no_collision():
     from crashtrace.simulator import ReplayOutcome
 
     steps = ((0.0, 0.0, 0.0),) * 2
-    outcome = ReplayOutcome(False, None, (steps, steps),
+    outcome = ReplayOutcome(None, (steps, steps),
                             (Maneuver.GOING_STRAIGHT, Maneuver.GOING_STRAIGHT))
     report = _report_with((12, 6))
     result = validate_reconstruction(outcome, report, PlanarPoint(0.0, 0.0))
@@ -313,49 +314,98 @@ def test_validation_json_roundtrip():
 
 # --- broad phase and single-lookup poses ---
 
-REACH = math.hypot(BODY.length, BODY.width)  # two half-diagonals
+REACH = math.hypot(BODY_LENGTH_M, BODY_WIDTH_M)  # two half-diagonals
+
+
+def _beyond_reach(a, b):
+    """The broad-phase test ``simulate`` runs before the narrow phase."""
+    return math.hypot(b[0] - a[0], b[1] - a[1]) > REACH_M
 
 
 def _agrees(a, b):
-    return (detect_collision(a, b, BODIES) is None) == (overlap_margin(a, b, BODIES) < 0)
+    # a pair the broad phase skips must be one the separating axes separate
+    return not _beyond_reach(a, b) or overlap_margin(a, b) < 0
 
 
 def test_broad_phase_keeps_separating_axis_verdict_near_reach():
     # half the pairs free, half with B's corner aimed near A's diagonal,
     # where rectangles still touch at a centre distance close to the reach
     rng = random.Random(2004)
-    diagonal = math.atan2(BODY.width, BODY.length)
-    hits = 0
+    diagonal = math.atan2(BODY_WIDTH_M, BODY_LENGTH_M)
+    hits = skipped = 0
     for k in range(20000):
-        a = Pose(PlanarPoint(rng.uniform(-5, 5), rng.uniform(-5, 5)),
-                 rng.uniform(-math.pi, math.pi))
+        a = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
         if k % 2:
-            bearing_ab = a.heading + diagonal + rng.uniform(-0.02, 0.02)
-            heading_b = a.heading + math.pi + rng.uniform(-0.02, 0.02)
+            bearing_ab = a[2] + diagonal + rng.uniform(-0.02, 0.02)
+            heading_b = a[2] + math.pi + rng.uniform(-0.02, 0.02)
         else:
             bearing_ab = rng.uniform(-math.pi, math.pi)
             heading_b = rng.uniform(-math.pi, math.pi)
         d = REACH + rng.uniform(-0.1, 0.1)
-        b = Pose(PlanarPoint(a.position.x + d * math.cos(bearing_ab),
-                             a.position.y + d * math.sin(bearing_ab)), heading_b)
+        b = (a[0] + d * math.cos(bearing_ab), a[1] + d * math.sin(bearing_ab), heading_b)
         assert _agrees(a, b), (a, b)
-        hits += detect_collision(a, b, BODIES) is not None
+        hits += detect_collision(a, b) is not None
+        skipped += _beyond_reach(a, b)
     assert hits > 100
+    assert skipped > 5000
 
 
 @pytest.mark.parametrize("flip", [0.0, math.pi])
 def test_broad_phase_corner_to_corner_on_the_diagonal(flip):
     # B's corner points at A's corner along A's diagonal; at the reach they touch
-    diagonal = math.atan2(BODY.width, BODY.length)
+    diagonal = math.atan2(BODY_WIDTH_M, BODY_LENGTH_M)
     for heading in (0.0, 0.3, -1.2, 2.5):
-        a = Pose(PlanarPoint(1.0, -2.0), heading)
+        a = (1.0, -2.0, heading)
         direction = heading + diagonal
         for d, overlaps in ((REACH - 1e-4, True), (REACH, None), (REACH + 1e-4, False)):
-            b = Pose(PlanarPoint(1.0 + d * math.cos(direction), -2.0 + d * math.sin(direction)),
-                     heading + math.pi + flip)
+            b = (1.0 + d * math.cos(direction), -2.0 + d * math.sin(direction),
+                 heading + math.pi + flip)
             assert _agrees(a, b) and _agrees(b, a), (heading, d, flip)
+            assert _beyond_reach(a, b) is (overlaps is False)
             if overlaps is not None:
-                assert (detect_collision(a, b, BODIES) is not None) == overlaps
+                assert (detect_collision(a, b) is not None) == overlaps
+
+
+def _in_body(point, step, inflate):
+    """``point`` within the body at ``step``, each half-extent grown by ``inflate``."""
+    x, y, heading = step
+    dx, dy = point[0] - x, point[1] - y
+    along = dx * math.cos(heading) + dy * math.sin(heading)
+    across = -dx * math.sin(heading) + dy * math.cos(heading)
+    return (abs(along) <= BODY_LENGTH_M / 2 + inflate
+            and abs(across) <= BODY_WIDTH_M / 2 + inflate)
+
+
+def _body_corners(step):
+    x, y, heading = step
+    return [(x + along * math.cos(heading) - across * math.sin(heading),
+             y + along * math.sin(heading) + across * math.cos(heading))
+            for along in (BODY_LENGTH_M / 2, -BODY_LENGTH_M / 2)
+            for across in (BODY_WIDTH_M / 2, -BODY_WIDTH_M / 2)]
+
+
+def test_corner_contact_lies_within_both_inflated_bodies():
+    # when some corner lies inside the other body (by 1 µm, clear of boundary
+    # ties), the contact is on both bodies inflated by 0.5 m, so the clock's
+    # fallback to the other centre serves only overlaps with no corner inside
+    rng = random.Random(2024)
+    checked = 0
+    for k in range(4000):
+        scale = 3.0 if k % 2 else REACH  # half the pairs spread out to the reach
+        a = (rng.uniform(-scale, scale), rng.uniform(-scale, scale),
+             rng.uniform(-math.pi, math.pi))
+        b = (rng.uniform(-scale, scale), rng.uniform(-scale, scale),
+             rng.uniform(-math.pi, math.pi))
+        if not (any(_in_body(p, b, -1e-6) for p in _body_corners(a))
+                or any(_in_body(p, a, -1e-6) for p in _body_corners(b))):
+            continue
+        contact = detect_collision(a, b)
+        assert contact is not None, (a, b)
+        assert _in_body(contact, a, 0.5) and _in_body(contact, b, 0.5), (a, b, contact)
+        assert impact_clock(a, contact, ELSEWHERE) == impact_clock(a, contact, b)
+        assert impact_clock(b, contact, ELSEWHERE) == impact_clock(b, contact, a)
+        checked += 1
+    assert checked > 1000
 
 
 @pytest.fixture(scope="module")
