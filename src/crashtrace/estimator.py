@@ -27,7 +27,6 @@ from .geometry import (
     distance,
     locate_on_polyline,
     offset_point,
-    point_in_polygon,
     tangent_at,
     wrap_angle,
 )
@@ -48,6 +47,7 @@ DEFAULT_HORIZON_S = 6.0
 DEFAULT_SPEED_MPS = 13.41  # assigned when the report gives no travel speed
 DEFAULT_MAX_RETRIES = 3
 ORIENTATION_TOLERANCE_DEG = 30.0
+CRASH_JUNCTION_REACH_M = 30.0
 
 
 def canonical_heading(rad: float) -> float:
@@ -129,16 +129,10 @@ def _road_approaches(road: Road, s_contact: float, d: float) -> list[Approach]:
 
 
 def _junction_for_crash(network: RoadNetwork, crash_pt: PlanarPoint) -> Junction | None:
-    containing = [
-        j for j in network.junctions if point_in_polygon(crash_pt, j.boundary)
-    ]
-    if containing:
-        return min(containing, key=lambda j: (distance(j.center, crash_pt), j.junction_id))
-    near = [
-        (distance(j.center, crash_pt), j.junction_id, j)
-        for j in network.junctions
-        if distance(j.center, crash_pt) <= 30.0
-    ]
+    """The junction whose node is nearest the crash point, within
+    ``CRASH_JUNCTION_REACH_M``; the lower id wins a tie."""
+    near = [(d, j.junction_id, j) for j in network.junctions
+            if (d := distance(j.center, crash_pt)) <= CRASH_JUNCTION_REACH_M]
     return min(near)[2] if near else None
 
 

@@ -238,29 +238,3 @@ def resample_count(points: Polyline, n: int) -> list[PlanarPoint]:
         out.append(PlanarPoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
     out.append(points[-1])
     return out
-
-
-# ---------------------------------------------------------------------------
-# small polygon helpers (junction boundaries, plot envelopes)
-# ---------------------------------------------------------------------------
-
-
-def point_in_polygon(p: PlanarPoint, polygon: Sequence[PlanarPoint]) -> bool:
-    """Ray-casting containment test; boundary points count as inside."""
-    n = len(polygon)
-    if n < 3:
-        return False
-    inside = False
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        # on-segment check
-        cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-        if abs(cross) < 1e-9:
-            if min(a.x, b.x) - 1e-9 <= p.x <= max(a.x, b.x) + 1e-9 and \
-               min(a.y, b.y) - 1e-9 <= p.y <= max(a.y, b.y) + 1e-9:
-                return True
-        if (a.y > p.y) != (b.y > p.y):
-            x_hit = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if x_hit > p.x:
-                inside = not inside
-    return inside

@@ -5,9 +5,12 @@ lane sections carry a center lane plus the forward lanes on the right and
 backward lanes on the left, all at the road's lane width. The header's
 geoReference records the projection so the document stands alone.
 
-Junction boundaries and centers are not part of OpenDRIVE 1.4, so they ride
-in a ``userData`` block that only this module's reader interprets; other
-consumers see a standard document.
+Junction centres and outlines are not part of OpenDRIVE 1.4, so they ride
+in a ``userData`` block; other consumers see a standard document. The
+``<center>`` holds the junction's node and its position, which the reader
+takes back bit for bit and scoring reads. The ``<boundary>`` holds the
+16-gon :func:`roadnet.junction_boundary` draws from that centre; no reader
+interprets it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import xml.etree.ElementTree as ET
 from .errors import ParseError, SerializationError
 from .geometry import GeoPoint, PlanarPoint, bearing, cumulative_lengths
 from .osm import xml_escape
-from .roadnet import Junction, Road, RoadNetwork
+from .roadnet import Junction, Road, RoadNetwork, junction_boundary
 
 
 def emit_opendrive(network: RoadNetwork) -> str:
@@ -101,7 +104,7 @@ def _junction_xml(junction: Junction) -> list[str]:
             f'    <connection id="{i}" incomingRoad="{member}" '
             f'connectingRoad="{member}" contactPoint="start"/>'
         )
-    boundary = " ".join(f"{p.x!r},{p.y!r}" for p in junction.boundary)
+    boundary = " ".join(f"{p.x!r},{p.y!r}" for p in junction_boundary(junction))
     lines.append("    <userData>")
     lines.append(
         f'      <center node="{junction.node_id}" x="{junction.center.x!r}" '
@@ -188,18 +191,12 @@ def parse_opendrive(text: str) -> RoadNetwork:
             raise ParseError(f"junction {junction_id} missing center")
         center = PlanarPoint(_number(center_el, center_el.get("x")),
                              _number(center_el, center_el.get("y")))
-        boundary_el = j_el.find("userData/boundary")
-        # "x,y" pairs; a third number stays in y and fails to read
-        boundary = tuple(
-            PlanarPoint(*(_number(boundary_el, v) for v in pair.partition(",")[::2]))
-            for pair in (j_el.findtext("userData/boundary") or "").split())
         junctions.append(
             Junction(
                 junction_id=junction_id,
                 node_id=_number(center_el, center_el.get("node", "0"), int),
                 center=center,
                 members=members,
-                boundary=boundary,
             )
         )
 

@@ -13,6 +13,7 @@ from pathlib import Path
 from .geometry import PlanarPoint, offset_polyline
 from .opendrive import parse_opendrive
 from .pipeline import parse_scenario
+from .roadnet import junction_boundary
 
 _TRAJECTORY_COLORS = ("#c0392b", "#2471a3")
 _MARGIN = 25.0  # metres of background around the drawing
@@ -67,11 +68,10 @@ def render_plot(package_dir: Path) -> str:
             'fill="none" stroke="#ffffff" stroke-width="0.4" stroke-dasharray="3,3"/>'
         )
     for junction in sorted(network.junctions, key=lambda j: j.junction_id):
-        if len(junction.boundary) >= 3:
-            lines.append(
-                f'<polygon class="junction" points="{_points_attr(junction.boundary)}" '
-                'fill="none" stroke="#8a8a5c" stroke-width="0.5"/>'
-            )
+        lines.append(
+            f'<polygon class="junction" points="{_points_attr(junction_boundary(junction))}" '
+            'fill="none" stroke="#8a8a5c" stroke-width="0.5"/>'
+        )
     for i, traj in enumerate(trajectories):
         color = _TRAJECTORY_COLORS[i % len(_TRAJECTORY_COLORS)]
         pts = [w.position for w in traj.waypoints]

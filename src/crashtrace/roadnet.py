@@ -8,8 +8,9 @@ counts outward from the centerline on the vehicle's travel-right side;
 negative indexes address the opposing side (wrong-side placements).
 
 Junctions are detected at nodes where three or more road ends meet, or
-where distinctly named roads cross; their boundary polygon is a 16-gon of
-one lane width radius around the node.
+where distinctly named roads cross. A junction is its node: its centre is
+the node's position, and :func:`junction_boundary` draws the 16-gon of one
+lane width radius around it that ``map.xodr`` and plots show.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class Junction(NamedTuple):
     node_id: int
     center: PlanarPoint
     members: tuple[int, ...]
-    boundary: tuple[PlanarPoint, ...]
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,13 @@ _BOUNDARY_OFFSETS = tuple(
 )
 
 
+def junction_boundary(junction: Junction) -> tuple[PlanarPoint, ...]:
+    """The drawn outline of a junction: a 16-gon around its centre. No
+    decision reads it."""
+    center = junction.center
+    return tuple(PlanarPoint(center.x + dx, center.y + dy) for dx, dy in _BOUNDARY_OFFSETS)
+
+
 def _detect_junctions(
     roads: list[Road], node_positions: dict[int, PlanarPoint]
 ) -> list[Junction]:
@@ -242,9 +249,7 @@ def _detect_junctions(
         member_ids = sorted({rid for rid, _, _ in entries})
         if len(member_ids) < 2:
             continue
-        center = node_positions[nid]
-        boundary = tuple(PlanarPoint(center.x + dx, center.y + dy) for dx, dy in _BOUNDARY_OFFSETS)
-        junctions.append(Junction(jid, nid, center, tuple(member_ids), boundary))
+        junctions.append(Junction(jid, nid, node_positions[nid], tuple(member_ids)))
         jid += 1
     return junctions
 

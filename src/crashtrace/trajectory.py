@@ -11,6 +11,7 @@ is what reproducing head-on and sideswipe crashes needs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -258,14 +259,10 @@ def _terminal_blend(points: Sequence[tuple[float, float]], crash: PlanarPoint
     before = total - window
     end_x, end_y = fine[-1]
     dx, dy = crash.x - end_x, crash.y - end_y
-    out = []
-    for p, s in zip(fine, cum):
-        into = s - before
-        if into <= 0:
-            out.append(p)
-            continue
-        alpha = into / window
-        x, y = p
+    start = bisect_right(cum, before)  # the samples up to ``before`` stay put
+    out = fine[:start]
+    for (x, y), s in zip(fine[start:], cum[start:]):
+        alpha = (s - before) / window
         out.append((x + alpha * dx, y + alpha * dy))
     out[-1] = crash
     return out

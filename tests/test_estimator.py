@@ -5,6 +5,7 @@ import pytest
 
 from crashtrace.errors import EndpointError, EstimationFailed, UnparseableResponse
 from crashtrace.estimator import (
+    CRASH_JUNCTION_REACH_M,
     EstimationSettings,
     InitialState,
     build_prompt,
@@ -14,12 +15,14 @@ from crashtrace.estimator import (
     http_transport,
     llm_estimate,
     validate_states,
+    _junction_for_crash,
 )
 from crashtrace.geometry import PlanarPoint, distance
 from crashtrace.osm import parse_osm
 from crashtrace.pipeline import parse_scenario, scenario_document
 from crashtrace.reports import CaseKey, RawCaseDocument, parse_report
-from crashtrace.roadnet import build_road_network, locate_crash_point, unify_lanes
+from crashtrace.roadnet import (
+    Junction, RoadNetwork, build_road_network, locate_crash_point, unify_lanes)
 from crashtrace.trajectory import Trajectory, classify_track
 
 from corpus import case_origin, cross_layout, osm_xml, report_xml, straight_road_layout
@@ -104,6 +107,42 @@ def test_regions_no_candidates_for_point_road():
     crash = locate_crash_point(network, CRASH)
     with pytest.raises(EstimationFailed, match="no admissible approach"):
         candidate_regions(network, report, crash)
+
+
+def _crash_junction(centres, crash):
+    """The id of the crash junction among junctions at ``centres`` (ids 0, 1, ...)."""
+    junctions = tuple(Junction(i, i, c, ()) for i, c in enumerate(centres))
+    junction = _junction_for_crash(RoadNetwork(ORIGIN, (), junctions, {}), crash)
+    return None if junction is None else junction.junction_id
+
+
+@pytest.mark.parametrize("turn_deg", [0.0, 11.25, 90.0, 101.25])
+def test_crash_junction_does_not_turn_with_the_scene(turn_deg):
+    # The crash lies 3.49 m from J0 and 3.45 m from J1, inside the 3.5 m
+    # circumradius of both drawn 16-gons but outside the 3.433 m inradius of
+    # one of them, which one depending on the turn. The nearer node wins.
+    toward_j1 = math.radians(11.25)
+    crash = PlanarPoint(3.49, 0.0)
+    j1 = PlanarPoint(crash.x + 3.45 * math.cos(toward_j1), crash.y + 3.45 * math.sin(toward_j1))
+    c, s = math.cos(math.radians(turn_deg)), math.sin(math.radians(turn_deg))
+
+    def turned(p):
+        return PlanarPoint(p.x * c - p.y * s, p.x * s + p.y * c)
+
+    assert _crash_junction([turned(PlanarPoint(0.0, 0.0)), turned(j1)], turned(crash)) == 1
+
+
+def test_crash_junction_within_reach_only():
+    reach = CRASH_JUNCTION_REACH_M
+    assert _crash_junction([PlanarPoint(reach, 0.0)], CRASH) == 0
+    assert _crash_junction([PlanarPoint(math.nextafter(reach, math.inf), 0.0)], CRASH) is None
+    assert _crash_junction([], CRASH) is None
+
+
+def test_crash_junction_tie_goes_to_the_lower_id():
+    junctions = (Junction(1, 1, PlanarPoint(5.0, 0.0), ()),
+                 Junction(0, 0, PlanarPoint(-5.0, 0.0), ()))
+    assert _junction_for_crash(RoadNetwork(ORIGIN, (), junctions, {}), CRASH).junction_id == 0
 
 
 # --- deterministic estimator ---

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from crashtrace.pipeline import (
     scenario_document,
     write_ledger,
 )
-from crashtrace.plotting import render_plot
+from crashtrace.plotting import _fmt, render_plot
 from crashtrace.reports import CaseKey, Maneuver
 from crashtrace.trajectory import Trajectory, Waypoint
 
@@ -400,6 +401,37 @@ def test_plot_structure_and_determinism(good_batch):
     junctioned = next(p for p in packages if p.case_key.state_case == 101)
     svg2 = render_plot(junctioned.directory)
     assert 'class="junction"' in svg2
+
+
+def test_plot_draws_the_boundary_map_xodr_holds(good_batch):
+    packages = good_batch[2]
+    package = next(p for p in packages if p.case_key.state_case == 101)
+    doc = ET.fromstring((package.directory / "map.xodr").read_text("utf-8"))
+    written = [" ".join(",".join(_fmt(float(v)) for v in pair.split(","))
+                        for pair in j.findtext("userData/boundary").split())
+               for j in doc.iterfind("junction")]
+    drawn = re.findall(r'<polygon class="junction" points="([^"]*)"',
+                       render_plot(package.directory))
+    assert written and drawn == written
+
+
+def test_garbled_boundary_replays_and_plots(good_batch, tmp_path):
+    # the <boundary> outline is drawn from the junction centre; no reader parses it
+    packages = good_batch[2]
+    package = next(p for p in packages if p.case_key.state_case == 101)
+    work = tmp_path / "garbled"
+    shutil.copytree(package.directory, work)
+    map_path = work / "map.xodr"
+    text = map_path.read_text("utf-8")
+    garbled = re.sub(r"<boundary>[^<]*</boundary>", "<boundary>1.0,nan,east 2</boundary>", text)
+    assert garbled != text
+    map_path.write_text(garbled, encoding="utf-8")
+
+    from crashtrace.simulator import validation_to_json
+
+    stored = (package.directory / "validation.json").read_text("utf-8")
+    assert validation_to_json(replay_package(work)) == stored
+    assert render_plot(work) == render_plot(package.directory)
 
 
 # --- scenario document ---

@@ -30,6 +30,7 @@ from crashtrace.roadnet import (
     _oneway,
     _parse_lanes,
     build_road_network,
+    junction_boundary,
     lane_offset,
     locate_crash_point,
     travel_direction,
@@ -249,7 +250,7 @@ def test_build_cross_junction():
     network, _ = _network(*cross_layout())
     assert len(network.junctions) == 1
     assert network.junctions[0].members == (10, 11, 12, 13)
-    assert len(network.junctions[0].boundary) >= 3
+    assert len(junction_boundary(network.junctions[0])) == 16
 
 
 def test_build_degenerate_way():

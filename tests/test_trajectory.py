@@ -272,7 +272,7 @@ def _track_from_headings(headings, step=0.5):
 
 
 def _junction_at(center):
-    return Junction(1, 1, center, (10, 11), ())
+    return Junction(1, 1, center, (10, 11))
 
 
 def _mid_junction(track):
