@@ -5,12 +5,11 @@ lane sections carry a center lane plus the forward lanes on the right and
 backward lanes on the left, all at the road's lane width. The header's
 geoReference records the projection so the document stands alone.
 
-Junction centres and outlines are not part of OpenDRIVE 1.4, so they ride
-in a ``userData`` block; other consumers see a standard document. The
-``<center>`` holds the junction's node and its position, which the reader
-takes back bit for bit and scoring reads. The ``<boundary>`` holds the
-16-gon :func:`roadnet.junction_boundary` draws from that centre; no reader
-interprets it.
+Junction centres are not part of OpenDRIVE 1.4, so they ride in a
+``userData`` block; other consumers see a standard document. That block
+holds only the ``<center>``: the junction's node and its position, which
+the reader takes back bit for bit and scoring reads. The reader skips
+any other element there, such as the outline older packages carry.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import xml.etree.ElementTree as ET
 from .errors import ParseError, SerializationError
 from .geometry import GeoPoint, PlanarPoint, bearing, cumulative_lengths
 from .osm import xml_escape
-from .roadnet import Junction, Road, RoadNetwork, junction_boundary
+from .roadnet import Junction, Road, RoadNetwork
 
 
 def emit_opendrive(network: RoadNetwork) -> str:
@@ -104,13 +103,11 @@ def _junction_xml(junction: Junction) -> list[str]:
             f'    <connection id="{i}" incomingRoad="{member}" '
             f'connectingRoad="{member}" contactPoint="start"/>'
         )
-    boundary = " ".join(f"{p.x!r},{p.y!r}" for p in junction_boundary(junction))
     lines.append("    <userData>")
     lines.append(
         f'      <center node="{junction.node_id}" x="{junction.center.x!r}" '
         f'y="{junction.center.y!r}"/>'
     )
-    lines.append(f"      <boundary>{boundary}</boundary>")
     lines.append("    </userData>")
     lines.append("  </junction>")
     return lines

@@ -203,8 +203,9 @@ def _array(items: list[str], closing_indent: str) -> str:
 
 
 def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:
-    """Inverse of ``scenario_document``; ParseError on a malformed document,
-    and on one without ``map_file``, although replay is given the map path."""
+    """Inverse of ``scenario_document``. ParseError on a malformed document,
+    on one that does not list exactly two vehicles, and on one without
+    ``map_file`` (although replay is given the map path)."""
     try:
         doc = json.loads(text)
         key, crash, _ = doc["case_key"], doc["crash_point"], doc["map_file"]
@@ -225,6 +226,8 @@ def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:
             _point(crash), tuple(states), tuple(vehicle_ids), tuple(maneuvers))
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise errors.ParseError(f"bad scenario document: {exc}") from exc
+    if len(states) != 2:
+        raise errors.ParseError(f"scenario lists {len(states)} vehicles, not 2")
     return scene, tuple(trajectories)
 
 

@@ -1,6 +1,7 @@
 """Deterministic SVG rendering of a case package.
 
-Draws the road envelopes, junction outlines, both trajectories, the spawn
+Draws the road envelopes, each junction as a circle of one lane width
+around the centre ``map.xodr`` gives it, both trajectories, the spawn
 markers, and the crash point. The output is plain hand-assembled SVG with
 fixed number formatting, so the same package always renders to identical
 bytes.
@@ -13,7 +14,7 @@ from pathlib import Path
 from .geometry import PlanarPoint, offset_polyline
 from .opendrive import parse_opendrive
 from .pipeline import parse_scenario
-from .roadnet import junction_boundary
+from .roadnet import DEFAULT_LANE_WIDTH_M
 
 _TRAJECTORY_COLORS = ("#c0392b", "#2471a3")
 _MARGIN = 25.0  # metres of background around the drawing
@@ -68,9 +69,10 @@ def render_plot(package_dir: Path) -> str:
             'fill="none" stroke="#ffffff" stroke-width="0.4" stroke-dasharray="3,3"/>'
         )
     for junction in sorted(network.junctions, key=lambda j: j.junction_id):
+        center = junction.center
         lines.append(
-            f'<polygon class="junction" points="{_points_attr(junction_boundary(junction))}" '
-            'fill="none" stroke="#8a8a5c" stroke-width="0.5"/>'
+            f'<circle class="junction" cx="{_fmt(center.x)}" cy="{_fmt(center.y)}" '
+            f'r="{_fmt(DEFAULT_LANE_WIDTH_M)}" fill="none" stroke="#8a8a5c" stroke-width="0.5"/>'
         )
     for i, traj in enumerate(trajectories):
         color = _TRAJECTORY_COLORS[i % len(_TRAJECTORY_COLORS)]

@@ -9,8 +9,8 @@ negative indexes address the opposing side (wrong-side placements).
 
 Junctions are detected at nodes where three or more road ends meet, or
 where distinctly named roads cross. A junction is its node: its centre is
-the node's position, and :func:`junction_boundary` draws the 16-gon of one
-lane width radius around it that ``map.xodr`` and plots show.
+the node's position. ``map.xodr`` writes only that centre, and plots draw
+a circle of one lane width around it.
 """
 
 from __future__ import annotations
@@ -214,20 +214,6 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
 
     junctions = _detect_junctions(roads, node_positions)
     return RoadNetwork(origin, tuple(roads), tuple(junctions), node_positions)
-
-
-# junction boundary: 16-gon of one lane width radius, counterclockwise from angle pi
-_BOUNDARY_OFFSETS = tuple(
-    (DEFAULT_LANE_WIDTH_M * math.cos(a), DEFAULT_LANE_WIDTH_M * math.sin(a))
-    for a in (2 * math.pi * (k % 16) / 16 for k in range(8, 24))
-)
-
-
-def junction_boundary(junction: Junction) -> tuple[PlanarPoint, ...]:
-    """The drawn outline of a junction: a 16-gon around its centre. No
-    decision reads it."""
-    center = junction.center
-    return tuple(PlanarPoint(center.x + dx, center.y + dy) for dx, dy in _BOUNDARY_OFFSETS)
 
 
 def _detect_junctions(

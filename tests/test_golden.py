@@ -14,7 +14,7 @@ import corpus
 
 GOOD_CORPUS = {
     "case_51_101_2023/map.osm": "481ea72771eb2633e3ccc7a1d3b19c0770dd71cc89339db7f0d0075971fbf80e",
-    "case_51_101_2023/map.xodr": "7a49bb0a2bfdbe431ea732d6bdb00fbf8141bfe1fb77d811ad69f40779cb8d6d",
+    "case_51_101_2023/map.xodr": "8bfed69f40bbbdb6d73281fa7cfe23006d3b10739d52c0cfef8f37c7d85aa7ff",
     "case_51_101_2023/report.xml": "a8534420aa279f5532d55a5daf31a156485a4f96f1b144cb73d7ed47ada5f96e",
     "case_51_101_2023/scenario.json": "08d5a30730c1f48bf16e4900d6c7b0ebd749718b8991563063dc9fd4223a4027",
     "case_51_101_2023/summary.md": "b883126d3c86e7fba435ae8ab52b2f24a8be6e86f12314eae500a152961bbb73",
@@ -60,7 +60,7 @@ LEDGER_CORPUS = {
     "case_51_209_2023/summary.md": "5151338fce47a0c55585998749899ad2e014dfc6d726f2773cf211276b2b4bbf",
     "case_51_209_2023/validation.json": "1b7f582cccb41b3fdc7527e4609b6ed56dbe34c6063d0da90cc30d3e93280a75",
     "case_51_210_2023/map.osm": "6cbb26495d285413719065e3bb98a1d62e567c95b08343d586fb20f7fca1b2fe",
-    "case_51_210_2023/map.xodr": "df51d9603fd0d98e02af3dd3ed99d3239a7122bcecd3137e6ffc5735911ec912",
+    "case_51_210_2023/map.xodr": "4eead9704c11e3a700ae55cee789a3ead1de0292a00c7be0da435732776ef210",
     "case_51_210_2023/report.xml": "1de24af18d8240be938aada7250a39ad80003697b6e14285ce23cdb2562886c0",
     "case_51_210_2023/scenario.json": "f95a240ed243cc8151d570df364057e850a7ab7a336e3d103d74ba9c2ec9d6fa",
     "case_51_210_2023/summary.md": "bff86d232d4ecd4836c848ff785c20cc17c0fc434bbb1240d00ff44fcb0b269c",

@@ -376,6 +376,44 @@ def test_replay_detects_tampered_spawn(good_batch, tmp_path):
     assert tampered.location_error != original.location_error
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_replay_rejects_a_scenario_without_two_vehicles(good_batch, tmp_path, capsys, count):
+    package = tmp_path / "case"
+    shutil.copytree(good_batch[2][0].directory, package)
+    scenario = package / "scenario.json"
+    doc = json.loads(scenario.read_text("utf-8"))
+    doc["vehicles"] = (doc["vehicles"] * 2)[:count]
+    scenario.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    message = f"scenario lists {count} vehicles, not 2"
+    with pytest.raises(ParseError, match=message):
+        replay_package(package)
+    assert cli.main(["replay", str(package)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_package_is_a_fixed_point(good_batch, tmp_path):
+    # re-running each case from its own package's report and map gives back
+    # every package file byte for byte
+    keys, _, packages, _ = good_batch
+    assert len(packages) == len(keys)
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for package in packages:
+        slug = package.case_key.slug
+        shutil.copyfile(package.directory / "report.xml", fixtures / f"{slug}.xml")
+        shutil.copyfile(package.directory / "map.osm", fixtures / f"{slug}.osm")
+    config = PipelineConfig(offline=True, fixtures_dir=fixtures, out_dir=tmp_path / "out",
+                            parallelism=1)
+    again = {p.case_key: p for p in run_batch(keys, config)[0]}
+    for package in packages:
+        rerun = again[package.case_key]
+        for name in PACKAGE_FILES:
+            assert ((rerun.directory / name).read_bytes()
+                    == (package.directory / name).read_bytes()), (package.case_key.slug, name)
+
+
 def test_replay_missing_map(good_batch, tmp_path):
     keys, config, packages, outcomes = good_batch
     for name in PACKAGE_FILES:
@@ -403,28 +441,30 @@ def test_plot_structure_and_determinism(good_batch):
     assert 'class="junction"' in svg2
 
 
-def test_plot_draws_the_boundary_map_xodr_holds(good_batch):
+def test_plot_draws_a_circle_at_each_junction_centre(good_batch):
     packages = good_batch[2]
     package = next(p for p in packages if p.case_key.state_case == 101)
-    doc = ET.fromstring((package.directory / "map.xodr").read_text("utf-8"))
-    written = [" ".join(",".join(_fmt(float(v)) for v in pair.split(","))
-                        for pair in j.findtext("userData/boundary").split())
-               for j in doc.iterfind("junction")]
-    drawn = re.findall(r'<polygon class="junction" points="([^"]*)"',
-                       render_plot(package.directory))
-    assert written and drawn == written
+    text = (package.directory / "map.xodr").read_text("utf-8")
+    assert "<boundary>" not in text
+    centres = [(_fmt(float(c.get("x"))), _fmt(float(c.get("y"))))
+               for c in ET.fromstring(text).iterfind("junction/userData/center")]
+    svg = render_plot(package.directory)
+    drawn = re.findall(r'<circle class="junction" cx="([^"]*)" cy="([^"]*)" r="3.50" ', svg)
+    assert centres and drawn == centres
+    assert svg.count('class="junction"') == len(centres)
 
 
 def test_garbled_boundary_replays_and_plots(good_batch, tmp_path):
-    # the <boundary> outline is drawn from the junction centre; no reader parses it
+    # packages written before the outline was dropped carry a <boundary> in
+    # each junction's userData; no reader parses it
     packages = good_batch[2]
     package = next(p for p in packages if p.case_key.state_case == 101)
     work = tmp_path / "garbled"
     shutil.copytree(package.directory, work)
     map_path = work / "map.xodr"
     text = map_path.read_text("utf-8")
-    garbled = re.sub(r"<boundary>[^<]*</boundary>", "<boundary>1.0,nan,east 2</boundary>", text)
-    assert garbled != text
+    garbled = re.sub(r"(<center [^>]*/>)", r"\1<boundary>1.0,nan,east 2</boundary>", text)
+    assert garbled.count("<boundary>") == text.count("<junction ") > 0
     map_path.write_text(garbled, encoding="utf-8")
 
     from crashtrace.simulator import validation_to_json
