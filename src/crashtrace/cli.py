@@ -52,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-prompts of the --llm-endpoint estimator")
         p.add_argument("--horizon", type=float, metavar="S", default=6.0,
                        help="backward-trajectory horizon in seconds")
-        p.add_argument("--parallelism", type=int, metavar="N")
+        p.add_argument("--parallelism", type=int, metavar="N",
+                       help="cases in flight (default: 1 with --fixtures, in the "
+                            "calling thread; else the CPU count, at most 4)")
 
     run_p = sub.add_parser("run", help="process a single case")
     run_p.add_argument("--state", type=int, required=True)

@@ -94,10 +94,12 @@ class PipelineConfig:
 
 
 # One case computes at a time, and gives the lock up while a transport waits
-# on a remote answer, so waits overlap across cases. Under the interpreter
-# lock, threads that compute at once only interleave, and each keeps its
-# working set alive while the others run, so memory would grow with the pool
-# width; one lock per process, as the interpreter lock is.
+# on a remote answer, so waits overlap across a pool's cases. Under the
+# interpreter lock, threads that compute at once only interleave, and each
+# keeps its working set alive while the others run, so memory would grow with
+# the pool width; one lock per process, as the interpreter lock is. A batch of
+# width 1 (the offline default) runs its cases in the calling thread, where
+# nothing contends for it.
 _COMPUTE = threading.Lock()
 
 
@@ -263,9 +265,12 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
     """Run one case through every stage; failures become exclusion reasons.
 
     The case computes holding ``_COMPUTE``, which its transports give up only
-    while they wait on a remote answer; the package is written without it.
+    while they wait on a remote answer; the package is written without it. An
+    excluded case deletes the package files an earlier run left in its
+    directory, and the directory if that empties it.
     """
     clients = clients or build_clients(config)
+    package_dir = Path(config.out_dir) / f"case_{key.slug}"
     try:
         with _COMPUTE:
             artifacts = _reconstruct(key, config, clients)
@@ -274,9 +279,13 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
         if reason is None:
             logger.exception("case %s: internal error", key.slug)
             reason = ExclusionReason.INTERNAL_ERROR
+        if package_dir.is_dir():  # an earlier run packaged the case: drop its files
+            for name in PACKAGE_FILES:
+                (package_dir / name).unlink(missing_ok=True)
+            if not any(package_dir.iterdir()):
+                package_dir.rmdir()
         return CaseOutcome(key, reason=reason)
 
-    package_dir = Path(config.out_dir) / f"case_{key.slug}"
     package_dir.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         (package_dir / name).write_text(content, encoding="utf-8")
@@ -342,22 +351,27 @@ def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict
 def run_batch(
     case_list: Sequence[CaseKey], config: PipelineConfig
 ) -> tuple[list[CasePackage], list[CaseOutcome]]:
-    """Run cases with bounded parallelism; the ledger covers every input once.
+    """Run cases with at most ``config.parallelism`` in flight; the ledger
+    covers every input once.
 
-    Results are ordered by the input list, so they do not depend on worker
-    scheduling.
+    The default width is 1 offline and ``min(os.cpu_count(), 4)`` online (a
+    politeness cap on the services). A pool only overlaps the waits on remote
+    answers, which an offline case does not have, so a width of 1 runs the
+    cases one after another in the calling thread, with no pool. Results are
+    ordered by the input list, so they do not depend on worker scheduling.
     """
     if not case_list:
         raise ValueError("case list is empty")
     clients = build_clients(config)
     workers = config.parallelism
     if workers is None:
-        workers = os.cpu_count() or 1
-        if not config.offline:
-            workers = min(workers, 4)  # politeness cap on external-service calls
+        workers = 1 if config.offline else min(os.cpu_count() or 1, 4)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(lambda key: run_case(key, config, clients), case_list))
+    if workers == 1:
+        outcomes = [run_case(key, config, clients) for key in case_list]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(lambda key: run_case(key, config, clients), case_list))
 
     packages = [o.package for o in outcomes if o.package is not None]
     return packages, outcomes

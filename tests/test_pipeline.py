@@ -195,7 +195,7 @@ def _hash_tree(root: Path) -> dict[str, str]:
 def test_batch_parallelism_independent(ledger_fixtures):
     root, fixtures, keys = ledger_fixtures
     runs = {}
-    for workers in (1, 8):
+    for workers in (None, 1, 8):  # None: the default width
         out_dir = root / f"out_p{workers}"
         config = PipelineConfig(offline=True, fixtures_dir=fixtures, out_dir=out_dir,
                                 parallelism=workers)
@@ -205,10 +205,37 @@ def test_batch_parallelism_independent(ledger_fixtures):
             (out_dir / "ledger.txt").read_text("utf-8"),
             _hash_tree(out_dir),
         )
-    ledger_1, tree_1 = runs[1]
-    ledger_8, tree_8 = runs[8]
-    assert ledger_1 == ledger_8
-    assert tree_1 == tree_8
+    assert runs[1] == runs[None]
+    assert runs[8] == runs[None]
+
+
+def test_rerun_that_excludes_a_case_removes_its_package(good_batch, tmp_path):
+    keys, config, _, _ = good_batch
+    fixtures, out_dir = tmp_path / "fixtures", tmp_path / "out"
+    shutil.copytree(config.fixtures_dir, fixtures)
+    shutil.copytree(config.out_dir, out_dir)
+    assert coverage_stats(out_dir).total == 5
+    (fixtures / "51_101_2023.osm").unlink()
+    _, outcomes = run_batch(keys, PipelineConfig(offline=True, fixtures_dir=fixtures,
+                                                 out_dir=out_dir))
+    assert outcomes[0].ledger_line() == "51_101_2023\texcluded\tFetchFailed"
+    assert not (out_dir / "case_51_101_2023").exists()
+    assert coverage_stats(out_dir).total == 4
+
+
+def test_exclusion_keeps_files_the_pipeline_did_not_write(tmp_path):
+    report, osm_text = corpus.case_fixture("ftf_straight", corpus.case_origin(0))
+
+    def served(report):
+        return PipelineConfig(out_dir=tmp_path / "out", report_transport=lambda url: report,
+                              osm_transport=lambda url, query: osm_text)
+
+    key = CaseKey(51, 320, 2023)
+    package_dir = run_case(key, served(report)).package.directory
+    (package_dir / "plot.svg").write_text("<svg/>\n", encoding="utf-8")
+    outcome = run_case(key, served(report.replace("<ImpactClock>12<", "<ImpactClock>6<")))
+    assert outcome.reason is ExclusionReason.VALIDATION_FAILED
+    assert [path.name for path in package_dir.iterdir()] == ["plot.svg"]
 
 
 def test_batch_summary_counts():
@@ -1020,6 +1047,44 @@ def test_one_case_computes_at_a_time(good_batch, tmp_path, monkeypatch):
     _, again = run_batch(keys, config)
     assert [o.ledger_line() for o in again] == [o.ledger_line() for o in outcomes]
     assert most == 1
+
+
+def test_a_batch_of_width_one_computes_in_the_calling_thread(good_batch, tmp_path,
+                                                           monkeypatch):
+    from crashtrace import pipeline
+
+    keys, config, _, _ = good_batch
+    run, pool = pipeline.run_case, pipeline.ThreadPoolExecutor
+    threads = []
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return run(*args)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a batch of width 1 started a thread pool")
+
+    monkeypatch.setattr(pipeline, "run_case", recorded)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    report, osm_text = corpus.case_fixture("ftf_straight", corpus.case_origin(0))
+    offline = PipelineConfig(offline=True, fixtures_dir=config.fixtures_dir,
+                             out_dir=tmp_path / "offline")
+    online = PipelineConfig(out_dir=tmp_path / "online", parallelism=1,
+                            report_transport=lambda url: report,
+                            osm_transport=lambda url, query: osm_text)
+    online_keys = [CaseKey(51, 320, 2023), CaseKey(51, 321, 2023)]
+    for batch_config, batch_keys in ((offline, keys), (online, online_keys)):
+        threads.clear()
+        _, outcomes = run_batch(batch_keys, batch_config)
+        assert not any(o.excluded for o in outcomes)
+        assert threads == [threading.current_thread()] * len(batch_keys)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", pool)
+    threads.clear()
+    run_batch(keys, PipelineConfig(offline=True, fixtures_dir=config.fixtures_dir,
+                                   out_dir=tmp_path / "pool", parallelism=2))
+    assert len(threads) == len(keys)
+    assert threading.current_thread() not in threads
 
 
 _OFFLINE_BATCH_WITHOUT_REQUESTS = """
