@@ -3,13 +3,16 @@
 Each ledger reason but ``InternalError`` is one exception class below,
 named after its ledger word and carrying it as ``reason``; a subclass is
 kept only where a caller tells it apart. A case that raises one of them ends
-with that ``reason``, and the message says what failed. Any other error, a
-``CrashTraceError`` whose ``reason`` is None included, is a defect in
-crashtrace and ends the case as ``InternalError``, so nothing here escapes a
-batch run. The last four classes end no case by design: the estimator answers
-``UnparseableResponse`` with another attempt, and the other three are raised
-only where packages are read back, or by the OpenDRIVE writer for an empty
-road network, which a case never hands it.
+with that ``reason``, and the message says what failed. The check that finds
+a fault raises it (``reports.check_reconstructable``, ``osm.check_flat``,
+``roadnet.validate_geometry``, ``roadnet.locate_crash_point``); the pipeline
+raises only the replay's verdicts, FailedToCollide and ValidationFailed. Any
+other error, a ``CrashTraceError`` whose ``reason`` is None included, is a
+defect in crashtrace and ends the case as ``InternalError``, so nothing here
+escapes a batch run. The last four classes end no case by design: the
+estimator answers ``UnparseableResponse`` with another attempt, and the other
+three are raised only where packages are read back, or by the OpenDRIVE
+writer for an empty road network, which a case never hands it.
 """
 
 from __future__ import annotations

@@ -334,7 +334,7 @@ def validate_states(
             continue
 
         trajectories.append(generate_trajectory(
-            state, region.crash, region.crash_point, network, record.vehicle_id))
+            state, region.crash, region.crash_point, network))
         planned = classify_track(trajectories[-1].track, network.junctions)
         if record.maneuver not in (planned, Maneuver.OTHER):
             violations.append(f"{tag}: maneuver inconsistent: the planned path is "

@@ -3,9 +3,10 @@
 Extracts come from an Overpass-style bounding-box query online, or from
 local ``.osm`` files in offline mode. Either way the result is an
 :class:`OsmGraph`: plain node coordinates plus tagged node chains. Pruning
-keeps only road-bearing ways near the crash site; anything tagged as a
-bridge, tunnel, or non-zero layer disqualifies the whole case because the
-flat-world conversion cannot represent it.
+keeps only road-bearing ways near the crash site, raising
+InconsistentCrashLocation when none is; ``check_flat`` raises
+UnsupportedVerticalGeometry for a bridge, tunnel, or non-zero layer, which
+the flat-world conversion cannot represent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 from urllib.parse import urlencode
 from xml.parsers import expat
 
-from .errors import InconsistentCrashLocation
+from .errors import InconsistentCrashLocation, UnsupportedVerticalGeometry
 from .geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, project_all
 from .source import ReadThroughSource, http_text
 
@@ -303,8 +304,9 @@ def prune_osm(graph: OsmGraph, center: GeoPoint, radius_m: float) -> OsmGraph:
 _FLAT_VALUES = {"no", "false", "0"}
 
 
-def detect_vertical_geometry(graph: OsmGraph) -> list[int]:
-    """Way ids carrying bridge/tunnel/layer markers the converter rejects."""
+def check_flat(graph: OsmGraph) -> None:
+    """Raise UnsupportedVerticalGeometry naming the ways that carry a
+    bridge, tunnel or layer marker the flat-world conversion cannot represent."""
     flagged = []
     for wid, way in graph.ways.items():
         bridge = way.tags.get("bridge", "no").lower()
@@ -315,4 +317,5 @@ def detect_vertical_geometry(graph: OsmGraph) -> list[int]:
             layer = 0
         if bridge not in _FLAT_VALUES or tunnel not in _FLAT_VALUES or layer != 0:
             flagged.append(wid)
-    return sorted(flagged)
+    if flagged:
+        raise UnsupportedVerticalGeometry(f"ways {sorted(flagged)} are bridges, tunnels or layered")

@@ -219,7 +219,7 @@ def parse_scenario(text: str) -> tuple[SceneSpec, tuple[Trajectory, ...]]:
                 _point(spawn), math.radians(float(spawn["heading_deg"])),
                 float(spawn["speed_mps"]), int(entry["road_id"]), int(entry["lane_index"])))
             maneuvers.append(Maneuver(entry["maneuver"]))
-            trajectories.append(Trajectory(vehicle_ids[-1], tuple(
+            trajectories.append(Trajectory(tuple(
                 Waypoint(_point(w), math.radians(float(w["heading_deg"])),
                          float(w["target_speed_mps"]))
                 for w in entry.get("waypoints", ()))))
@@ -295,29 +295,17 @@ def run_case(key: CaseKey, config: PipelineConfig, clients: Clients | None = Non
 def _reconstruct(key: CaseKey, config: PipelineConfig, clients: Clients) -> dict[str, str]:
     raw = clients.report_client.fetch_case(key)
     report = reports.parse_report(raw)
-    if missing := reports.missing_fields(report):
-        raise errors.IncompleteInfo(f"report lacks {', '.join(missing)}")
-    if not reports.filter_dual_vehicle(report):
-        raise errors.NotDualVehicle(f"report has {len(report.vehicles)} vehicles, not 2")
+    reports.check_reconstructable(report)
 
     origin = report.crash_coords
     graph = clients.osm_client.retrieve_osm(origin, config.radius_m)
     pruned = osm.prune_osm(graph, origin, config.radius_m)
-    if flagged := osm.detect_vertical_geometry(pruned):
-        raise errors.UnsupportedVerticalGeometry(f"ways {flagged} are bridges, tunnels or layered")
+    osm.check_flat(pruned)
 
-    network = build_road_network(pruned, origin)
-    network = unify_lanes(network)
-    geo_check = validate_geometry(pruned, network, origin)
-    if not geo_check.passed:
-        raise errors.GeometryValidationFailed(
-            f"planar distances deviate up to {geo_check.max_relative_deviation:.3%} "
-            "from geodesic ones")
-
+    network = unify_lanes(build_road_network(pruned, origin))
+    validate_geometry(pruned, network, origin)
     # the crash site is the projection origin, so it lands at planar (0, 0)
     crash_fix = locate_crash_point(network, PlanarPoint(0.0, 0.0))
-    if crash_fix is None:
-        raise errors.InconsistentCrashLocation(f"no road's lanes reach the crash site {origin}")
 
     settings = clients.estimation
     region = estimator.candidate_regions(network, report, crash_fix, settings)

@@ -3,6 +3,8 @@
 The source documents are large semi-structured XML files; this module only
 extracts the handful of fields the pipeline consumes. Every other field
 survives only in the verbatim copy kept in the case package.
+``check_reconstructable`` raises IncompleteInfo or NotDualVehicle on a report
+that reconstruction cannot use.
 
 Speeds are assumed reported in miles per hour and converted to m/s here, so
 everything downstream works in one unit.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import MalformedDocument
+from .errors import IncompleteInfo, MalformedDocument, NotDualVehicle
 from .geometry import GeoPoint, MPH_TO_MPS
 
 
@@ -203,12 +205,12 @@ def parse_report(doc: RawCaseDocument) -> CrashReport:
     )
 
 
-def missing_fields(report: CrashReport) -> tuple[str, ...]:
-    """The fields reconstruction cannot do without that the report lacks."""
-    return tuple(name for name in ("crash_coords", "road_topology", "trajectory_relation")
-                 if getattr(report, name) is None)
-
-
-def filter_dual_vehicle(report: CrashReport) -> bool:
-    """Keep exactly-two-vehicle crashes."""
-    return len(report.vehicles) == 2
+def check_reconstructable(report: CrashReport) -> None:
+    """Raise IncompleteInfo when the report lacks a field reconstruction cannot
+    do without, else NotDualVehicle unless it has exactly two vehicles."""
+    missing = [name for name in ("crash_coords", "road_topology", "trajectory_relation")
+               if getattr(report, name) is None]
+    if missing:
+        raise IncompleteInfo(f"report lacks {', '.join(missing)}")
+    if len(report.vehicles) != 2:
+        raise NotDualVehicle(f"report has {len(report.vehicles)} vehicles, not 2")

@@ -1,4 +1,5 @@
-"""Planar road model: construction from OSM, lane unification, and checks.
+"""Planar road model: construction from OSM, lane unification, and the checks
+that raise GeometryValidationFailed and InconsistentCrashLocation.
 
 A :class:`Road` keeps the projected way centerline plus lane counts. Lanes
 form a deck of ``lanes_forward + lanes_backward`` slots centered on the
@@ -18,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
-from .errors import GeometryValidationFailed
+from .errors import GeometryValidationFailed, InconsistentCrashLocation
 from .geometry import (
     GeoPoint,
     PlanarPoint,
@@ -142,9 +144,11 @@ def travel_direction(road: Road, s: float, heading: float) -> int:
 def _oneway(tags: dict[str, str]) -> int:
     """1 one-way as drawn, -1 one-way against the drawing, 0 two-way.
 
-    ``junction=roundabout`` implies ``oneway=yes`` unless tagged otherwise.
+    ``junction=roundabout``, ``junction=circular`` and ``highway=motorway``
+    imply ``oneway=yes`` unless tagged otherwise (OSM wiki, Key:oneway).
     """
-    implied = "yes" if tags.get("junction") == "roundabout" else "no"
+    implied = "yes" if (tags.get("junction") in ("roundabout", "circular")
+                        or tags.get("highway") == "motorway") else "no"
     value = tags.get("oneway", implied).lower()
     if value == "-1":
         return -1
@@ -384,12 +388,13 @@ def _fold_pair(primary: Road, secondary: Road) -> Road:
 # ---------------------------------------------------------------------------
 
 
-def locate_crash_point(network: RoadNetwork, crash: PlanarPoint) -> RoadLocation | None:
+def locate_crash_point(network: RoadNetwork, crash: PlanarPoint) -> RoadLocation:
     """Fix the crash point onto the road whose lane envelope contains it.
 
     The envelope is the centerline buffered by the road half-width plus 2 m
-    of slack. Returns None (off-road) when no envelope contains the point;
-    among containing roads the nearest centerline wins, then the lowest id.
+    of slack. Raises InconsistentCrashLocation when no envelope contains the
+    point; among containing roads the nearest centerline wins, then the
+    lowest id.
     """
     hits = []
     for road in network.roads:
@@ -400,22 +405,20 @@ def locate_crash_point(network: RoadNetwork, crash: PlanarPoint) -> RoadLocation
         if fix.dist > limit:
             continue
         hits.append((fix.dist, road.road_id, fix.s, fix.offset))
-    return RoadLocation(*min(hits)[1:]) if hits else None
+    if not hits:
+        raise InconsistentCrashLocation(
+            f"no road's lanes reach the crash site {tuple(crash)} m from {network.origin}")
+    return RoadLocation(*min(hits)[1:])
 
 
-@dataclass(frozen=True)
-class GeoValidationResult:
-    sample_points: tuple[tuple[GeoPoint, PlanarPoint], ...]
-    max_relative_deviation: float
-    passed: bool
-
-
-def validate_geometry(graph, network: RoadNetwork, origin: GeoPoint) -> GeoValidationResult:
+def validate_geometry(graph, network: RoadNetwork, origin: GeoPoint) -> float:
     """Compare geodesic and converted planar distances at 5 spread locations.
 
     Samples the node nearest the origin plus the four projection extremes,
     then checks all ten pairwise distances: great-circle on the source
-    coordinates against Euclidean on the converted ones.
+    coordinates against Euclidean on the converted ones. Returns the largest
+    relative deviation; raises GeometryValidationFailed above 0.5%, or with
+    fewer than 5 nodes to sample.
     """
     candidates = [nid for nid in sorted(graph.nodes) if nid in network.node_positions]
     if len(candidates) < 5:
@@ -429,15 +432,16 @@ def validate_geometry(graph, network: RoadNetwork, origin: GeoPoint) -> GeoValid
         chosen.append(min((nid for nid in candidates if nid not in chosen),
                           key=lambda nid: (rank(projected[nid]), nid)))
 
-    samples = [(graph.nodes[nid], network.node_positions[nid]) for nid in chosen]
     worst = 0.0
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            geod = haversine_m(samples[i][0], samples[j][0])
-            plan = distance(samples[i][1], samples[j][1])
-            if geod < 1e-9:
-                rel = 0.0 if plan < 1e-9 else math.inf
-            else:
-                rel = abs(plan - geod) / geod
-            worst = max(worst, rel)
-    return GeoValidationResult(tuple(samples), worst, worst <= GEO_VALIDATION_TOLERANCE)
+    for a, b in combinations(chosen, 2):
+        geod = haversine_m(graph.nodes[a], graph.nodes[b])
+        plan = distance(network.node_positions[a], network.node_positions[b])
+        if geod < 1e-9:
+            rel = 0.0 if plan < 1e-9 else math.inf
+        else:
+            rel = abs(plan - geod) / geod
+        worst = max(worst, rel)
+    if worst > GEO_VALIDATION_TOLERANCE:
+        raise GeometryValidationFailed(
+            f"planar distances deviate up to {worst:.3%} from geodesic ones")
+    return worst

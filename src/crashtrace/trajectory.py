@@ -49,7 +49,6 @@ class Waypoint(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    vehicle_id: int
     waypoints: tuple[Waypoint, ...]
 
     @property
@@ -286,7 +285,6 @@ def generate_trajectory(
     crash_fix: RoadLocation,
     crash_point: PlanarPoint,
     network: RoadNetwork,
-    vehicle_id: int = 0,
 ) -> Trajectory:
     """Waypoints from the spawn state to the crash point at 2 m spacing.
 
@@ -301,7 +299,7 @@ def generate_trajectory(
     gap = distance(state.position, crash_point)
     if gap < 2 * WAYPOINT_SPACING_M:
         heading = bearing(state.position, crash_point) if gap > 1e-9 else state.heading
-        return Trajectory(vehicle_id, (
+        return Trajectory((
             Waypoint(state.position, state.heading, state.speed),
             Waypoint(crash_point, heading, state.speed),
         ))
@@ -335,4 +333,4 @@ def generate_trajectory(
         joined.extend([a_cut, arc, b_cut])
     path = _concat([leg for leg in joined if leg])
     path[0] = state.position
-    return Trajectory(vehicle_id, _tail_waypoints(path, crash_point, state.heading, state.speed))
+    return Trajectory(_tail_waypoints(path, crash_point, state.heading, state.speed))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crashtrace.errors import EstimationFailed
+from crashtrace.errors import EstimationFailed, GeometryValidationFailed
 from crashtrace.estimator import (
     EstimationSettings,
     candidate_regions,
@@ -137,8 +137,7 @@ def test_acceptance_3_geometric_fidelity():
     for nodes, ways in layouts:
         graph = parse_osm(corpus.osm_xml(origin, nodes, ways))
         network = unify_lanes(build_road_network(graph, origin))
-        result = validate_geometry(graph, network, origin)
-        assert result.passed, "untampered extract must pass"
+        validate_geometry(graph, network, origin)  # an untampered extract must pass
 
     # fault injection: one converted node displaced 50 m
     nodes, ways = corpus.grid_layout()
@@ -149,7 +148,8 @@ def test_acceptance_3_geometric_fidelity():
     p = tampered[victim]
     tampered[victim] = PlanarPoint(p.x + 50.0, p.y)
     bad = type(network)(network.origin, network.roads, network.junctions, tampered)
-    assert not validate_geometry(graph, bad, origin).passed
+    with pytest.raises(GeometryValidationFailed):
+        validate_geometry(graph, bad, origin)
 
     rng = random.Random(20240817)
     worst = 0.0

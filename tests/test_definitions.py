@@ -1,6 +1,6 @@
-"""Guard against dead code: every module-level definition in the package is used.
+"""Guards on the package's shape: no dead code, and checks that raise their own exclusions.
 
-A ``def``, ``class`` or assigned constant at module level in
+Dead code: a ``def``, ``class`` or assigned constant at module level in
 ``src/crashtrace`` must be named, as a name or an attribute, somewhere in
 ``src/`` or ``tests/`` besides its own definition line; dunder names such as
 ``__version__`` are exempt. Imports and assignments do not count as uses, so
@@ -39,3 +39,15 @@ def test_every_module_level_definition_is_used():
                         if not (name.startswith("__") and name.endswith("__"))]
     assert defined
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+
+
+def test_reconstruct_raises_only_the_replay_verdicts():
+    """A check that ends a case raises its exclusion itself; ``_reconstruct``
+    only calls the checks, and raises the two verdicts it reads from the
+    replay score."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_reconstruct"]
+    raised = [ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for node in ast.walk(body) if isinstance(node, ast.Raise)]
+    assert raised == ["errors.FailedToCollide", "errors.ValidationFailed"]

@@ -234,6 +234,21 @@ def test_validate_flags_reversed_heading():
     assert any("orientation misaligned" in v for v in violations)
 
 
+@pytest.mark.parametrize("road_offset, lane_index, violation", [
+    (99, 1, "vehicle 1: unknown road {road}"),
+    (0, 0, "vehicle 1: lane index 0 not on road"),
+    (0, 3, "vehicle 1: lane index 3 not on road"),  # the road has one lane each way
+])
+def test_validate_rejects_a_placement_off_the_lanes(road_offset, lane_index, violation):
+    network, report, crash, region = _setup("ftf")
+    s1, s2 = heuristic_estimate(region, report, network)
+    bad = InitialState(s1.position, s1.heading, s1.speed, s1.road_id + road_offset, lane_index)
+    violations, trajectories = validate_states((bad, s2), network, report, region)
+    assert violations == [violation.format(road=s1.road_id + road_offset)]
+    # only the vehicle placed in a lane gets a trajectory
+    assert trajectories == validate_states((s1, s2), network, report, region)[1][1:]
+
+
 def test_validate_wrong_way_lane_is_legal():
     # wrong-way travel is encoded by a negative lane index, not a violation
     network, report, crash, region = _setup("ftf")
@@ -514,7 +529,7 @@ def test_feedback_rejects_non_finite_proposal(field, value):
 
 def _document(scene):
     """The scenario document of ``scene`` with no waypoints."""
-    return scenario_document(scene, [Trajectory(vid, ()) for vid in scene.vehicle_ids])
+    return scenario_document(scene, [Trajectory(())] * len(scene.vehicle_ids))
 
 
 def test_scene_roundtrip_identity():

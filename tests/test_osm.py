@@ -15,14 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crashtrace import osm
-from crashtrace.errors import CacheMiss, InconsistentCrashLocation, NetworkError, NotFound
+from crashtrace.errors import (
+    CacheMiss, InconsistentCrashLocation, NetworkError, NotFound, UnsupportedVerticalGeometry)
 from crashtrace.geometry import EARTH_RADIUS_M, GeoPoint
 from crashtrace.osm import (
     OsmClient,
     OsmGraph,
     OsmWay,
     bounding_box,
-    detect_vertical_geometry,
+    check_flat,
     overpass_query,
     parse_osm,
     prune_osm,
@@ -577,9 +578,11 @@ def test_vertical_geometry_detection():
             (12, [5, 6], {"highway": "residential", "layer": "1"}),
         ],
     )
-    assert detect_vertical_geometry(graph) == [11, 12]
+    with pytest.raises(UnsupportedVerticalGeometry,
+                       match=r"^ways \[11, 12\] are bridges, tunnels or layered$"):
+        check_flat(graph)
 
 
 def test_vertical_geometry_flat_grid_clean():
     nodes, ways = straight_road_layout()
-    assert detect_vertical_geometry(_graph(nodes, ways)) == []
+    assert check_flat(_graph(nodes, ways)) is None

@@ -606,8 +606,7 @@ def _turning_package(directory: Path) -> Path:
     states = (InitialState(PlanarPoint(-80.0, -1.75), 0.0, 8.9408, 12, 1),
               InitialState(PlanarPoint(-1.75, 120.0), -math.pi / 2, 8.9408, 11, 1))
     fix = locate_crash_point(network, crash)
-    trajectories = tuple(generate_trajectory(state, fix, crash, network, vid)
-                         for vid, state in zip((1, 2), states))
+    trajectories = tuple(generate_trajectory(state, fix, crash, network) for state in states)
     key = CaseKey(51, 901, 2023)
     scene = SceneSpec(key, crash, states, (1, 2),
                       (Maneuver.TURNING_LEFT, Maneuver.GOING_STRAIGHT))
@@ -684,7 +683,7 @@ def test_scenario_document_roundtrips_every_scored_field(crash, state_a, state_b
     # scoring reads these fields alone, so run and replay score the same floats
     scene = SceneSpec(CaseKey(51, 1, 2023), crash, (state_a, state_b), (1, 2),
                       (Maneuver.GOING_STRAIGHT, Maneuver.OTHER))
-    trajectories = (Trajectory(1, tuple(waypoints_a)), Trajectory(2, tuple(waypoints_b)))
+    trajectories = (Trajectory(tuple(waypoints_a)), Trajectory(tuple(waypoints_b)))
     parsed_scene, parsed_trajectories = parse_scenario(scenario_document(scene, trajectories))
     assert _bits(parsed_scene.crash_point) == _bits(crash)
     for state, parsed in zip(scene.states, parsed_scene.states):
@@ -703,7 +702,7 @@ def test_scenario_document_equals_json_dumps(key, crash, state_a, state_b, maneu
                                              maneuver_b, waypoints_a, waypoints_b, same_ids):
     ids = (7, 7) if same_ids else (1, 2)
     scene = SceneSpec(key, crash, (state_a, state_b), ids, (maneuver_a, maneuver_b))
-    trajectories = [Trajectory(ids[0], tuple(waypoints_a)), Trajectory(ids[1], tuple(waypoints_b))]
+    trajectories = [Trajectory(tuple(waypoints_a)), Trajectory(tuple(waypoints_b))]
     assert scenario_document(scene, trajectories) == _json_dumps_scenario(scene, trajectories)
 
 

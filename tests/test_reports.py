@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crashtrace.crash_api import CrashApiClient, build_case_url
-from crashtrace.errors import CacheMiss, MalformedDocument, NetworkError, NotFound
+from crashtrace.errors import (
+    CacheMiss, IncompleteInfo, MalformedDocument, NetworkError, NotDualVehicle, NotFound)
 from crashtrace.geometry import GeoPoint
 from crashtrace.reports import (
     CaseKey,
@@ -13,8 +14,7 @@ from crashtrace.reports import (
     RawCaseDocument,
     RoadTopology,
     TrajectoryRelation,
-    filter_dual_vehicle,
-    missing_fields,
+    check_reconstructable,
     parse_report,
 )
 
@@ -148,26 +148,31 @@ def test_parse_deterministic():
 
 
 def test_completeness_all_present():
-    assert missing_fields(parse_report(_doc())) == ()
+    assert check_reconstructable(parse_report(_doc())) is None
 
 
 def test_completeness_missing_coords():
-    assert missing_fields(parse_report(_doc(coords=None))) == ("crash_coords",)
+    with pytest.raises(IncompleteInfo, match=r"^report lacks crash_coords$"):
+        check_reconstructable(parse_report(_doc(coords=None)))
 
 
 def test_completeness_missing_topology_and_relation():
-    missing = missing_fields(parse_report(_doc(topology=None, relation=None)))
-    assert missing == ("road_topology", "trajectory_relation")
+    with pytest.raises(IncompleteInfo, match=r"^report lacks road_topology, trajectory_relation$"):
+        check_reconstructable(parse_report(_doc(topology=None, relation=None)))
 
 
 def test_completeness_unrecognized_but_present_is_known():
-    assert missing_fields(parse_report(_doc(topology="Enneagram"))) == ()
+    assert check_reconstructable(parse_report(_doc(topology="Enneagram"))) is None
 
 
 def test_dual_vehicle_filter():
-    assert filter_dual_vehicle(parse_report(_doc()))
-    assert not filter_dual_vehicle(parse_report(_doc(vehicles=[{"speed_mph": 30}])))
-    assert not filter_dual_vehicle(parse_report(_doc(vehicles=[{"speed_mph": 30}] * 3)))
+    assert check_reconstructable(parse_report(_doc())) is None
+    for n in (1, 3):
+        with pytest.raises(NotDualVehicle, match=rf"^report has {n} vehicles, not 2$"):
+            check_reconstructable(parse_report(_doc(vehicles=[{"speed_mph": 30}] * n)))
+    # a missing field is reported before the vehicle count
+    with pytest.raises(IncompleteInfo):
+        check_reconstructable(parse_report(_doc(coords=None, vehicles=[{"speed_mph": 30}])))
 
 
 # --- fetching ---

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from crashtrace.errors import GeometryValidationFailed
+from crashtrace.errors import GeometryValidationFailed, InconsistentCrashLocation
 from crashtrace.geometry import (
     GeoPoint,
     PlanarPoint,
@@ -220,6 +220,12 @@ def test_build_oneway_lanes_tag():
         ({"oneway": "-1"}, (1, 0), (2, 1)),
         ({"junction": "roundabout"}, (1, 0), (1, 2)),
         ({"junction": "roundabout", "oneway": "no"}, (1, 1), (1, 2)),
+        ({"junction": "circular"}, (1, 0), (1, 2)),
+        ({"junction": "circular", "oneway": "no"}, (1, 1), (1, 2)),
+        ({"highway": "motorway"}, (1, 0), (1, 2)),
+        ({"highway": "motorway", "lanes": "3"}, (3, 0), (1, 2)),
+        ({"highway": "motorway", "oneway": "no"}, (1, 1), (1, 2)),
+        ({"highway": "motorway", "oneway": "-1"}, (1, 0), (2, 1)),
     ]
     for tags, lanes, chain in cases:
         network, _ = _network(
@@ -381,6 +387,26 @@ def test_unify_fold_frees_node_for_merge():
     assert _structure(network)[0] == [(10, 1, 1, (1, 2, 5))]
 
 
+def test_unify_keeps_apart_roads_whose_lane_counts_differ():
+    street = {"highway": "residential", "name": "High Street"}
+    network, _ = _network(
+        {1: (-100.0, 0.0), 2: (0.0, 0.0), 3: (100.0, 0.0)},
+        [(10, [1, 2], {**street, "lanes": "4"}), (11, [2, 3], {**street, "lanes": "2"})],
+        unify=True,
+    )
+    assert _structure(network) == ([(10, 2, 2, (1, 2)), (11, 1, 1, (2, 3))], [])
+
+
+def test_unify_leaves_a_loop_way_whole():
+    # both ends of the ring are node 1, which is no junction: nothing to merge there
+    network, _ = _network(
+        {1: (0.0, 0.0), 2: (100.0, 0.0), 3: (100.0, 100.0), 4: (0.0, 100.0)},
+        [(10, [1, 2, 3, 4, 1], {"highway": "residential", "name": "Ring Road"})],
+        unify=True,
+    )
+    assert _structure(network) == ([(10, 1, 1, (1, 2, 3, 4, 1))], [])
+
+
 def _fragmented_grid(seed: int, n: int = 3, pitch: float = 60.0,
                      dual: tuple[int, ...] = (1,)) -> tuple[dict, list]:
     """n x n street grid cut at seeded points into two-node ways.
@@ -473,13 +499,22 @@ def test_unify_matches_fixed_point_oracle_on_fragmented_grids():
         assert network.roads
 
 
-# sha256 over map.osm, map.xodr, the geometric check and 300 crash fixes
-# of each pruned, built and unified _fragmented_grid(seed, n, dual=dual)
+def _fix_or_none(network, crash):
+    """``locate_crash_point``, with None for a point off every road."""
+    try:
+        return locate_crash_point(network, crash)
+    except InconsistentCrashLocation:
+        return None
+
+
+# sha256 over map.osm, map.xodr, the largest geometric deviation and 300
+# crash fixes (None off every road) of each pruned, built and unified
+# _fragmented_grid(seed, n, dual=dual)
 GRID_BYTES = {
-    (1, 3, (1,)): "b01e38c4ebe35894a55688f5b99300a80787ecf0321005eda246460226537aab",
-    (2, 3, (1,)): "34cf60e67dcd3b85f4fb6b81f1686463d72dbd3b569fd19f89d1f393b18d7621",
-    (3, 3, (0, 2)): "6fa01ef7767c603a01ebd4b615bba8dddd80b99d207d47b28c77728c3547ceb0",
-    (4, 10, (1, 4, 7)): "6a214668fd5f7c9424bcaa235e3bb79eedbfb2646a65a02e63f1585cd9e8c6a4",
+    (1, 3, (1,)): "6b7673310eb5b8ad8e1ab00b48decf6243143d2fd6055cce05a40e086cc71737",
+    (2, 3, (1,)): "6f0468b76a1bc5db78fa2d6dac4d14692781549d8e67dd6c42ad07355bcf6707",
+    (3, 3, (0, 2)): "b812c259dd6e543c8975be4aa4e21871417cace76bfc5a0dd5d1c3d209c7d8d9",
+    (4, 10, (1, 4, 7)): "b45c30dc54e26a6c820522a34f62ec5c2eea09f2f3d64cab361c6b155f3a126c",
 }
 
 
@@ -492,8 +527,8 @@ def test_fragmented_grid_bytes(seed, n, dual):
     network = unify_lanes(build_road_network(graph, ORIGIN))
     rng = random.Random(seed)
     fixes = [
-        locate_crash_point(network, PlanarPoint(rng.uniform(-10.0, n * pitch),
-                                                rng.uniform(-10.0, n * pitch)))
+        _fix_or_none(network, PlanarPoint(rng.uniform(-10.0, n * pitch),
+                                          rng.uniform(-10.0, n * pitch)))
         for _ in range(300)
     ]
     digest = hashlib.sha256()
@@ -519,7 +554,8 @@ def test_locate_on_centerline():
 def test_locate_offroad():
     network, _ = _network({1: (-50.0, 50.0), 2: (50.0, 50.0)},
                           [(10, [1, 2], {"highway": "residential"})])
-    assert locate_crash_point(network, PlanarPoint(0.0, 0.0)) is None
+    with pytest.raises(InconsistentCrashLocation, match=r"crash site \(0\.0, 0\.0\) m from"):
+        locate_crash_point(network, PlanarPoint(0.0, 0.0))
 
 
 def test_locate_inside_envelope_edge():
@@ -582,7 +618,7 @@ def test_locate_matches_unfiltered_scan():
         points += [PlanarPoint(-50.0 - limit, 0.0), PlanarPoint(50.0 + limit, 0.0)]
         points += [road.centerline[0] for road in roads] + [road.centerline[-1] for road in roads]
         for p in points:
-            got = locate_crash_point(network, p)
+            got = _fix_or_none(network, p)
             assert (tuple(got) if got else None) == _nearest_envelope(network, p), (trial, p)
             checked += 1
             hits += got is not None
@@ -594,10 +630,7 @@ def test_locate_matches_unfiltered_scan():
 
 def test_validate_geometry_grid_passes():
     network, graph = _network(*grid_layout())
-    result = validate_geometry(graph, network, ORIGIN)
-    assert result.passed
-    assert result.max_relative_deviation < 1e-3
-    assert len(result.sample_points) == 5
+    assert validate_geometry(graph, network, ORIGIN) < 1e-3
 
 
 def test_validate_geometry_detects_displaced_node():
@@ -608,8 +641,8 @@ def test_validate_geometry_detects_displaced_node():
     p = tampered[victim]
     tampered[victim] = PlanarPoint(p.x + 50.0, p.y)
     bad = type(network)(network.origin, network.roads, network.junctions, tampered)
-    result = validate_geometry(graph, bad, ORIGIN)
-    assert not result.passed
+    with pytest.raises(GeometryValidationFailed, match="planar distances deviate up to"):
+        validate_geometry(graph, bad, ORIGIN)
 
 
 def test_validate_geometry_too_few_nodes():

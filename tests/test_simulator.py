@@ -28,13 +28,13 @@ from readback import validation_from_json
 KEY = CaseKey(51, 101, 2023)
 
 
-def _line_trajectory(vid, start, end, speed, n=60):
+def _line_trajectory(start, end, speed, n=60):
     pts = [
         PlanarPoint(start.x + (end.x - start.x) * k / n, start.y + (end.y - start.y) * k / n)
         for k in range(n + 1)
     ]
     heading = math.atan2(end.y - start.y, end.x - start.x)
-    return Trajectory(vid, tuple(Waypoint(p, heading, speed) for p in pts))
+    return Trajectory(tuple(Waypoint(p, heading, speed) for p in pts))
 
 
 def _scene(states):
@@ -51,8 +51,8 @@ def _head_on(speed=10.0, gap=100.0):
     half = gap / 2
     s1 = InitialState(PlanarPoint(-half, 0.0), 0.0, speed, 10, 1)
     s2 = InitialState(PlanarPoint(half, 0.0), math.pi, speed, 10, 1)
-    t1 = _line_trajectory(1, s1.position, PlanarPoint(half, 0.0), speed)
-    t2 = _line_trajectory(2, s2.position, PlanarPoint(-half, 0.0), speed)
+    t1 = _line_trajectory(s1.position, PlanarPoint(half, 0.0), speed)
+    t2 = _line_trajectory(s2.position, PlanarPoint(-half, 0.0), speed)
     return _scene([s1, s2]), (t1, t2)
 
 
@@ -72,8 +72,8 @@ def test_head_on_collision_time_and_location():
 def test_parallel_lanes_no_collision():
     s1 = InitialState(PlanarPoint(-50.0, 0.0), 0.0, 10.0, 10, 1)
     s2 = InitialState(PlanarPoint(50.0, 10.0), math.pi, 10.0, 10, 1)
-    t1 = _line_trajectory(1, s1.position, PlanarPoint(50.0, 0.0), 10.0)
-    t2 = _line_trajectory(2, s2.position, PlanarPoint(-50.0, 10.0), 10.0)
+    t1 = _line_trajectory(s1.position, PlanarPoint(50.0, 0.0), 10.0)
+    t2 = _line_trajectory(s2.position, PlanarPoint(-50.0, 10.0), 10.0)
     outcome = simulate(_scene([s1, s2]), (t1, t2), ())
     assert outcome.record is None
 
@@ -97,8 +97,8 @@ def test_vehicle_continues_past_final_waypoint():
     # crossing paths with a big timing gap: no contact, exhaust + grace ends
     s1 = InitialState(PlanarPoint(0.0, -25.0), math.pi / 2, 13.41, 10, 1)
     s2 = InitialState(PlanarPoint(-80.0, 0.0), 0.0, 13.41, 11, 1)
-    t1 = _line_trajectory(1, s1.position, PlanarPoint(0.0, 0.0), 13.41)
-    t2 = _line_trajectory(2, s2.position, PlanarPoint(0.0, 0.0), 13.41)
+    t1 = _line_trajectory(s1.position, PlanarPoint(0.0, 0.0), 13.41)
+    t2 = _line_trajectory(s2.position, PlanarPoint(0.0, 0.0), 13.41)
     outcome = simulate(_scene([s1, s2]), (t1, t2), ())
     assert outcome.record is None
     # vehicle 1 kept moving north after its waypoints ran out
@@ -110,8 +110,8 @@ def _crossing(gap_s):
     """Two vehicles crossing at the origin, vehicle 2 ``gap_s`` seconds late."""
     s1 = InitialState(PlanarPoint(0.0, -25.0), math.pi / 2, 10.0, 10, 1)
     s2 = InitialState(PlanarPoint(-25.0 - 10.0 * gap_s, 0.0), 0.0, 10.0, 11, 1)
-    t1 = _line_trajectory(1, s1.position, PlanarPoint(0.0, 0.0), 10.0)
-    t2 = _line_trajectory(2, s2.position, PlanarPoint(0.0, 0.0), 10.0)
+    t1 = _line_trajectory(s1.position, PlanarPoint(0.0, 0.0), 10.0)
+    t2 = _line_trajectory(s2.position, PlanarPoint(0.0, 0.0), 10.0)
     return _scene([s1, s2]), (t1, t2)
 
 
@@ -479,7 +479,7 @@ def _followers(draw):
     waypoints = tuple(Waypoint(pool[i], 0.0, 0.0) for i in picks)
     speed = draw(st.one_of(st.just(0.0), st.floats(0.5, 40.0), st.integers(1, 8).map(float),
                            st.sampled_from([-3.0, math.inf, math.nan])))
-    return _PathFollower(pool[picks[0]], Trajectory(1, waypoints), speed)
+    return _PathFollower(pool[picks[0]], Trajectory(waypoints), speed)
 
 
 _dts = st.one_of(st.sampled_from([0.05, 0.5, 1.0]), st.floats(1e-3, 5.0))
@@ -507,7 +507,7 @@ def test_walk_onto_a_vertex_takes_the_next_segment():
     # speed·k·dt is k metres, so the walk lands on every vertex exactly
     corners = (PlanarPoint(0.0, 0.0), PlanarPoint(3.0, 0.0), PlanarPoint(3.0, 4.0),
                PlanarPoint(-1.0, 4.0))
-    follower = _PathFollower(corners[0], Trajectory(1, tuple(
+    follower = _PathFollower(corners[0], Trajectory(tuple(
         Waypoint(p, 0.0, 0.0) for p in corners)), 2.0)
     for k, step in zip(range(14), follower.walk(0.5)):
         assert _step_bits(step) == _step_bits(_bisect_step(follower, k * 0.5)), k
