@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .reports import CaseKey, CrashReport, Maneuver, TrajectoryRelation, VehicleRecord
 from .roadnet import (
+    LANE_WIDTH_M,
     Junction,
     Road,
     RoadLocation,
@@ -317,7 +318,7 @@ def validate_states(
         lateral_err, _, direction = min(candidates)
 
         longitudinal_err = math.sqrt(max(fix.dist**2 - fix.offset**2, 0.0))
-        if lateral_err > road.lane_width / 2 + 0.05 or longitudinal_err > 0.05:
+        if lateral_err > LANE_WIDTH_M / 2 + 0.05 or longitudinal_err > 0.05:
             violations.append(
                 f"{tag}: position outside road boundary "
                 f"(lateral error {lateral_err:.2f} m on road {road.road_id})"

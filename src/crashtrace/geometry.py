@@ -97,20 +97,6 @@ def _segment_index(cum: list[float], s: float) -> tuple[int, float]:
     return idx, t
 
 
-def _segment_after(cum: list[float], idx: int, s: float) -> tuple[int, float]:
-    """``_segment_index(cum, s)``, found by walking forward from segment ``idx``.
-
-    ``idx`` must not lie past the answer (the answer for a smaller ``s`` never
-    does), so a caller whose ``s`` only grows walks each segment once.
-    """
-    s = min(max(s, 0.0), cum[-1])
-    last = len(cum) - 2
-    while idx < last and cum[idx + 1] <= s:
-        idx += 1
-    seg_len = cum[idx + 1] - cum[idx]
-    return idx, 0.0 if seg_len == 0.0 else (s - cum[idx]) / seg_len
-
-
 def point_at(points: Polyline, s: float, cum: list[float] | None = None) -> PlanarPoint:
     """Point at arc length ``s`` (clamped to the polyline extent)."""
     cum = cum or cumulative_lengths(points)
@@ -230,11 +216,14 @@ def resample_count(points: Polyline, n: int) -> list[PlanarPoint]:
         raise ValueError("need at least two samples")
     cum = cumulative_lengths(points)
     total = cum[-1]
-    out = [points[0]]
-    idx = 0
-    for k in range(1, n - 1):  # arc lengths only grow
-        idx, t = _segment_after(cum, idx, total * k / (n - 1))
-        a, b = points[idx], points[idx + 1]
-        out.append(PlanarPoint(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    out.append(points[-1])
+    return [points[0], *(point_at(points, total * k / (n - 1), cum) for k in range(1, n - 1)),
+            points[-1]]
+
+
+def drop_repeats(points: Polyline) -> list[PlanarPoint]:
+    """``points`` without each point that lies within 1e-9 m of the last one kept."""
+    out = list(points[:1])
+    for p in points[1:]:
+        if math.dist(p, out[-1]) > 1e-9:  # ``distance``, bit for bit
+            out.append(p)
     return out

@@ -2,7 +2,7 @@
 
 The plan view approximates each centerline as a chain of line geometries;
 lane sections carry a center lane plus the forward lanes on the right and
-backward lanes on the left, all at the road's lane width. The header's
+backward lanes on the left, every one ``LANE_WIDTH_M`` wide. The header's
 geoReference records the projection so the document stands alone.
 
 Junction centres are not part of OpenDRIVE 1.4, so they ride in a
@@ -21,7 +21,7 @@ import xml.etree.ElementTree as ET
 from .errors import ParseError, SerializationError
 from .geometry import GeoPoint, PlanarPoint, bearing, cumulative_lengths
 from .osm import xml_escape
-from .roadnet import Junction, Road, RoadNetwork
+from .roadnet import LANE_WIDTH_M, Junction, Road, RoadNetwork
 
 
 def emit_opendrive(network: RoadNetwork) -> str:
@@ -73,7 +73,7 @@ def _road_xml(road: Road) -> list[str]:
     def lane_xml(lane_id: int) -> str:
         return (
             f'          <lane id="{lane_id}" type="driving" level="false">'
-            f'<width sOffset="0.0" a="{road.lane_width!r}" b="0.0" c="0.0" d="0.0"/>'
+            f'<width sOffset="0.0" a="{LANE_WIDTH_M!r}" b="0.0" c="0.0" d="0.0"/>'
             "</lane>"
         )
 
@@ -132,8 +132,10 @@ def parse_opendrive(text: str) -> RoadNetwork:
     """Read a document produced by :func:`emit_opendrive` back into a network.
 
     Source node bookkeeping does not survive the format; the returned
-    network carries geometry, lanes, and junctions only. A number that is
-    missing, unreadable or not finite raises ParseError naming its element.
+    network carries geometry, lanes, and junctions only; each lane width is
+    checked but not kept, as every lane is ``LANE_WIDTH_M`` wide. A number
+    that is missing, unreadable or not finite raises ParseError naming its
+    element.
     """
     try:
         root = ET.fromstring(text)
@@ -163,17 +165,14 @@ def parse_opendrive(text: str) -> RoadNetwork:
         )
         backward = len(road_el.findall("lanes/laneSection/left/lane"))
         forward = len(road_el.findall("lanes/laneSection/right/lane"))
-        width_el = road_el.find("lanes/laneSection/right/lane/width")
-        if width_el is None:
-            width_el = road_el.find("lanes/laneSection/left/lane/width")
-        lane_width = _number(width_el, width_el.get("a")) if width_el is not None else 3.5
+        for width_el in road_el.iterfind("lanes/laneSection/*/lane/width"):
+            _number(width_el, width_el.get("a"))  # every lane is LANE_WIDTH_M wide
         roads.append(
             Road(
                 road_id=road_id,
                 centerline=tuple(pts),
                 lanes_forward=forward,
                 lanes_backward=backward,
-                lane_width=lane_width,
                 name_key=road_el.get("name", ""),
             )
         )

@@ -5,8 +5,9 @@ local ``.osm`` files in offline mode. Either way the result is an
 :class:`OsmGraph`: plain node coordinates plus tagged node chains. Pruning
 keeps only road-bearing ways near the crash site, raising
 InconsistentCrashLocation when none is; ``check_flat`` raises
-UnsupportedVerticalGeometry for a bridge, tunnel, or non-zero layer, which
-the flat-world conversion cannot represent.
+UnsupportedVerticalGeometry for a bridge, a tunnel other than a roof at
+street level, or a non-zero layer, which the flat-world conversion cannot
+represent.
 """
 
 from __future__ import annotations
@@ -302,11 +303,15 @@ def prune_osm(graph: OsmGraph, center: GeoPoint, radius_m: float) -> OsmGraph:
 
 
 _FLAT_VALUES = {"no", "false", "0"}
+# roofs over a road at street level (OSM wiki, Key:tunnel)
+_STREET_LEVEL_TUNNELS = _FLAT_VALUES | {"building_passage", "avalanche_protector"}
 
 
 def check_flat(graph: OsmGraph) -> None:
     """Raise UnsupportedVerticalGeometry naming the ways that carry a
-    bridge, tunnel or layer marker the flat-world conversion cannot represent."""
+    bridge, tunnel or layer marker the flat-world conversion cannot represent.
+    A building passage or avalanche protector roofs a road at street level,
+    so it stays flat unless its ``layer`` is non-zero."""
     flagged = []
     for wid, way in graph.ways.items():
         bridge = way.tags.get("bridge", "no").lower()
@@ -315,7 +320,7 @@ def check_flat(graph: OsmGraph) -> None:
             layer = int(way.tags.get("layer", "0"))
         except ValueError:
             layer = 0
-        if bridge not in _FLAT_VALUES or tunnel not in _FLAT_VALUES or layer != 0:
+        if bridge not in _FLAT_VALUES or tunnel not in _STREET_LEVEL_TUNNELS or layer != 0:
             flagged.append(wid)
     if flagged:
         raise UnsupportedVerticalGeometry(f"ways {sorted(flagged)} are bridges, tunnels or layered")

@@ -14,7 +14,7 @@ from pathlib import Path
 from .geometry import PlanarPoint, offset_polyline
 from .opendrive import parse_opendrive
 from .pipeline import parse_scenario
-from .roadnet import DEFAULT_LANE_WIDTH_M
+from .roadnet import LANE_WIDTH_M
 
 _TRAJECTORY_COLORS = ("#c0392b", "#2471a3")
 _MARGIN = 25.0  # metres of background around the drawing
@@ -72,7 +72,7 @@ def render_plot(package_dir: Path) -> str:
         center = junction.center
         lines.append(
             f'<circle class="junction" cx="{_fmt(center.x)}" cy="{_fmt(center.y)}" '
-            f'r="{_fmt(DEFAULT_LANE_WIDTH_M)}" fill="none" stroke="#8a8a5c" stroke-width="0.5"/>'
+            f'r="{_fmt(LANE_WIDTH_M)}" fill="none" stroke="#8a8a5c" stroke-width="0.5"/>'
         )
     for i, traj in enumerate(trajectories):
         color = _TRAJECTORY_COLORS[i % len(_TRAJECTORY_COLORS)]

@@ -38,7 +38,7 @@ from .geometry import (
     wrap_angle,
 )
 
-DEFAULT_LANE_WIDTH_M = 3.5
+LANE_WIDTH_M = 3.5
 MERGE_MAX_HEADING_DEG = 20.0
 FOLD_MAX_SEPARATION_LANE_WIDTHS = 1.5
 CRASH_ENVELOPE_SLACK_M = 2.0
@@ -50,7 +50,6 @@ class Road(NamedTuple):
     centerline: tuple[PlanarPoint, ...]
     lanes_forward: int
     lanes_backward: int
-    lane_width: float
     name_key: str
     node_ids: tuple[int, ...] = ()
 
@@ -64,11 +63,11 @@ class Road(NamedTuple):
 
     @property
     def half_width(self) -> float:
-        return self.lane_count * self.lane_width / 2.0
+        return self.lane_count * LANE_WIDTH_M / 2.0
 
     def reversed(self) -> "Road":
         return Road(self.road_id, self.centerline[::-1], self.lanes_backward,
-                    self.lanes_forward, self.lane_width, self.name_key, self.node_ids[::-1])
+                    self.lanes_forward, self.name_key, self.node_ids[::-1])
 
 
 class Junction(NamedTuple):
@@ -124,7 +123,7 @@ def lane_offset(road: Road, direction: int, lane_index: int) -> float:
         )
     n = road.lane_count
     slot = road.lanes_forward - m if on_forward_side else road.lanes_forward + m - 1
-    return (slot - (n - 1) / 2.0) * road.lane_width
+    return (slot - (n - 1) / 2.0) * LANE_WIDTH_M
 
 
 def own_lane(road: Road, direction: int, lane_index: int) -> int:
@@ -212,8 +211,7 @@ def build_road_network(graph, origin: GeoPoint) -> RoadNetwork:
             continue
         oneway = _oneway(way.tags)
         fwd, bwd = _parse_lanes(way.tags, oneway)
-        road = Road(wid, tuple(pts), fwd, bwd, DEFAULT_LANE_WIDTH_M, _name_key(way.tags),
-                    tuple(ids))
+        road = Road(wid, tuple(pts), fwd, bwd, _name_key(way.tags), tuple(ids))
         roads.append(road.reversed() if oneway < 0 else road)
 
     junctions = _detect_junctions(roads, node_positions)
@@ -338,8 +336,7 @@ def _merge_at(nid: int, roads: dict[int, Road], ends: dict[int, list[int]],
     if (a_o.lanes_forward, a_o.lanes_backward) != (b_o.lanes_forward, b_o.lanes_backward):
         return
     merged = Road(a_id, a_o.centerline + b_o.centerline[1:], a_o.lanes_forward,
-                  a_o.lanes_backward, a_o.lane_width, a_o.name_key,
-                  a_o.node_ids + b_o.node_ids[1:])
+                  a_o.lanes_backward, a_o.name_key, a_o.node_ids + b_o.node_ids[1:])
     roads[a_id] = merged.reversed() if merged.lanes_forward == 0 else merged
     del roads[b_id]
     id_map[b_id] = a_id
@@ -359,7 +356,7 @@ def _cannot_fold(a: Road, b: Road, facts: dict[int, tuple[float, float, PlanarPo
     """Whether b is not antiparallel to a or its midpoint is off a's centerline."""
     heading_a, length_a, _ = facts[a.road_id]
     heading_b, _, mid_b = facts[b.road_id]
-    limit = FOLD_MAX_SEPARATION_LANE_WIDTHS * a.lane_width
+    limit = FOLD_MAX_SEPARATION_LANE_WIDTHS * LANE_WIDTH_M
     return (abs(wrap_angle(heading_a - heading_b + math.pi)) > math.radians(MERGE_MAX_HEADING_DEG)
             or _beyond(a.centerline, length_a, mid_b, limit)
             or locate_on_polyline(a.centerline, mid_b).dist > limit)
@@ -380,7 +377,7 @@ def _fold_pair(primary: Road, secondary: Road) -> Road:
     pts_b = resample_count(back, n)
     midline = tuple(PlanarPoint((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in zip(pts_a, pts_b))
     return Road(min(primary.road_id, secondary.road_id), midline, primary.lanes_forward,
-                secondary.lanes_forward, primary.lane_width, primary.name_key, primary.node_ids)
+                secondary.lanes_forward, primary.name_key, primary.node_ids)
 
 
 # ---------------------------------------------------------------------------

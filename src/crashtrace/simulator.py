@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .geometry import PlanarPoint, bearing, cumulative_lengths, distance
+from .geometry import PlanarPoint, bearing, cumulative_lengths, distance, drop_repeats
 from .reports import CrashReport, Maneuver
 from .roadnet import Junction
 from .trajectory import Trajectory, classify_track
@@ -159,10 +159,7 @@ class _PathFollower:
     it continues straight on the final heading."""
 
     def __init__(self, spawn_position: PlanarPoint, trajectory: Trajectory, speed: float):
-        points = [spawn_position]
-        for wp in trajectory.waypoints[1:]:
-            if distance(wp.position, points[-1]) > 1e-9:
-                points.append(wp.position)
+        points = drop_repeats([spawn_position] + [wp.position for wp in trajectory.waypoints[1:]])
         if len(points) < 2:
             points.append(PlanarPoint(spawn_position.x + 1e-6, spawn_position.y))
         self.points = points

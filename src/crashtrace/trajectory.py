@@ -22,6 +22,7 @@ from .geometry import (
     bearing,
     cumulative_lengths,
     distance,
+    drop_repeats,
     locate_on_polyline,
     offset_polyline,
     point_at,
@@ -99,18 +100,10 @@ def _sub_polyline(points, s_from: float, s_to: float) -> list[PlanarPoint]:
     """Directed slice of a polyline between two arc lengths."""
     cum = cumulative_lengths(points)
     lo, hi = min(s_from, s_to), max(s_from, s_to)
-    out = [point_at(points, lo, cum)]
-    for i, s in enumerate(cum):
-        if lo + 1e-9 < s < hi - 1e-9:
-            out.append(points[i])
-    out.append(point_at(points, hi, cum))
-    dedup = [out[0]]
-    for p in out[1:]:
-        if distance(p, dedup[-1]) > 1e-9:
-            dedup.append(p)
-    if s_from > s_to:
-        dedup.reverse()
-    return dedup
+    out = drop_repeats([point_at(points, lo, cum),
+                        *(p for p, s in zip(points, cum) if lo + 1e-9 < s < hi - 1e-9),
+                        point_at(points, hi, cum)])
+    return out[::-1] if s_from > s_to else out
 
 
 def _road_graph(network: RoadNetwork) -> dict[int, list[tuple[int, PlanarPoint]]]:
@@ -239,15 +232,6 @@ def _fillet(leg_a: list[PlanarPoint], leg_b: list[PlanarPoint]
     return leg_a, arc, leg_b
 
 
-def _concat(legs: list[list[PlanarPoint]]) -> list[PlanarPoint]:
-    out: list[PlanarPoint] = []
-    for leg in legs:
-        for p in leg:
-            if not out or distance(p, out[-1]) > 1e-9:
-                out.append(p)
-    return out
-
-
 def _terminal_blend(points: Sequence[tuple[float, float]], crash: PlanarPoint
                     ) -> list[tuple[float, float]]:
     """Shift the last stretch of the path linearly onto the crash point."""
@@ -331,6 +315,6 @@ def generate_trajectory(
         prev = joined.pop()
         a_cut, arc, b_cut = _fillet(prev, leg)
         joined.extend([a_cut, arc, b_cut])
-    path = _concat([leg for leg in joined if leg])
+    path = drop_repeats([p for leg in joined for p in leg])
     path[0] = state.position
     return Trajectory(_tail_waypoints(path, crash_point, state.heading, state.speed))

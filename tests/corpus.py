@@ -155,6 +155,29 @@ def t_layout() -> tuple[dict, list]:
     return nodes, ways
 
 
+def traffic_circle_layout(radius: float = 20.0, south_arm: float = 50.0,
+                          arm: float = 200.0) -> tuple[dict, list]:
+    """A closed ``junction=roundabout`` ring north of the origin with four
+    arms; the south arm meets the ring ``south_arm / 2`` north of the origin
+    and runs as far south of it."""
+    cy = radius + south_arm / 2
+    ring = [1 + k for k in range(16)]  # counterclockwise from the south point
+    nodes = {nid: (radius * math.sin(2 * math.pi * k / 16),
+                   cy - radius * math.cos(2 * math.pi * k / 16))
+             for k, nid in enumerate(ring)}
+    nodes.update({20: (0.0, -south_arm / 2), 21: (radius + arm, cy),
+                  22: (0.0, cy + radius + arm), 23: (-radius - arm, cy)})
+    ways = [
+        (30, ring + ring[:1], {"highway": "secondary", "junction": "roundabout",
+                               "name": "Market Circle"}),
+        (31, [20, ring[0]], {"highway": "secondary", "name": "South Road"}),
+        (32, [ring[4], 21], {"highway": "secondary", "name": "East Road"}),
+        (33, [ring[8], 22], {"highway": "secondary", "name": "North Road"}),
+        (34, [ring[12], 23], {"highway": "secondary", "name": "West Road"}),
+    ]
+    return nodes, ways
+
+
 def grid_layout(pitch: float = 250.0, n: int = 5) -> tuple[dict, list]:
     """n x n street grid centered on the origin (extent (n-1)*pitch)."""
     nodes = {}

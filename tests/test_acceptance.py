@@ -307,7 +307,6 @@ def test_acceptance_6_backward_trajectory_law():
             ),
         ))
         crash = locate_crash_point(network, PlanarPoint(0.0, 0.0))
-        assert crash is not None
         region = candidate_regions(network, report, crash)
         states = heuristic_estimate(region, report, network)
         road = network.road(crash.road_id)

@@ -6,6 +6,10 @@ Dead code: a ``def``, ``class`` or assigned constant at module level in
 ``__version__`` are exempt. Imports and assignments do not count as uses, so
 deleting the last caller of a helper also flags the helper when its import is
 left behind.
+
+Unused imports: every name a ``src/crashtrace`` module imports must be read in
+that module, unless its import line carries ``# noqa: F401`` (a name kept for
+code that patches or reads it from outside). ``from __future__`` is exempt.
 """
 
 import ast
@@ -39,6 +43,25 @@ def test_every_module_level_definition_is_used():
                         if not (name.startswith("__") and name.endswith("__"))]
     assert defined
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+
+
+def test_every_imported_name_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unread.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unread == []
 
 
 def test_reconstruct_raises_only_the_replay_verdicts():

@@ -67,7 +67,6 @@ def _setup(kind="ftf"):
     else:
         raise ValueError(kind)
     crash = locate_crash_point(network, CRASH)
-    assert crash is not None
     region = candidate_regions(network, report, crash)
     return network, report, crash, region
 

@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from crashtrace.geometry import (
     PlanarPoint,
-    _segment_after,
     _segment_index,
     cumulative_lengths,
     distance,
+    drop_repeats,
     point_at,
     resample_count,
     resample_polyline,
@@ -67,21 +67,6 @@ def test_segment_index_matches_loop_on_seeded_lists():
         probes += [rng.uniform(-1.0, total + 1.0) for _ in range(10)]
         for s in probes:
             assert _segment_index(cum, s) == _loop_segment_index(cum, s), (cum, s)
-
-
-@given(_steps, st.data())
-def test_segment_after_matches_segment_index_from_any_earlier_segment(steps, data):
-    cum = _cum(steps)
-    total = cum[-1]
-    s = data.draw(st.one_of(
-        st.floats(-10.0, total + 10.0),
-        st.sampled_from(cum),
-        st.sampled_from([-1e-12, -0.0, 0.0, total, total + 1e-12]),
-    ))
-    idx, t = _segment_index(cum, s)
-    start = data.draw(st.integers(0, idx))
-    after_idx, after_t = _segment_after(cum, start, s)
-    assert (after_idx, after_t.hex()) == (idx, t.hex())
 
 
 def test_segment_index_zero_length_segments_pick_rightmost():
@@ -187,3 +172,11 @@ def test_resample_edge_cases_match_point_at():
     assert resample_count(still, 4) == _point_at_resample_count(still, 4) == still + still[:1]
     with pytest.raises(ValueError):
         resample_polyline(still, 1.0)
+
+
+def test_drop_repeats_measures_from_the_last_point_kept():
+    a = PlanarPoint(1.0, 2.0)
+    near, nearer = PlanarPoint(1.0 + 6e-10, 2.0), PlanarPoint(1.0 + 1.2e-9, 2.0)
+    assert drop_repeats([a, a, near, nearer, nearer]) == [a, nearer]
+    assert drop_repeats([a]) == [a]
+    assert drop_repeats([]) == []

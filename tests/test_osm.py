@@ -583,6 +583,23 @@ def test_vertical_geometry_detection():
         check_flat(graph)
 
 
+def test_street_level_tunnels_are_flat():
+    # building passages and avalanche protectors roof a road at street level
+    # (OSM wiki, Key:tunnel); a non-zero layer still lifts one off the plane
+    nodes = {1: (0.0, 0.0), 2: (100.0, 0.0), 3: (0.0, 10.0), 4: (100.0, 10.0),
+             5: (0.0, 20.0), 6: (100.0, 20.0)}
+    ways = [
+        (10, [1, 2], {"highway": "residential", "tunnel": "building_passage"}),
+        (11, [3, 4], {"highway": "residential", "tunnel": "Avalanche_Protector"}),
+    ]
+    assert check_flat(_graph(nodes, ways)) is None
+    layered = (12, [5, 6], {"highway": "residential", "tunnel": "building_passage",
+                            "layer": "-1"})
+    with pytest.raises(UnsupportedVerticalGeometry,
+                       match=r"^ways \[12\] are bridges, tunnels or layered$"):
+        check_flat(_graph(nodes, ways + [layered]))
+
+
 def test_vertical_geometry_flat_grid_clean():
     nodes, ways = straight_road_layout()
     assert check_flat(_graph(nodes, ways)) is None

@@ -990,6 +990,26 @@ def test_zero_length_way_is_skipped(tmp_path):
     assert outcome.ledger_line() == "51_323_2023\tpackage\t-"
 
 
+@pytest.mark.parametrize("topology, collision, relation, verdict", [
+    # both reported straight, but every placement on the ring exits right onto the arm
+    ("Traffic Circle / Roundabout", "Angle", "Intersecting Paths",
+     "excluded\tEstimationFailed"),
+    # off the ring the arm's own approaches serve both vehicles, head-on
+    ("Not an Intersection", "Front-to-Front", "Same Trafficway, Opposite Direction",
+     "package\t-"),
+])
+def test_traffic_circle_verdicts(tmp_path, topology, collision, relation, verdict):
+    # a closed roundabout way with four arms; the crash lies 25 m down the south arm
+    origin = corpus.case_origin(0)
+    report = corpus.report_xml(coords=origin, collision=collision, topology=topology,
+                               relation=relation)
+    osm_text = corpus.osm_xml(origin, *corpus.traffic_circle_layout())
+    config = PipelineConfig(out_dir=tmp_path / "out", report_transport=lambda url: report,
+                            osm_transport=lambda url, query: osm_text)
+    outcome = run_case(CaseKey(51, 330, 2023), config)
+    assert outcome.ledger_line() == f"51_330_2023\t{verdict}"
+
+
 # --- batches: network waits overlap, one case computes at a time ---
 
 

@@ -23,6 +23,7 @@ from crashtrace.osm import parse_osm, prune_osm, write_osm
 from crashtrace.roadnet import (
     CRASH_ENVELOPE_SLACK_M,
     FOLD_MAX_SEPARATION_LANE_WIDTHS,
+    LANE_WIDTH_M,
     MERGE_MAX_HEADING_DEG,
     Road,
     RoadNetwork,
@@ -126,7 +127,7 @@ def _fixed_point_unify(network):
                     continue
                 mid_b = point_at(b.centerline, polyline_length(b.centerline) / 2)
                 if locate_on_polyline(a.centerline, mid_b).dist > (
-                        FOLD_MAX_SEPARATION_LANE_WIDTHS * a.lane_width):
+                        FOLD_MAX_SEPARATION_LANE_WIDTHS * LANE_WIDTH_M):
                     continue
                 longer_b = (polyline_length(b.centerline), b.road_id) > (
                     polyline_length(a.centerline), a.road_id)
@@ -208,7 +209,7 @@ def test_build_defaults_two_way():
                           [(10, [1, 2], {"highway": "residential"})])
     (road,) = network.roads
     assert (road.lanes_forward, road.lanes_backward) == (1, 1)
-    assert road.lane_width == 3.5
+    assert road.half_width == 3.5  # one 3.5 m lane each way
     assert road.length == pytest.approx(100.0)
 
 
@@ -607,9 +608,9 @@ def test_locate_matches_unfiltered_scan():
                 step = rng.uniform(2.0, 40.0)
                 x, y = x + step * math.cos(h), y + step * math.sin(h)
                 pts.append(PlanarPoint(x, y))
-            roads.append(Road(rid + 1, tuple(pts), rng.randint(1, 2), rng.randint(0, 2), 3.5, ""))
+            roads.append(Road(rid + 1, tuple(pts), rng.randint(1, 2), rng.randint(0, 2), ""))
         # axis-aligned road: points exactly on its envelope edge are exact in binary
-        edge = Road(20, (PlanarPoint(-50.0, 0.0), PlanarPoint(50.0, 0.0)), 1, 1, 3.5, "")
+        edge = Road(20, (PlanarPoint(-50.0, 0.0), PlanarPoint(50.0, 0.0)), 1, 1, "")
         network = RoadNetwork(ORIGIN, (*roads, edge), (), {})
         limit = edge.half_width + CRASH_ENVELOPE_SLACK_M
         points = [PlanarPoint(rng.uniform(-120, 120), rng.uniform(-120, 120)) for _ in range(40)]
